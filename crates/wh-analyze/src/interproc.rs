@@ -306,16 +306,12 @@ const SINKS: &[(&str, &str)] = &[
     ("HeapFile", "read"),
     ("HeapFile", "scan"),
     ("HeapFile", "scan_pages"),
-    ("HeapFile", "scan_parallel"),
     ("HeapFile", "scan_batches"),
-    ("HeapFile", "scan_batches_parallel"),
     ("HeapFile", "scan_all"),
     ("Table", "scan"),
-    ("Table", "scan_parallel"),
     ("Table", "scan_all"),
     ("RecordBatch", "gather"),
     ("VnlTable", "find_physical"),
-    ("ByteScanner", "classify"),
     ("BatchScanner", "classify_batch"),
     ("*", "decode_visible"),
     ("*", "decode_planned"),

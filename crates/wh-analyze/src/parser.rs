@@ -25,9 +25,9 @@ use std::path::Path;
 /// One `fn` item: identity, location, and body extent.
 #[derive(Debug, Clone)]
 pub struct FnInfo {
-    /// Simple name (`scan_visible`).
+    /// Simple name (`scan_serial`).
     pub name: String,
-    /// Fully qualified path (`wh_vnl::table::VnlTable::scan_visible`).
+    /// Fully qualified path (`wh_vnl::table::VnlTable::scan_serial`).
     pub qual: String,
     /// Enclosing `impl`/`trait` type name, if any (`VnlTable`).
     pub impl_type: Option<String>,

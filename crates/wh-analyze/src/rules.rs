@@ -52,7 +52,7 @@ pub struct Diagnostic {
     /// Human-readable explanation.
     pub message: String,
     /// Qualified path of the enclosing function
-    /// (`wh_vnl::table::VnlTable::scan_visible`), when the line falls
+    /// (`wh_vnl::table::VnlTable::scan_serial`), when the line falls
     /// inside one. Filled in by a post-pass over the function tables.
     pub function: Option<String>,
 }

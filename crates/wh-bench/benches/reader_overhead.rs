@@ -43,7 +43,7 @@ fn bench_reader(m: &mut Micro) {
         unreachable!()
     };
     m.bench("reader_rollup_query/plain_table", || {
-        execute_select(&plain, &stmt, &Params::new()).unwrap()
+        execute_select(&plain, &stmt, &Params::new(), 1).unwrap()
     });
 
     // 2VNL table, half the tuples updated by a later maintenance txn so the

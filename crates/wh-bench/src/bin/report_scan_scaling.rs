@@ -12,14 +12,14 @@
 //! * `scan` — full-relation visitor scan, all columns.
 //! * `filter` — `WHERE total_sales >= :cutoff` with a 2-column projection,
 //!   streamed through the SQL executor.
-//! * `aggregate` — `GROUP BY product_line` SUM, folded into per-worker
+//! * `aggregate` — `GROUP BY product_line` SUM, folded into per-partition
 //!   partial aggregate maps merged at the end.
 //!
-//! Since E22 every probe runs under *both* reader pipelines — `scalar`
-//! (the ByteScanner reference path) and `batched` (gather + branch-free
-//! classify + selective decode) — so the report carries before/after
-//! medians in one document and `bench_check` can gate on the batched
-//! path's relative performance against the committed baseline.
+//! There is one reader pipeline (gather + branch-free classify + selective
+//! decode), and one thread is its one-partition case, so the only
+//! dimensions are workload × maintenance × threads. The E22 scalar-pipeline
+//! column is historical (EXPERIMENTS.md); regressions are judged end to end
+//! by `benchmark/`.
 //!
 //! Writes machine-readable results to `BENCH_scan.json` (override with
 //! `WH_BENCH_OUT`). `WH_BENCH_QUICK=1` shrinks the relation and repeat
@@ -32,7 +32,7 @@ use wh_bench::print_table;
 use wh_sql::Params;
 use wh_types::schema::daily_sales_schema;
 use wh_types::{Date, Value};
-use wh_vnl::{ScanPipeline, VnlTable};
+use wh_vnl::VnlTable;
 
 struct Config {
     cities: usize,
@@ -121,30 +121,19 @@ fn median_ms(repeats: usize, mut f: impl FnMut()) -> f64 {
 
 struct Measurement {
     workload: &'static str,
-    pipeline: &'static str,
     maintenance_active: bool,
     threads: usize,
     median_ms: f64,
 }
 
-fn pipeline_name(p: ScanPipeline) -> &'static str {
-    match p {
-        ScanPipeline::Scalar => "scalar",
-        ScanPipeline::Batched => "batched",
-    }
-}
-
 fn run_workloads(
     table: &VnlTable,
     cfg: &Config,
-    pipeline: ScanPipeline,
     maintenance_active: bool,
     expected_rows: usize,
     out: &mut Vec<Measurement>,
 ) {
-    let mut session = table.begin_session();
-    session.set_pipeline(pipeline);
-    let pipeline = pipeline_name(pipeline);
+    let session = table.begin_session();
     let filter_sql = "SELECT city, total_sales FROM DailySales WHERE total_sales >= 5000";
     let agg_sql = "SELECT product_line, SUM(total_sales) FROM DailySales GROUP BY product_line";
 
@@ -152,26 +141,16 @@ fn run_workloads(
         // Full scan: count rows through the visitor API.
         let ms = median_ms(cfg.repeats, || {
             let n = AtomicU64::new(0);
-            if threads == 1 {
-                session
-                    .scan_with(|_| {
-                        n.fetch_add(1, Ordering::Relaxed);
-                        Ok(())
-                    })
-                    .expect("serial scan");
-            } else {
-                session
-                    .scan_parallel(threads, |_, _| {
-                        n.fetch_add(1, Ordering::Relaxed);
-                        Ok(())
-                    })
-                    .expect("parallel scan");
-            }
+            session
+                .scan_parallel(threads, |_, _| {
+                    n.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                })
+                .expect("scan");
             assert_eq!(n.load(Ordering::Relaxed) as usize, expected_rows);
         });
         out.push(Measurement {
             workload: "scan",
-            pipeline,
             maintenance_active,
             threads,
             median_ms: ms,
@@ -179,37 +158,27 @@ fn run_workloads(
 
         // Filtered scan through the streaming executor.
         let ms = median_ms(cfg.repeats, || {
-            let r = if threads == 1 {
-                session.query(filter_sql).expect("filter query")
-            } else {
-                session
-                    .query_parallel(filter_sql, threads)
-                    .expect("filter query")
-            };
+            let r = session
+                .query_parallel(filter_sql, threads)
+                .expect("filter query");
             assert!(!r.rows.is_empty());
         });
         out.push(Measurement {
             workload: "filter",
-            pipeline,
             maintenance_active,
             threads,
             median_ms: ms,
         });
 
-        // Grouped aggregate with per-worker partial maps.
+        // Grouped aggregate with per-partition partial maps.
         let ms = median_ms(cfg.repeats, || {
-            let r = if threads == 1 {
-                session.query(agg_sql).expect("aggregate query")
-            } else {
-                session
-                    .query_parallel(agg_sql, threads)
-                    .expect("aggregate query")
-            };
+            let r = session
+                .query_parallel(agg_sql, threads)
+                .expect("aggregate query");
             assert_eq!(r.rows.len(), cfg.lines);
         });
         out.push(Measurement {
             workload: "aggregate",
-            pipeline,
             maintenance_active,
             threads,
             median_ms: ms,
@@ -218,40 +187,26 @@ fn run_workloads(
     session.finish();
 }
 
-fn lookup_ms(
-    results: &[Measurement],
-    workload: &str,
-    pipeline: &str,
-    active: bool,
-    threads: usize,
-) -> f64 {
+fn lookup_ms(results: &[Measurement], workload: &str, active: bool, threads: usize) -> f64 {
     results
         .iter()
-        .find(|m| {
-            m.workload == workload
-                && m.pipeline == pipeline
-                && m.maintenance_active == active
-                && m.threads == threads
-        })
+        .find(|m| m.workload == workload && m.maintenance_active == active && m.threads == threads)
         .map_or(f64::NAN, |m| m.median_ms)
 }
 
 fn main() {
     let cfg = Config::from_env();
     println!(
-        "E18/E22: scan scaling, scalar vs batched pipelines ({} rows{})\n",
+        "E18: scan scaling ({} rows{})\n",
         cfg.rows(),
         if cfg.quick { ", quick mode" } else { "" }
     );
 
     let table = build_table(&cfg);
     let mut results: Vec<Measurement> = Vec::new();
-    let pipelines = [ScanPipeline::Scalar, ScanPipeline::Batched];
 
     // Phase 1: quiescent relation, every tuple single-slotted.
-    for p in pipelines {
-        run_workloads(&table, &cfg, p, false, cfg.rows(), &mut results);
-    }
+    run_workloads(&table, &cfg, false, cfg.rows(), &mut results);
 
     // Phase 2: an active maintenance transaction has updated every tuple of
     // one city per 5 (20% of the relation double-slotted). The session is
@@ -271,49 +226,32 @@ fn main() {
             .expect("maintenance update");
     }
     println!("maintenance transaction active: {touched} tuples double-slotted\n");
-    for p in pipelines {
-        run_workloads(&table, &cfg, p, true, cfg.rows(), &mut results);
-    }
+    run_workloads(&table, &cfg, true, cfg.rows(), &mut results);
     txn.abort().expect("abort maintenance");
 
-    // Human-readable table. `speedup` scales against the same pipeline's
-    // 1-thread run; `vs scalar` is the batch win at equal thread count.
-    let mut rows = Vec::new();
-    for m in &results {
-        let base = lookup_ms(&results, m.workload, m.pipeline, m.maintenance_active, 1);
-        let scalar = lookup_ms(
-            &results,
-            m.workload,
-            "scalar",
-            m.maintenance_active,
-            m.threads,
-        );
-        rows.push(vec![
-            m.workload.to_string(),
-            m.pipeline.to_string(),
-            if m.maintenance_active { "yes" } else { "no" }.to_string(),
-            m.threads.to_string(),
-            format!("{:.2}", m.median_ms),
-            format!("{:.2}x", base / m.median_ms),
-            format!("{:.2}x", scalar / m.median_ms),
-        ]);
-    }
+    // `speedup` scales against the same probe's 1-thread run.
+    let speedup =
+        |m: &Measurement| lookup_ms(&results, m.workload, m.maintenance_active, 1) / m.median_ms;
+    let rows: Vec<Vec<String>> = results
+        .iter()
+        .map(|m| {
+            vec![
+                m.workload.to_string(),
+                if m.maintenance_active { "yes" } else { "no" }.to_string(),
+                m.threads.to_string(),
+                format!("{:.2}", m.median_ms),
+                format!("{:.2}x", speedup(m)),
+            ]
+        })
+        .collect();
     print_table(
-        &[
-            "workload",
-            "pipeline",
-            "maintenance",
-            "threads",
-            "median ms",
-            "speedup",
-            "vs scalar",
-        ],
+        &["workload", "maintenance", "threads", "median ms", "speedup"],
         &rows,
     );
 
     // Machine-readable JSON.
     let doc = Json::obj([
-        ("experiment", "E18/E22".into()),
+        ("experiment", "E18".into()),
         ("rows", cfg.rows().into()),
         ("quick", cfg.quick.into()),
         ("repeats", cfg.repeats.into()),
@@ -323,23 +261,12 @@ fn main() {
                 results
                     .iter()
                     .map(|m| {
-                        let base =
-                            lookup_ms(&results, m.workload, m.pipeline, m.maintenance_active, 1);
-                        let scalar = lookup_ms(
-                            &results,
-                            m.workload,
-                            "scalar",
-                            m.maintenance_active,
-                            m.threads,
-                        );
                         Json::obj([
                             ("workload", m.workload.into()),
-                            ("pipeline", m.pipeline.into()),
                             ("maintenance_active", m.maintenance_active.into()),
                             ("threads", m.threads.into()),
                             ("median_ms", Json::Fixed(m.median_ms, 3)),
-                            ("speedup_vs_1", Json::Fixed(base / m.median_ms, 3)),
-                            ("speedup_vs_scalar", Json::Fixed(scalar / m.median_ms, 3)),
+                            ("speedup_vs_1", Json::Fixed(speedup(m), 3)),
                         ])
                     })
                     .collect(),
@@ -348,28 +275,19 @@ fn main() {
     ]);
     json::write_report("BENCH_scan.json", &doc);
 
-    // The acceptance bars, reported (not asserted, so the binary stays
-    // usable on small CI machines): >= 2x batch-over-scalar on the serial
-    // full-scan and filter probes, and >= 2x thread scaling at 4 threads
-    // on the grouped aggregate — each with and without active maintenance.
+    // The acceptance bar, reported (not asserted, so the binary stays
+    // usable on small CI machines): >= 2x thread scaling at 4 threads on
+    // the grouped aggregate, with and without active maintenance.
     for active in [false, true] {
         let phase = if active {
             "maintenance active"
         } else {
             "quiescent"
         };
-        for workload in ["scan", "filter"] {
-            let scalar = lookup_ms(&results, workload, "scalar", active, 1);
-            let batched = lookup_ms(&results, workload, "batched", active, 1);
-            println!(
-                "{workload} batched-vs-scalar at 1 thread ({phase}): {:.2}x",
-                scalar / batched
-            );
-        }
-        let base = lookup_ms(&results, "aggregate", "batched", active, 1);
-        let at4 = lookup_ms(&results, "aggregate", "batched", active, 4);
+        let base = lookup_ms(&results, "aggregate", active, 1);
+        let at4 = lookup_ms(&results, "aggregate", active, 4);
         println!(
-            "aggregate batched speedup at 4 threads ({phase}): {:.2}x",
+            "aggregate speedup at 4 threads ({phase}): {:.2}x",
             base / at4
         );
     }

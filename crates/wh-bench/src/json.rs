@@ -154,8 +154,8 @@ impl Json {
     }
 }
 
-/// Parse a JSON document (the counterpart of [`Json::render`], for the
-/// bins that read committed `BENCH_*.json` baselines back — `bench_check`).
+/// Parse a JSON document (the counterpart of [`Json::render`]; `benchmark/`
+/// reads `BENCHMARK.json` and its own result files back through it).
 /// Numbers parse to [`Json::Float`]; `Raw` never round-trips (it re-parses
 /// as whatever it spliced).
 pub fn parse(text: &str) -> Result<Json, String> {

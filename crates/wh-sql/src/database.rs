@@ -199,7 +199,7 @@ impl Database {
 
     fn execute_select(&self, stmt: &SelectStmt, params: &Params) -> SqlResult<QueryResult> {
         let entry = self.table(&stmt.from)?;
-        execute_select(entry.table(), stmt, params)
+        execute_select(entry.table(), stmt, params, 1)
     }
 
     fn execute_insert(&self, stmt: &InsertStmt, params: &Params) -> SqlResult<QueryResult> {

@@ -1,79 +1,42 @@
 //! Query execution: scan → filter → group/aggregate → project → sort.
 //!
-//! Scans are **streaming**: the executor pulls rows through
-//! [`RowSource::for_each`] and applies the WHERE predicate inside the
-//! visitor, so rows that don't survive the filter are never buffered. A
-//! [`ParallelRowSource`] additionally supports partitioned scans;
-//! [`execute_select_parallel`] uses them to evaluate filters and projections
-//! on worker threads and to compute GROUP BY aggregates as per-worker
-//! partial maps merged at the end.
+//! There is one executor. A [`RowSource`] scans itself as at most `threads`
+//! contiguous partitions and folds each partition's rows into that
+//! partition's own state; [`execute_select`] applies WHERE, projection or
+//! aggregate folding inside that visitor — so nothing but the result is ever
+//! buffered — and then combines the partition states *in partition order*.
+//! Partitions are contiguous ranges in scan order, which makes plain row
+//! order and first-seen group order independent of the partition count; a
+//! serial query is simply the one-partition case, folded on the calling
+//! thread.
 
 use crate::ast::{AggFunc, Expr, SelectItem, SelectStmt};
 use crate::error::{SqlError, SqlResult};
 use crate::eval::{EvalContext, Params};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use wh_index::IndexKey;
 use wh_storage::{StorageError, Table};
 use wh_types::{Row, Schema, Value};
 
-/// Acquire a worker-state mutex, recovering from poison: these mutexes only
-/// guard per-worker accumulation buffers, and a panicking worker (e.g. an
-/// injected `Panic` fault below the scan) aborts the whole query anyway, so
-/// surviving workers must not turn one panic into a cascade of them.
-fn lock_state<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// `into_inner` twin of [`lock_state`].
-fn unwrap_state<T>(m: Mutex<T>) -> T {
-    m.into_inner().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Anything that can supply a schema and a row scan. Implemented by storage
-/// tables; the 2VNL layer implements it for version-filtered views.
+/// Anything that can supply a schema and a partitioned row scan. Implemented
+/// by storage tables; the 2VNL layer implements it for version-filtered
+/// views.
 pub trait RowSource {
     /// Schema of produced rows.
     fn schema(&self) -> &Schema;
 
-    /// Visit every row in turn. Sources should stream — produce each row
-    /// and hand it to `visit` without materializing the whole relation.
-    fn for_each(&self, visit: &mut dyn FnMut(Row) -> SqlResult<()>) -> SqlResult<()>;
-
-    /// Materialize all rows (convenience over [`RowSource::for_each`]).
-    fn scan_rows(&self) -> SqlResult<Vec<Row>> {
-        let mut out = Vec::new();
-        self.for_each(&mut |row| {
-            out.push(row);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-}
-
-/// A [`RowSource`] that can also scan with multiple worker threads over
-/// disjoint partitions. `visit(worker, row)` runs on worker threads; row
-/// order within and across workers is source-defined.
-pub trait ParallelRowSource: RowSource + Sync {
-    /// Visit every row using up to `threads` workers.
-    fn for_each_parallel(
+    /// Scan the relation as at most `threads` contiguous partitions, handing
+    /// each row to `visit` together with its partition's state (a fresh
+    /// `S::default()` per partition), and return the states in partition —
+    /// that is, scan — order. Sources should stream: produce each row and
+    /// hand it over without materializing the relation. One partition is
+    /// folded on the calling thread; a source that cannot partition may
+    /// always answer with one.
+    fn fold<S: Default + Send>(
         &self,
         threads: usize,
-        visit: &(dyn Fn(usize, Row) -> SqlResult<()> + Sync),
-    ) -> SqlResult<()>;
-}
-
-/// Run `scan` (which smuggles visitor failures out as
-/// [`StorageError::ScanAborted`] after stashing the real [`SqlError`]) and
-/// settle the result: the stashed error wins, genuine storage errors pass
-/// through.
-fn settle_scan(res: Result<(), StorageError>, stash: Option<SqlError>) -> SqlResult<()> {
-    match (res, stash) {
-        (_, Some(e)) => Err(e),
-        (Err(e), None) => Err(e.into()),
-        (Ok(()), None) => Ok(()),
-    }
+        visit: &(dyn Fn(&mut S, Row) -> SqlResult<()> + Sync),
+    ) -> SqlResult<Vec<S>>;
 }
 
 impl RowSource for Table {
@@ -81,44 +44,31 @@ impl RowSource for Table {
         Table::schema(self)
     }
 
-    fn for_each(&self, visit: &mut dyn FnMut(Row) -> SqlResult<()>) -> SqlResult<()> {
-        let mut stash: Option<SqlError> = None;
-        // lint: allow(epoch-discipline) — scan latches each page internally and the visitor receives owned row copies; no RID or page memory outlives the latch
-        let res = self.scan(|_, row| match visit(row) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                stash = Some(e);
-                Err(StorageError::ScanAborted)
-            }
-        });
-        settle_scan(res, stash)
-    }
-}
-
-impl ParallelRowSource for Table {
-    fn for_each_parallel(
+    fn fold<S: Default + Send>(
         &self,
         threads: usize,
-        visit: &(dyn Fn(usize, Row) -> SqlResult<()> + Sync),
-    ) -> SqlResult<()> {
-        let stash: Mutex<Option<SqlError>> = Mutex::new(None);
-        let failed = AtomicBool::new(false);
-        let res = self.scan_parallel(threads, |worker, _, row| {
-            if let Err(e) = visit(worker, row) {
-                let mut slot = lock_state(&stash);
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
-                failed.store(true, Ordering::Release); // ordering: scan-abort Release — publishes the stashed error before the flag its reader Acquires
-            }
-            // ordering: scan-abort Acquire — pairs with the workers' Release store publishing the stashed error
-            if failed.load(Ordering::Acquire) {
-                Err(StorageError::ScanAborted)
-            } else {
-                Ok(())
+        visit: &(dyn Fn(&mut S, Row) -> SqlResult<()> + Sync),
+    ) -> SqlResult<Vec<S>> {
+        let heap = self.heap();
+        let parts = heap.scan_parallel(threads, |_, pages| {
+            let mut state = S::default();
+            // A visitor failure travels out of the storage scan as
+            // `ScanAborted`, with the real error stashed beside it.
+            let mut stash: Option<SqlError> = None;
+            // lint: allow(epoch-discipline) — scan_pages latches each page internally and the visitor receives owned row copies; no RID or page memory outlives the latch
+            let res = heap.scan_pages(pages, |_, buf| {
+                visit(&mut state, self.codec().decode(buf)?).map_err(|e| {
+                    stash = Some(e);
+                    StorageError::ScanAborted
+                })
+            });
+            match (res, stash) {
+                (_, Some(e)) => Err(e),
+                (Err(e), None) => Err(e.into()),
+                (Ok(()), None) => Ok(state),
             }
         });
-        settle_scan(res, unwrap_state(stash))
+        parts.into_iter().collect()
     }
 }
 
@@ -165,11 +115,20 @@ impl QueryResult {
     }
 }
 
-/// Execute a SELECT against `source` with `params` bound.
-pub fn execute_select(
-    source: &dyn RowSource,
+/// Execute a SELECT against `source` with `params` bound, scanning it as at
+/// most `threads` partitions.
+///
+/// Plain queries project each surviving row where it is scanned and
+/// concatenate the partitions' rows; aggregate queries fold rows into one
+/// accumulator per aggregate call site per group and merge the partitions'
+/// groups. Either way the result is the same for every `threads`, except
+/// that floating-point SUM/AVG reassociate across partitions (so they are
+/// bit-stable only for a fixed partition count).
+pub fn execute_select<R: RowSource + ?Sized>(
+    source: &R,
     stmt: &SelectStmt,
     params: &Params,
+    threads: usize,
 ) -> SqlResult<QueryResult> {
     let schema = source.schema();
     let ctx = EvalContext::new(schema, params);
@@ -180,46 +139,90 @@ pub fn execute_select(
         }
     }
 
-    // Streaming scan with WHERE pushdown: filtered-out rows never buffer.
-    let _scan_span = wh_obs::trace_span!("sql.exec.scan_filter");
-    let scan_timer = wh_obs::Timer::start();
-    let mut scanned: u64 = 0;
-    let mut rows = Vec::new();
-    source.for_each(&mut |row| {
-        scanned += 1;
-        let keep = match &stmt.where_clause {
-            Some(pred) => ctx.eval_predicate(pred, &row)?,
-            None => true,
-        };
-        if keep {
-            rows.push(row);
-        }
-        Ok(())
-    })?;
-    wh_obs::histogram!("sql.exec.scan_filter_ns").record(scan_timer.elapsed_ns());
-    wh_obs::counter!("sql.exec.scan.rows_in").add(scanned);
-    wh_obs::counter!("sql.exec.filter.rows_out").add(rows.len() as u64);
-
-    drop(_scan_span);
-    let _stage_span = wh_obs::trace_span!("sql.exec.stage");
-    let stage_timer = wh_obs::Timer::start();
     let aggregate = is_aggregate_query(stmt);
     let (columns, out_rows, order_keys) = if aggregate {
-        execute_grouped(schema, &ctx, stmt, rows)?
-    } else {
-        execute_plain(schema, &ctx, stmt, rows)?
-    };
-    if aggregate {
+        validate_grouping(schema, stmt)?;
+        let specs = aggregate_specs(stmt);
+        let parts = scan_filter(source, &ctx, stmt, threads, |part, row| {
+            fold_group_row(&ctx, stmt, &specs, part, row)
+        })?;
+        let _stage_span = wh_obs::trace_span!("sql.exec.stage");
+        let stage_timer = wh_obs::Timer::start();
+        let groups = merge_groups(parts, &specs, stmt.group_by.is_empty())?;
+        let finished = groups.iter().map(|g| (g.rep.as_ref(), g.accs.iter()));
+        let projected = project_groups(&ctx, stmt, &specs, finished)?;
         wh_obs::histogram!("sql.exec.aggregate_ns").record(stage_timer.elapsed_ns());
+        projected
     } else {
+        let parts = scan_filter(source, &ctx, stmt, threads, |part, row| {
+            project_row(&ctx, stmt, part, row)
+        })?;
+        let _stage_span = wh_obs::trace_span!("sql.exec.stage");
+        let stage_timer = wh_obs::Timer::start();
+        let columns: Vec<String> = if stmt.items.is_empty() {
+            schema.columns().iter().map(|c| c.name.clone()).collect()
+        } else {
+            stmt.items.iter().map(SelectItem::label).collect()
+        };
+        let mut parts = parts.into_iter();
+        let mut all: PlainPart = parts.next().unwrap_or_default();
+        for part in parts {
+            all.out_rows.extend(part.out_rows);
+            all.order_keys.extend(part.order_keys);
+        }
         wh_obs::histogram!("sql.exec.project_ns").record(stage_timer.elapsed_ns());
-    }
+        (columns, all.out_rows, all.order_keys)
+    };
 
     let sort_timer = wh_obs::Timer::start();
     let result = sort_and_limit(stmt, columns, out_rows, order_keys);
     wh_obs::histogram!("sql.exec.sort_limit_ns").record(sort_timer.elapsed_ns());
     wh_obs::counter!("sql.exec.rows_out").add(result.rows.len() as u64);
     Ok(result)
+}
+
+/// One partition's share of the scan stage: its row counts and whatever the
+/// query shape accumulates (`T`).
+#[derive(Default)]
+struct Partition<T> {
+    scanned: u64,
+    kept: u64,
+    state: T,
+}
+
+/// The scan stage, shared by both query shapes: stream the source, apply
+/// WHERE as each row arrives, and hand survivors to `fold_row` with their
+/// partition's state. Row counters are summed over the partitions and
+/// published once per query.
+fn scan_filter<R, T>(
+    source: &R,
+    ctx: &EvalContext<'_>,
+    stmt: &SelectStmt,
+    threads: usize,
+    fold_row: impl Fn(&mut T, Row) -> SqlResult<()> + Sync,
+) -> SqlResult<Vec<T>>
+where
+    R: RowSource + ?Sized,
+    T: Default + Send,
+{
+    let _scan_span = wh_obs::trace_span!("sql.exec.scan_filter");
+    let scan_timer = wh_obs::Timer::start();
+    let parts = source.fold(threads, &|part: &mut Partition<T>, row| {
+        part.scanned += 1;
+        let keep = match &stmt.where_clause {
+            Some(pred) => ctx.eval_predicate(pred, &row)?,
+            None => true,
+        };
+        if keep {
+            part.kept += 1;
+            fold_row(&mut part.state, row)?;
+        }
+        Ok(())
+    })?;
+    wh_obs::histogram!("sql.exec.scan_filter_ns").record(scan_timer.elapsed_ns());
+    wh_obs::counter!("sql.exec.scan.rows_in").add(parts.iter().map(|p| p.scanned).sum());
+    wh_obs::counter!("sql.exec.filter.rows_out").add(parts.iter().map(|p| p.kept).sum());
+    Ok(parts.into_iter().map(|p| p.state).collect())
 }
 
 pub(crate) fn is_aggregate_query(stmt: &SelectStmt) -> bool {
@@ -260,214 +263,44 @@ pub(crate) fn sort_and_limit(
     }
 }
 
-type ProjectedRows = (Vec<String>, Vec<Row>, Vec<Vec<Value>>);
+/// Output columns, rows, and per-row ORDER BY keys, before sort and limit.
+pub(crate) type ProjectedRows = (Vec<String>, Vec<Row>, Vec<Vec<Value>>);
 
-fn execute_plain(
-    schema: &Schema,
-    ctx: &EvalContext<'_>,
-    stmt: &SelectStmt,
-    rows: Vec<Row>,
-) -> SqlResult<ProjectedRows> {
-    let columns: Vec<String> = if stmt.items.is_empty() {
-        schema.columns().iter().map(|c| c.name.clone()).collect()
-    } else {
-        stmt.items.iter().map(SelectItem::label).collect()
-    };
-    let mut out_rows = Vec::with_capacity(rows.len());
-    let mut order_keys = Vec::new();
-    for row in rows {
-        let projected = if stmt.items.is_empty() {
-            row.clone()
-        } else {
-            stmt.items
-                .iter()
-                .map(|it| ctx.eval(&it.expr, &row))
-                .collect::<SqlResult<Vec<_>>>()?
-        };
-        if !stmt.order_by.is_empty() {
-            order_keys.push(
-                stmt.order_by
-                    .iter()
-                    .map(|k| ctx.eval(&k.expr, &row))
-                    .collect::<SqlResult<Vec<_>>>()?,
-            );
-        }
-        out_rows.push(projected);
-    }
-    Ok((columns, out_rows, order_keys))
+/// A plain query's partition state: projected rows and their ORDER BY keys,
+/// in scan order.
+#[derive(Default)]
+struct PlainPart {
+    out_rows: Vec<Row>,
+    order_keys: Vec<Vec<Value>>,
 }
 
-fn execute_grouped(
-    schema: &Schema,
+/// The plain evaluation routine: project one surviving row (and its sort
+/// keys) into its partition.
+fn project_row(
     ctx: &EvalContext<'_>,
     stmt: &SelectStmt,
-    rows: Vec<Row>,
-) -> SqlResult<ProjectedRows> {
-    validate_grouping(schema, stmt)?;
-
-    // Bucket rows by group key (whole-input single group when GROUP BY absent).
-    let mut groups: Vec<(Vec<Value>, Vec<Row>)> = Vec::new();
-    let mut lookup: HashMap<IndexKey, usize> = HashMap::new();
-    if stmt.group_by.is_empty() {
-        groups.push((Vec::new(), rows));
+    part: &mut PlainPart,
+    row: Row,
+) -> SqlResult<()> {
+    let projected = if stmt.items.is_empty() {
+        None
     } else {
-        for row in rows {
-            let key: Vec<Value> = stmt
-                .group_by
-                .iter()
-                .map(|e| ctx.eval(e, &row))
-                .collect::<SqlResult<Vec<_>>>()?;
-            let idx_key = IndexKey(key.clone());
-            match lookup.get(&idx_key) {
-                Some(&i) => groups[i].1.push(row),
-                None => {
-                    lookup.insert(idx_key, groups.len());
-                    groups.push((key, vec![row]));
-                }
-            }
-        }
-    }
-
-    let columns: Vec<String> = stmt.items.iter().map(SelectItem::label).collect();
-    let mut out_rows = Vec::with_capacity(groups.len());
-    let mut order_keys = Vec::new();
-    for (_, group_rows) in &groups {
-        // HAVING: filter whole groups (aggregates allowed).
-        if let Some(h) = &stmt.having {
-            if eval_aggregate_expr(ctx, h, group_rows)? != Value::Bool(true) {
-                continue;
-            }
-        }
-        let projected = stmt
-            .items
-            .iter()
-            .map(|it| eval_aggregate_expr(ctx, &it.expr, group_rows))
-            .collect::<SqlResult<Vec<_>>>()?;
-        if !stmt.order_by.is_empty() {
-            order_keys.push(
-                stmt.order_by
-                    .iter()
-                    .map(|k| eval_aggregate_expr(ctx, &k.expr, group_rows))
-                    .collect::<SqlResult<Vec<_>>>()?,
-            );
-        }
-        out_rows.push(projected);
-    }
-    Ok((columns, out_rows, order_keys))
-}
-
-/// Execute a SELECT against a partitionable source with up to `threads`
-/// workers.
-///
-/// Plain queries evaluate WHERE + projection on worker threads and
-/// concatenate per-worker buffers in worker order; since partitions are
-/// contiguous ranges in scan order, the result row order equals the serial
-/// order. Aggregate queries fold rows into per-worker partial aggregate
-/// maps (one accumulator per aggregate call site per group) that are merged
-/// at the end, so no worker ever materializes its partition. Group output
-/// order equals serial first-seen order for the same reason. Results are
-/// identical to [`execute_select`] except that floating-point SUM/AVG may
-/// differ in the last bits (addition is reassociated across partitions).
-pub fn execute_select_parallel(
-    source: &dyn ParallelRowSource,
-    stmt: &SelectStmt,
-    params: &Params,
-    threads: usize,
-) -> SqlResult<QueryResult> {
-    if threads <= 1 {
-        return execute_select(source, stmt, params);
-    }
-    let schema = source.schema();
-    let ctx = EvalContext::new(schema, params);
-
-    if let Some(w) = &stmt.where_clause {
-        if w.contains_aggregate() {
-            return Err(SqlError::MisplacedAggregate);
-        }
-    }
-
-    let _ts = wh_obs::trace_span!("sql.exec.parallel_select");
-    let timer = wh_obs::Timer::start();
-    let result = if is_aggregate_query(stmt) {
-        execute_grouped_parallel(source, schema, &ctx, stmt, threads)
-    } else {
-        execute_plain_parallel(source, &ctx, stmt, threads)
+        let items = stmt.items.iter().map(|it| ctx.eval(&it.expr, &row));
+        Some(items.collect::<SqlResult<Row>>()?)
     };
-    wh_obs::histogram!("sql.exec.parallel_select_ns").record(timer.elapsed_ns());
-    if let Ok(r) = &result {
-        wh_obs::counter!("sql.exec.rows_out").add(r.rows.len() as u64);
+    if !stmt.order_by.is_empty() {
+        let keys = stmt.order_by.iter().map(|k| ctx.eval(&k.expr, &row));
+        part.order_keys.push(keys.collect::<SqlResult<_>>()?);
     }
-    result
-}
-
-fn execute_plain_parallel(
-    source: &dyn ParallelRowSource,
-    ctx: &EvalContext<'_>,
-    stmt: &SelectStmt,
-    threads: usize,
-) -> SqlResult<QueryResult> {
-    #[derive(Default)]
-    struct Worker {
-        out_rows: Vec<Row>,
-        order_keys: Vec<Vec<Value>>,
-    }
-    let workers: Vec<Mutex<Worker>> = (0..threads.max(1))
-        .map(|_| Mutex::new(Worker::default()))
-        .collect();
-    source.for_each_parallel(threads, &|w, row| {
-        let keep = match &stmt.where_clause {
-            Some(pred) => ctx.eval_predicate(pred, &row)?,
-            None => true,
-        };
-        if !keep {
-            return Ok(());
-        }
-        let projected = if stmt.items.is_empty() {
-            row.clone()
-        } else {
-            stmt.items
-                .iter()
-                .map(|it| ctx.eval(&it.expr, &row))
-                .collect::<SqlResult<Vec<_>>>()?
-        };
-        let mut state = lock_state(&workers[w]);
-        if !stmt.order_by.is_empty() {
-            state.order_keys.push(
-                stmt.order_by
-                    .iter()
-                    .map(|k| ctx.eval(&k.expr, &row))
-                    .collect::<SqlResult<Vec<_>>>()?,
-            );
-        }
-        state.out_rows.push(projected);
-        Ok(())
-    })?;
-
-    let columns: Vec<String> = if stmt.items.is_empty() {
-        source
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| c.name.clone())
-            .collect()
-    } else {
-        stmt.items.iter().map(SelectItem::label).collect()
-    };
-    let mut out_rows = Vec::new();
-    let mut order_keys = Vec::new();
-    for state in workers {
-        let state = unwrap_state(state);
-        out_rows.extend(state.out_rows);
-        order_keys.extend(state.order_keys);
-    }
-    Ok(sort_and_limit(stmt, columns, out_rows, order_keys))
+    part.out_rows.push(projected.unwrap_or(row));
+    Ok(())
 }
 
 /// One aggregate call site: function and argument expression.
 pub(crate) type AggSpec = (AggFunc, Option<Expr>);
 
 /// Collect the distinct aggregate call sites of `expr` into `out`.
-pub(crate) fn collect_aggregates(expr: &Expr, out: &mut Vec<AggSpec>) {
+fn collect_aggregates(expr: &Expr, out: &mut Vec<AggSpec>) {
     match expr {
         Expr::Aggregate { func, arg } => {
             let spec = (*func, arg.as_deref().cloned());
@@ -531,6 +364,7 @@ impl AggAcc {
     }
 
     /// Fold one input value (`None` = COUNT(*), which counts every row).
+    #[inline]
     pub(crate) fn fold(&mut self, func: AggFunc, value: Option<Value>) -> SqlResult<()> {
         match self {
             AggAcc::Count(n) => {
@@ -593,12 +427,12 @@ impl AggAcc {
         Ok(())
     }
 
-    /// The final aggregate value (empty-input semantics match the serial
-    /// executor: COUNT → 0, everything else → NULL).
-    pub(crate) fn finish(self, _func: AggFunc) -> SqlResult<Value> {
+    /// The final aggregate value (over empty input COUNT is 0 and
+    /// everything else NULL).
+    pub(crate) fn finish(&self) -> SqlResult<Value> {
         match self {
-            AggAcc::Count(n) => Ok(Value::Int(n)),
-            AggAcc::Value(v) => Ok(v.unwrap_or(Value::Null)),
+            AggAcc::Count(n) => Ok(Value::Int(*n)),
+            AggAcc::Value(v) => Ok(v.clone().unwrap_or(Value::Null)),
             AggAcc::Avg { acc: None, .. } => Ok(Value::Null),
             AggAcc::Avg {
                 acc: Some(total),
@@ -611,13 +445,14 @@ impl AggAcc {
                         left: "non-numeric".into(),
                         right: "numeric".into(),
                     }))?;
-                Ok(Value::Float(t / n as f64))
+                Ok(Value::Float(t / *n as f64))
             }
         }
     }
 }
 
 /// SUM/MIN/MAX two-value combiner.
+#[inline]
 fn combine(func: AggFunc, prev: Value, next: Value) -> SqlResult<Value> {
     match func {
         AggFunc::Sum => Ok(prev.add(&next)?),
@@ -641,22 +476,164 @@ fn combine(func: AggFunc, prev: Value, next: Value) -> SqlResult<Value> {
 struct GroupAcc {
     key: Vec<Value>,
     /// First row of the group, in scan order: the row bare (grouped) column
-    /// references evaluate against, exactly as in the serial executor.
+    /// references evaluate against. `None` only for the single group of an
+    /// ungrouped aggregate over empty input.
     rep: Option<Row>,
     accs: Vec<AggAcc>,
 }
 
+/// An aggregate query's partition state: its groups in first-seen order.
 #[derive(Default)]
-struct GroupWorker {
+struct GroupPart {
     groups: Vec<GroupAcc>,
     lookup: HashMap<IndexKey, usize>,
+    /// The group the previous row fell in. Scan order clusters equal keys
+    /// (and an ungrouped aggregate has only the empty key), so most rows
+    /// find their group here and never hash.
+    last: usize,
+}
+
+/// Every aggregate call site across projections, HAVING, and ORDER BY; each
+/// gets one accumulator slot per group.
+pub(crate) fn aggregate_specs(stmt: &SelectStmt) -> Vec<AggSpec> {
+    let mut specs = Vec::new();
+    for it in &stmt.items {
+        collect_aggregates(&it.expr, &mut specs);
+    }
+    if let Some(h) = &stmt.having {
+        collect_aggregates(h, &mut specs);
+    }
+    for k in &stmt.order_by {
+        collect_aggregates(&k.expr, &mut specs);
+    }
+    specs
+}
+
+/// The grouped evaluation routine: fold one surviving row into its group's
+/// accumulators, opening the group if this partition has not seen it.
+fn fold_group_row(
+    ctx: &EvalContext<'_>,
+    stmt: &SelectStmt,
+    specs: &[AggSpec],
+    part: &mut GroupPart,
+    row: Row,
+) -> SqlResult<()> {
+    // Plain loops rather than `collect::<SqlResult<_>>()`/`transpose()`: this
+    // runs once per row, and the adaptors measurably slow it (they shuttle
+    // the wide `SqlResult` through every step).
+    let mut key: Vec<Value> = Vec::with_capacity(stmt.group_by.len());
+    for e in &stmt.group_by {
+        key.push(ctx.eval(e, &row)?);
+    }
+    let mut opened = false;
+    if part.groups.get(part.last).is_none_or(|g| g.key != key) {
+        let key = IndexKey(key);
+        part.last = match part.lookup.get(&key) {
+            Some(&i) => i,
+            None => {
+                opened = true;
+                let i = part.groups.len();
+                part.groups.push(GroupAcc {
+                    key: key.0.clone(),
+                    rep: None,
+                    accs: specs.iter().map(|(f, _)| AggAcc::new(*f)).collect(),
+                });
+                part.lookup.insert(key, i);
+                i
+            }
+        };
+    }
+    let group = &mut part.groups[part.last];
+    for (slot, (func, arg)) in group.accs.iter_mut().zip(specs) {
+        let input = match arg {
+            Some(e) => Some(ctx.eval(e, &row)?),
+            None => None,
+        };
+        slot.fold(*func, input)?;
+    }
+    if opened {
+        group.rep = Some(row);
+    }
+    Ok(())
+}
+
+/// Merge the partitions' groups in partition order — so first-seen group
+/// order is scan order — into the first partition's state. An ungrouped
+/// aggregate is one group over the whole input, even when that is empty.
+fn merge_groups(
+    parts: Vec<GroupPart>,
+    specs: &[AggSpec],
+    ungrouped: bool,
+) -> SqlResult<Vec<GroupAcc>> {
+    let mut parts = parts.into_iter();
+    let mut all = parts.next().unwrap_or_default();
+    for part in parts {
+        for group in part.groups {
+            let key = IndexKey(group.key.clone());
+            match all.lookup.get(&key) {
+                Some(&i) => {
+                    for (slot, ((func, _), partial)) in all.groups[i]
+                        .accs
+                        .iter_mut()
+                        .zip(specs.iter().zip(group.accs))
+                    {
+                        slot.merge(*func, partial)?;
+                    }
+                }
+                None => {
+                    all.lookup.insert(key, all.groups.len());
+                    all.groups.push(group);
+                }
+            }
+        }
+    }
+    if all.groups.is_empty() && ungrouped {
+        all.groups.push(GroupAcc {
+            key: Vec::new(),
+            rep: None,
+            accs: specs.iter().map(|(f, _)| AggAcc::new(*f)).collect(),
+        });
+    }
+    Ok(all.groups)
+}
+
+/// HAVING, projection, and ORDER BY keys over finished groups, each given as
+/// its representative row and its accumulators (one per `specs` entry).
+pub(crate) fn project_groups<'g, A>(
+    ctx: &EvalContext<'_>,
+    stmt: &SelectStmt,
+    specs: &[AggSpec],
+    groups: impl Iterator<Item = (Option<&'g Row>, A)>,
+) -> SqlResult<ProjectedRows>
+where
+    A: Iterator<Item = &'g AggAcc>,
+{
+    let columns: Vec<String> = stmt.items.iter().map(SelectItem::label).collect();
+    let mut out_rows = Vec::new();
+    let mut order_keys = Vec::new();
+    for (rep, accs) in groups {
+        let values: Vec<Value> = accs.map(AggAcc::finish).collect::<SqlResult<_>>()?;
+        let eval = |expr: &Expr| eval_computed(ctx, expr, rep, specs, &values);
+        if let Some(h) = &stmt.having {
+            if eval(h)? != Value::Bool(true) {
+                continue;
+            }
+        }
+        let projected = stmt.items.iter().map(|it| eval(&it.expr));
+        let projected = projected.collect::<SqlResult<Row>>()?;
+        if !stmt.order_by.is_empty() {
+            let keys = stmt.order_by.iter().map(|k| eval(&k.expr));
+            order_keys.push(keys.collect::<SqlResult<_>>()?);
+        }
+        out_rows.push(projected);
+    }
+    Ok((columns, out_rows, order_keys))
 }
 
 /// Evaluate an expression over a finished group: aggregate call sites take
 /// their merged value, everything else evaluates against the group's
-/// representative row (NULL when the group is empty — same as the serial
-/// executor's empty-group behavior).
-pub(crate) fn eval_computed(
+/// representative row (NULL when the group is empty).
+fn eval_computed(
     ctx: &EvalContext<'_>,
     expr: &Expr,
     rep: Option<&Row>,
@@ -744,143 +721,6 @@ pub(crate) fn eval_computed(
     }
 }
 
-fn execute_grouped_parallel(
-    source: &dyn ParallelRowSource,
-    schema: &Schema,
-    ctx: &EvalContext<'_>,
-    stmt: &SelectStmt,
-    threads: usize,
-) -> SqlResult<QueryResult> {
-    validate_grouping(schema, stmt)?;
-
-    // Every aggregate call site across projections, HAVING, and ORDER BY
-    // gets one accumulator slot per group.
-    let mut specs: Vec<AggSpec> = Vec::new();
-    for it in &stmt.items {
-        collect_aggregates(&it.expr, &mut specs);
-    }
-    if let Some(h) = &stmt.having {
-        collect_aggregates(h, &mut specs);
-    }
-    for k in &stmt.order_by {
-        collect_aggregates(&k.expr, &mut specs);
-    }
-    let specs = &specs;
-
-    let workers: Vec<Mutex<GroupWorker>> = (0..threads.max(1))
-        .map(|_| Mutex::new(GroupWorker::default()))
-        .collect();
-    source.for_each_parallel(threads, &|w, row| {
-        let keep = match &stmt.where_clause {
-            Some(pred) => ctx.eval_predicate(pred, &row)?,
-            None => true,
-        };
-        if !keep {
-            return Ok(());
-        }
-        let key: Vec<Value> = stmt
-            .group_by
-            .iter()
-            .map(|e| ctx.eval(e, &row))
-            .collect::<SqlResult<Vec<_>>>()?;
-        // Evaluate aggregate arguments outside the worker-state lock.
-        let mut inputs = Vec::with_capacity(specs.len());
-        for (_, arg) in specs {
-            inputs.push(match arg {
-                Some(e) => Some(ctx.eval(e, &row)?),
-                None => None,
-            });
-        }
-        let mut state = lock_state(&workers[w]);
-        let idx_key = IndexKey(key.clone());
-        let i = match state.lookup.get(&idx_key) {
-            Some(&i) => i,
-            None => {
-                let i = state.groups.len();
-                state.lookup.insert(idx_key, i);
-                state.groups.push(GroupAcc {
-                    key,
-                    rep: Some(row.clone()),
-                    accs: specs.iter().map(|(f, _)| AggAcc::new(*f)).collect(),
-                });
-                i
-            }
-        };
-        let group = &mut state.groups[i];
-        for (slot, ((func, _), input)) in group.accs.iter_mut().zip(specs.iter().zip(inputs)) {
-            slot.fold(*func, input)?;
-        }
-        Ok(())
-    })?;
-
-    // Merge per-worker partials in worker order; partitions are contiguous
-    // scan ranges, so first-seen group order equals the serial executor's.
-    let mut groups: Vec<GroupAcc> = Vec::new();
-    let mut lookup: HashMap<IndexKey, usize> = HashMap::new();
-    for state in workers {
-        let state = unwrap_state(state);
-        for group in state.groups {
-            let idx_key = IndexKey(group.key.clone());
-            match lookup.get(&idx_key) {
-                Some(&i) => {
-                    for (slot, ((func, _), part)) in
-                        groups[i].accs.iter_mut().zip(specs.iter().zip(group.accs))
-                    {
-                        slot.merge(*func, part)?;
-                    }
-                }
-                None => {
-                    lookup.insert(idx_key, groups.len());
-                    groups.push(group);
-                }
-            }
-        }
-    }
-    // A query with no GROUP BY aggregates the whole input as one group,
-    // even when the input is empty.
-    if groups.is_empty() && stmt.group_by.is_empty() {
-        groups.push(GroupAcc {
-            key: Vec::new(),
-            rep: None,
-            accs: specs.iter().map(|(f, _)| AggAcc::new(*f)).collect(),
-        });
-    }
-
-    let columns: Vec<String> = stmt.items.iter().map(SelectItem::label).collect();
-    let mut out_rows = Vec::with_capacity(groups.len());
-    let mut order_keys = Vec::new();
-    for group in groups {
-        let rep = group.rep.as_ref();
-        let values = group
-            .accs
-            .clone()
-            .into_iter()
-            .zip(specs)
-            .map(|(acc, (f, _))| acc.finish(*f))
-            .collect::<SqlResult<Vec<_>>>()?;
-        if let Some(h) = &stmt.having {
-            if eval_computed(ctx, h, rep, specs, &values)? != Value::Bool(true) {
-                continue;
-            }
-        }
-        let projected = stmt
-            .items
-            .iter()
-            .map(|it| eval_computed(ctx, &it.expr, rep, specs, &values))
-            .collect::<SqlResult<Vec<_>>>()?;
-        if !stmt.order_by.is_empty() {
-            order_keys.push(
-                stmt.order_by
-                    .iter()
-                    .map(|k| eval_computed(ctx, &k.expr, rep, specs, &values))
-                    .collect::<SqlResult<Vec<_>>>()?,
-            );
-        }
-        out_rows.push(projected);
-    }
-    Ok(sort_and_limit(stmt, columns, out_rows, order_keys))
-}
-
 /// Reject non-grouped bare column references in projections of aggregate
 /// queries (only plain-column GROUP BY expressions are recognized as
 /// grouping columns, which covers the paper's queries).
@@ -960,173 +800,6 @@ fn collect_columns_outside_aggregates(expr: &Expr, out: &mut Vec<String>) {
     }
 }
 
-/// Evaluate an expression that may contain aggregates over a group of rows:
-/// aggregates are computed over the group, everything else over the group's
-/// first row (validated to be a grouping column).
-fn eval_aggregate_expr(ctx: &EvalContext<'_>, expr: &Expr, group: &[Row]) -> SqlResult<Value> {
-    match expr {
-        Expr::Aggregate { func, arg } => compute_aggregate(ctx, *func, arg.as_deref(), group),
-        Expr::Binary { op, left, right } => {
-            let l = eval_aggregate_expr(ctx, left, group)?;
-            let r = eval_aggregate_expr(ctx, right, group)?;
-            // Reuse scalar machinery by substituting the computed operands.
-            let rebuilt = Expr::binary(*op, Expr::Literal(l), Expr::Literal(r));
-            ctx.eval(&rebuilt, &[])
-        }
-        Expr::Not(e) => {
-            let v = eval_aggregate_expr(ctx, e, group)?;
-            ctx.eval(&Expr::Not(Box::new(Expr::Literal(v))), &[])
-        }
-        Expr::Neg(e) => {
-            let v = eval_aggregate_expr(ctx, e, group)?;
-            ctx.eval(&Expr::Neg(Box::new(Expr::Literal(v))), &[])
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval_aggregate_expr(ctx, expr, group)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval_aggregate_expr(ctx, expr, group)?;
-            let lo = eval_aggregate_expr(ctx, low, group)?;
-            let hi = eval_aggregate_expr(ctx, high, group)?;
-            let rebuilt = Expr::Between {
-                expr: Box::new(Expr::Literal(v)),
-                low: Box::new(Expr::Literal(lo)),
-                high: Box::new(Expr::Literal(hi)),
-                negated: *negated,
-            };
-            ctx.eval(&rebuilt, &[])
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval_aggregate_expr(ctx, expr, group)?;
-            let lits = list
-                .iter()
-                .map(|e| eval_aggregate_expr(ctx, e, group).map(Expr::Literal))
-                .collect::<SqlResult<Vec<_>>>()?;
-            let rebuilt = Expr::InList {
-                expr: Box::new(Expr::Literal(v)),
-                list: lits,
-                negated: *negated,
-            };
-            ctx.eval(&rebuilt, &[])
-        }
-        Expr::Case {
-            branches,
-            else_expr,
-        } => {
-            for (cond, val) in branches {
-                if eval_aggregate_expr(ctx, cond, group)? == Value::Bool(true) {
-                    return eval_aggregate_expr(ctx, val, group);
-                }
-            }
-            match else_expr {
-                Some(e) => eval_aggregate_expr(ctx, e, group),
-                None => Ok(Value::Null),
-            }
-        }
-        scalar => match group.first() {
-            Some(row) => ctx.eval(scalar, row),
-            None => Ok(Value::Null),
-        },
-    }
-}
-
-fn compute_aggregate(
-    ctx: &EvalContext<'_>,
-    func: AggFunc,
-    arg: Option<&Expr>,
-    group: &[Row],
-) -> SqlResult<Value> {
-    match func {
-        AggFunc::Count => {
-            let n = match arg {
-                None => group.len() as i64,
-                Some(e) => {
-                    let mut n = 0i64;
-                    for row in group {
-                        if !ctx.eval(e, row)?.is_null() {
-                            n += 1;
-                        }
-                    }
-                    n
-                }
-            };
-            Ok(Value::Int(n))
-        }
-        AggFunc::Sum | AggFunc::Avg => {
-            let e = arg.ok_or(SqlError::MisplacedAggregate)?;
-            let mut acc: Option<Value> = None;
-            let mut n = 0i64;
-            for row in group {
-                let v = ctx.eval(e, row)?;
-                if v.is_null() {
-                    continue;
-                }
-                n += 1;
-                acc = Some(match acc {
-                    None => v,
-                    Some(prev) => prev.add(&v)?,
-                });
-            }
-            match (func, acc) {
-                (_, None) => Ok(Value::Null),
-                (AggFunc::Sum, Some(total)) => Ok(total),
-                (AggFunc::Avg, Some(total)) => {
-                    let t =
-                        total
-                            .as_f64()
-                            .ok_or(SqlError::Type(wh_types::TypeError::Mismatch {
-                                op: "AVG",
-                                left: "non-numeric".into(),
-                                right: "numeric".into(),
-                            }))?;
-                    Ok(Value::Float(t / n as f64))
-                }
-                _ => Err(SqlError::Unsupported(
-                    "aggregate dispatch reached a foreign function arm".into(),
-                )),
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let e = arg.ok_or(SqlError::MisplacedAggregate)?;
-            let mut best: Option<Value> = None;
-            for row in group {
-                let v = ctx.eval(e, row)?;
-                if v.is_null() {
-                    continue;
-                }
-                best = Some(match best {
-                    None => v,
-                    Some(prev) => {
-                        let keep_new = match v.sql_cmp(&prev)? {
-                            Some(ord) => {
-                                (func == AggFunc::Min && ord == std::cmp::Ordering::Less)
-                                    || (func == AggFunc::Max && ord == std::cmp::Ordering::Greater)
-                            }
-                            None => false,
-                        };
-                        if keep_new {
-                            v
-                        } else {
-                            prev
-                        }
-                    }
-                });
-            }
-            Ok(best.unwrap_or(Value::Null))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1165,7 +838,7 @@ mod tests {
         let Statement::Select(s) = parse_statement(sql).unwrap() else {
             panic!("not a select")
         };
-        execute_select(table, &s, &Params::new()).unwrap()
+        execute_select(table, &s, &Params::new(), 1).unwrap()
     }
 
     #[test]
@@ -1273,7 +946,7 @@ mod tests {
             panic!()
         };
         assert_eq!(
-            execute_select(&t, &s, &Params::new()),
+            execute_select(&t, &s, &Params::new(), 1),
             Err(SqlError::NotGrouped("city".into()))
         );
     }
@@ -1287,7 +960,7 @@ mod tests {
             panic!()
         };
         assert_eq!(
-            execute_select(&t, &s, &Params::new()),
+            execute_select(&t, &s, &Params::new(), 1),
             Err(SqlError::MisplacedAggregate)
         );
     }
@@ -1312,7 +985,7 @@ mod tests {
         };
         let mut params = Params::new();
         params.insert("flag".into(), Value::Int(1));
-        let r = execute_select(&t, &s, &params).unwrap();
+        let r = execute_select(&t, &s, &params, 1).unwrap();
         assert_eq!(
             r.rows[0],
             vec![Value::from("Berkeley"), Value::from(12_000)]
@@ -1381,7 +1054,7 @@ mod tests {
             panic!()
         };
         assert_eq!(
-            execute_select(&t, &s, &Params::new()),
+            execute_select(&t, &s, &Params::new(), 1),
             Err(SqlError::NotGrouped("city".into()))
         );
     }
@@ -1426,109 +1099,200 @@ mod tests {
         assert!(s.contains("Novato"));
     }
 
-    /// A table big enough that a parallel scan actually spans pages.
+    const CITIES: [&str; 4] = ["San Jose", "Berkeley", "Novato", "Palo Alto"];
+    const LINES: [&str; 3] = ["golf equip", "racquetball", "rollerblades"];
+
+    /// A table big enough that a partitioned scan spans several pages. Row
+    /// `i` is `(CITIES[i % 4], "CA", LINES[i % 3], 1996-10-(1 + i % 28), i)`,
+    /// so every expectation below has a closed form over `0..rows`.
     fn big_table(rows: i64) -> Table {
         let t =
             Table::create("DailySales", daily_sales_schema(), Arc::new(IoStats::new())).unwrap();
-        let cities = ["San Jose", "Berkeley", "Novato", "Palo Alto"];
-        let lines = ["golf equip", "racquetball", "rollerblades"];
         for i in 0..rows {
             t.insert(&[
-                Value::from(cities[(i % 4) as usize]),
+                Value::from(CITIES[(i % 4) as usize]),
                 Value::from("CA"),
-                Value::from(lines[(i % 3) as usize]),
+                Value::from(LINES[(i % 3) as usize]),
                 Value::from(Date::ymd(1996, 10, (1 + i % 28) as u8)),
                 Value::from(i),
             ])
             .unwrap();
         }
+        assert!(t.heap().page_count() >= 4, "partitions need pages to split");
         t
     }
 
-    fn select_both_ways(table: &Table, sql: &str, threads: usize) -> (QueryResult, QueryResult) {
+    fn select_at(table: &Table, sql: &str, threads: usize) -> SqlResult<QueryResult> {
         let Statement::Select(s) = parse_statement(sql).unwrap() else {
             panic!("not a select")
         };
-        let serial = execute_select(table, &s, &Params::new()).unwrap();
-        let parallel = execute_select_parallel(table, &s, &Params::new(), threads).unwrap();
-        (serial, parallel)
+        execute_select(table, &s, &Params::new(), threads)
     }
 
-    #[test]
-    fn parallel_plain_select_matches_serial() {
-        let t = big_table(500);
-        for threads in [1, 2, 4, 7] {
-            for sql in [
-                "SELECT * FROM DailySales",
-                "SELECT city, total_sales FROM DailySales WHERE total_sales >= 250",
-                "SELECT city FROM DailySales WHERE city = 'Novato' ORDER BY total_sales DESC LIMIT 10",
-            ] {
-                let (serial, parallel) = select_both_ways(&t, sql, threads);
-                assert_eq!(serial, parallel, "{sql} with {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_grouped_select_matches_serial() {
-        let t = big_table(500);
+    /// Run `sql` at one partition and at several; every partition count
+    /// must give the one-partition answer, which is returned so the caller
+    /// can hold it to an expectation computed without the executor.
+    fn same_at_every_thread_count(table: &Table, sql: &str) -> QueryResult {
+        let one = select_at(table, sql, 1).unwrap();
         for threads in [2, 4, 7] {
-            for sql in [
-                "SELECT COUNT(*), SUM(total_sales), MIN(total_sales), MAX(total_sales) FROM DailySales",
-                "SELECT product_line, SUM(total_sales) FROM DailySales GROUP BY product_line",
-                "SELECT city, COUNT(*), SUM(total_sales) FROM DailySales \
-                 WHERE total_sales >= 100 GROUP BY city \
-                 HAVING SUM(total_sales) > 1000 ORDER BY SUM(total_sales) DESC",
-                "SELECT city, SUM(total_sales) * 2 + COUNT(*) FROM DailySales GROUP BY city LIMIT 2",
-            ] {
-                let (serial, parallel) = select_both_ways(&t, sql, threads);
-                assert_eq!(serial, parallel, "{sql} with {threads} threads");
-            }
+            let many = select_at(table, sql, threads).unwrap();
+            assert_eq!(many, one, "{sql} with {threads} threads");
         }
+        one
     }
 
     #[test]
-    fn parallel_avg_matches_serial_on_ints() {
+    fn plain_select_is_the_same_at_every_thread_count() {
+        let t = big_table(500);
+        let all = same_at_every_thread_count(&t, "SELECT * FROM DailySales");
+        let sales: Vec<Value> = all.rows.iter().map(|r| r[4].clone()).collect();
+        assert_eq!(sales, (0..500).map(Value::from).collect::<Vec<_>>());
+
+        let filtered = same_at_every_thread_count(
+            &t,
+            "SELECT city, total_sales FROM DailySales WHERE total_sales >= 250",
+        );
+        let want: Vec<Row> = (250..500)
+            .map(|i| vec![Value::from(CITIES[(i % 4) as usize]), Value::from(i)])
+            .collect();
+        assert_eq!(filtered.rows, want);
+
+        let top = same_at_every_thread_count(
+            &t,
+            "SELECT city, total_sales FROM DailySales WHERE city = 'Novato' \
+             ORDER BY total_sales DESC LIMIT 10",
+        );
+        let want: Vec<Row> = (0..500)
+            .rev()
+            .filter(|i| i % 4 == 2)
+            .take(10)
+            .map(|i| vec![Value::from("Novato"), Value::from(i)])
+            .collect();
+        assert_eq!(top.rows, want);
+    }
+
+    #[test]
+    fn grouped_select_is_the_same_at_every_thread_count() {
+        let t = big_table(500);
+        let global = same_at_every_thread_count(
+            &t,
+            "SELECT COUNT(*), SUM(total_sales), MIN(total_sales), MAX(total_sales) FROM DailySales",
+        );
+        let ints = |v: [i64; 4]| v.map(Value::from).to_vec();
+        assert_eq!(global.rows, vec![ints([500, 124_750, 0, 499])]);
+
+        // First-seen group order is scan order: LINES[0], LINES[1], LINES[2].
+        let by_line = same_at_every_thread_count(
+            &t,
+            "SELECT product_line, SUM(total_sales) FROM DailySales GROUP BY product_line",
+        );
+        let want: Vec<Row> = (0..3)
+            .map(|l| {
+                let sum: i64 = (0..500).filter(|i| i % 3 == l).sum();
+                vec![Value::from(LINES[l as usize]), Value::from(sum)]
+            })
+            .collect();
+        assert_eq!(by_line.rows, want);
+
+        let having = same_at_every_thread_count(
+            &t,
+            "SELECT city, COUNT(*), SUM(total_sales) FROM DailySales \
+             WHERE total_sales >= 100 GROUP BY city \
+             HAVING SUM(total_sales) > 1000 ORDER BY SUM(total_sales) DESC",
+        );
+        let mut want: Vec<(i64, Row)> = (0..4)
+            .map(|c| {
+                let members = (100..500).filter(move |i| i % 4 == c);
+                let (n, sum) = (members.clone().count() as i64, members.sum::<i64>());
+                let row = vec![Value::from(CITIES[c as usize]), n.into(), sum.into()];
+                (sum, row)
+            })
+            .collect();
+        want.sort_by_key(|(sum, _)| std::cmp::Reverse(*sum));
+        let want: Vec<Row> = want.into_iter().map(|(_, row)| row).collect();
+        assert_eq!(having.rows, want);
+
+        let arithmetic = same_at_every_thread_count(
+            &t,
+            "SELECT city, SUM(total_sales) * 2 + COUNT(*) FROM DailySales GROUP BY city LIMIT 2",
+        );
+        let want: Vec<Row> = (0..2)
+            .map(|c| {
+                let sum: i64 = (0..500).filter(|i| i % 4 == c).sum();
+                vec![Value::from(CITIES[c as usize]), Value::from(sum * 2 + 125)]
+            })
+            .collect();
+        assert_eq!(arithmetic.rows, want);
+    }
+
+    #[test]
+    fn avg_is_the_same_at_every_thread_count_on_ints() {
         let t = big_table(300);
-        let (serial, parallel) = select_both_ways(
+        let avg = same_at_every_thread_count(
             &t,
             "SELECT city, AVG(total_sales) FROM DailySales GROUP BY city",
-            4,
         );
-        assert_eq!(serial, parallel);
+        // Integer sums are exact, so partitioning cannot perturb the quotient.
+        let want: Vec<Row> = (0..4)
+            .map(|c| {
+                let sum: i64 = (0..300).filter(|i| i % 4 == c).sum();
+                vec![
+                    Value::from(CITIES[c as usize]),
+                    Value::Float(sum as f64 / 75.0),
+                ]
+            })
+            .collect();
+        assert_eq!(avg.rows, want);
     }
 
     #[test]
-    fn parallel_aggregate_over_empty_input_matches_serial() {
+    fn aggregate_over_empty_input_is_the_same_at_every_thread_count() {
         let t =
             Table::create("DailySales", daily_sales_schema(), Arc::new(IoStats::new())).unwrap();
-        let (serial, parallel) = select_both_ways(
+        let global = same_at_every_thread_count(
             &t,
             "SELECT COUNT(*), SUM(total_sales), MIN(city) FROM DailySales",
-            4,
         );
-        assert_eq!(serial, parallel);
         assert_eq!(
-            parallel.rows,
+            global.rows,
             vec![vec![Value::from(0), Value::Null, Value::Null]]
         );
         // Empty input with GROUP BY yields no groups at all.
-        let (serial, parallel) =
-            select_both_ways(&t, "SELECT city, COUNT(*) FROM DailySales GROUP BY city", 4);
-        assert_eq!(serial, parallel);
-        assert!(parallel.rows.is_empty());
+        let grouped =
+            same_at_every_thread_count(&t, "SELECT city, COUNT(*) FROM DailySales GROUP BY city");
+        assert!(grouped.rows.is_empty());
     }
 
     #[test]
-    fn parallel_visitor_error_propagates() {
-        let t = big_table(100);
-        let Statement::Select(s) = parse_statement("SELECT city + 1 FROM DailySales").unwrap()
-        else {
-            panic!("not a select")
-        };
-        let serial = execute_select(&t, &s, &Params::new());
-        let parallel = execute_select_parallel(&t, &s, &Params::new(), 4);
-        assert!(serial.is_err());
-        assert!(parallel.is_err());
+    fn groups_merge_across_partitions_that_contribute_nothing() {
+        // Only the first and last stretch of the heap survive WHERE, so the
+        // middle partitions hand back no groups at all, and the groups the
+        // outer ones share must still merge before HAVING, ORDER BY on an
+        // aggregate, and LIMIT see them.
+        let t = big_table(500);
+        let sql = "SELECT city, COUNT(*), SUM(total_sales) FROM DailySales \
+                   WHERE total_sales < 40 OR total_sales >= 480 GROUP BY city \
+                   HAVING COUNT(*) >= 15 ORDER BY SUM(total_sales) DESC, city LIMIT 3";
+        let got = same_at_every_thread_count(&t, sql);
+        let mut want: Vec<(i64, Row)> = (0..4)
+            .map(|c| {
+                let members = (0..500).filter(move |i| (*i < 40 || *i >= 480) && i % 4 == c);
+                let (n, sum) = (members.clone().count() as i64, members.sum::<i64>());
+                let row = vec![Value::from(CITIES[c as usize]), n.into(), sum.into()];
+                (sum, row)
+            })
+            .collect();
+        want.sort_by_key(|(sum, _)| std::cmp::Reverse(*sum));
+        let want: Vec<Row> = want.into_iter().take(3).map(|(_, row)| row).collect();
+        assert_eq!(got.rows, want);
+    }
+
+    #[test]
+    fn visitor_error_propagates_at_every_thread_count() {
+        let t = big_table(300);
+        for threads in [1, 4] {
+            let err = select_at(&t, "SELECT city + 1 FROM DailySales", threads);
+            assert!(matches!(err, Err(SqlError::Type(_))), "{threads} threads");
+        }
     }
 }

@@ -50,9 +50,7 @@ pub use cursor::Cursor;
 pub use database::Database;
 pub use error::{SqlError, SqlResult};
 pub use eval::{EvalContext, Params};
-pub use exec::{
-    execute_select, execute_select_parallel, ParallelRowSource, QueryResult, RowSource,
-};
+pub use exec::{execute_select, QueryResult, RowSource};
 pub use parser::{parse_expression, parse_statement};
 pub use patch::AggPatcher;
 pub use pushdown::{extract_scan_filters, FilterOp, ScanFilter};

@@ -22,12 +22,12 @@
 //! accepted ([`AggPatcher::new`] returns `Unsupported` otherwise); callers
 //! treat that as "fall back to restart-and-rescan", never as an answer.
 
-use crate::ast::{AggFunc, BinOp, Expr, SelectItem, SelectStmt};
+use crate::ast::{AggFunc, BinOp, Expr, SelectStmt};
 use crate::error::{SqlError, SqlResult};
 use crate::eval::{EvalContext, Params};
 use crate::exec::{
-    collect_aggregates, eval_computed, is_aggregate_query, sort_and_limit, validate_grouping,
-    AggAcc, AggSpec, QueryResult,
+    aggregate_specs, is_aggregate_query, project_groups, sort_and_limit, validate_grouping, AggAcc,
+    AggSpec, QueryResult,
 };
 use std::collections::HashMap;
 use wh_index::IndexKey;
@@ -103,21 +103,11 @@ impl<'q> AggPatcher<'q> {
                 "aggregate patching requires plain-column GROUP BY keys".into(),
             ));
         }
-        let mut specs: Vec<AggSpec> = Vec::new();
-        for it in &stmt.items {
-            collect_aggregates(&it.expr, &mut specs);
-        }
-        if let Some(h) = &stmt.having {
-            collect_aggregates(h, &mut specs);
-        }
-        for k in &stmt.order_by {
-            collect_aggregates(&k.expr, &mut specs);
-        }
         Ok(AggPatcher {
             schema,
             stmt,
             params,
-            specs,
+            specs: aggregate_specs(stmt),
             groups: Vec::new(),
             lookup: HashMap::new(),
             patched: 0,
@@ -350,39 +340,10 @@ impl<'q> AggPatcher<'q> {
         if live.is_empty() && self.stmt.group_by.is_empty() {
             live.push(&empty_global);
         }
-        let columns: Vec<String> = self.stmt.items.iter().map(SelectItem::label).collect();
-        let mut out_rows = Vec::with_capacity(live.len());
-        let mut order_keys = Vec::new();
-        for group in live {
-            let rep = group.rep.as_ref();
-            let values = group
-                .sites
-                .iter()
-                .zip(specs)
-                .map(|(s, (f, _))| s.acc.clone().finish(*f))
-                .collect::<SqlResult<Vec<_>>>()?;
-            if let Some(h) = &self.stmt.having {
-                if eval_computed(&ctx, h, rep, specs, &values)? != Value::Bool(true) {
-                    continue;
-                }
-            }
-            let projected = self
-                .stmt
-                .items
-                .iter()
-                .map(|it| eval_computed(&ctx, &it.expr, rep, specs, &values))
-                .collect::<SqlResult<Vec<_>>>()?;
-            if !self.stmt.order_by.is_empty() {
-                order_keys.push(
-                    self.stmt
-                        .order_by
-                        .iter()
-                        .map(|k| eval_computed(&ctx, &k.expr, rep, specs, &values))
-                        .collect::<SqlResult<Vec<_>>>()?,
-                );
-            }
-            out_rows.push(projected);
-        }
+        let groups = live
+            .into_iter()
+            .map(|g| (g.rep.as_ref(), g.sites.iter().map(|s| &s.acc)));
+        let (columns, out_rows, order_keys) = project_groups(&ctx, self.stmt, specs, groups)?;
         Ok(sort_and_limit(self.stmt, columns, out_rows, order_keys))
     }
 }
@@ -497,11 +458,16 @@ mod tests {
             self.schema
         }
 
-        fn for_each(&self, visit: &mut dyn FnMut(Row) -> SqlResult<()>) -> SqlResult<()> {
+        fn fold<S: Default + Send>(
+            &self,
+            _threads: usize,
+            visit: &(dyn Fn(&mut S, Row) -> SqlResult<()> + Sync),
+        ) -> SqlResult<Vec<S>> {
+            let mut state = S::default();
             for row in self.rows {
-                visit(row.clone())?;
+                visit(&mut state, row.clone())?;
             }
-            Ok(())
+            Ok(vec![state])
         }
     }
 
@@ -526,7 +492,7 @@ mod tests {
 
     /// Reference: execute the statement over `rows` directly.
     fn rescan(schema: &Schema, stmt: &SelectStmt, rows: &[Row]) -> QueryResult {
-        execute_select(&MemSource { schema, rows }, stmt, &Params::new()).unwrap()
+        execute_select(&MemSource { schema, rows }, stmt, &Params::new(), 1).unwrap()
     }
 
     fn sorted(mut r: QueryResult) -> QueryResult {

@@ -252,19 +252,24 @@ impl BufferPool {
         if self.disk.is_none() {
             return Ok(());
         }
-        let frames: Vec<Arc<Frame>> = read_latch(&self.frames).clone();
-        if frames.is_empty() {
+        // Frames are append-only, so a length read once stays a valid bound.
+        // Each visit clones just the one frame it looks at: cloning the whole
+        // table per sweep costs a refcount round trip on *every* frame per
+        // miss, and concurrent scanners then fight over those cache lines.
+        let len = read_latch(&self.frames).len();
+        if len == 0 {
             return Ok(());
         }
         // Two passes: one to clear reference bits, one to act on them.
-        let budget = frames.len() * 2;
+        let budget = len * 2;
         let mut attempts = 0;
         // ordering: pool-resident SeqCst — resident accounting, pairs with add/sub sites.
         while self.resident.load(Ordering::SeqCst) > target && attempts < budget {
             attempts += 1;
             // ordering: clock-hand Relaxed — the hand position is only a rotation cursor.
-            let idx = self.clock.fetch_add(1, Ordering::Relaxed) % frames.len();
-            self.try_evict(&frames[idx])?;
+            let idx = self.clock.fetch_add(1, Ordering::Relaxed) % len;
+            let frame = Arc::clone(&read_latch(&self.frames)[idx]);
+            self.try_evict(&frame)?;
         }
         Ok(())
     }

@@ -555,9 +555,9 @@ impl HeapFile {
     /// Scan the live records of pages in `range` (clamped to the allocated
     /// page count), invoking `visit` for each `(rid, record)`.
     ///
-    /// This is the partition primitive behind [`Self::scan`] and
-    /// [`Self::scan_parallel`]. I/O counters are accumulated locally and
-    /// merged into the shared [`IoStats`] once at the end of the range —
+    /// This is the partition primitive behind [`Self::scan`] and the ranges
+    /// [`Self::scan_parallel`] hands out. I/O counters are accumulated locally
+    /// and merged into the shared [`IoStats`] once at the end of the range —
     /// one atomic add per counter per partition instead of one per tuple —
     /// so partitioned scans don't serialize on the stats cache line.
     pub fn scan_pages<F>(&self, range: std::ops::Range<u32>, mut visit: F) -> StorageResult<()>
@@ -598,28 +598,27 @@ impl HeapFile {
         result
     }
 
-    /// Scan all live records with `threads` workers over contiguous page
-    /// partitions, invoking `visit(worker, rid, record)` from worker threads.
-    ///
-    /// Per-page latching is identical to [`Self::scan`]; each worker merges
-    /// its I/O counters once when its partition completes. The first error
-    /// (by worker index) is returned. With `threads <= 1` this degrades to a
-    /// serial scan on the calling thread.
-    pub fn scan_parallel<F>(&self, threads: usize, visit: F) -> StorageResult<()>
+    /// Split the heap into at most `threads` contiguous page ranges and run
+    /// `part(partition, pages)` once per range, returning the outcomes in
+    /// partition (= heap) order. `part` does the reading —
+    /// [`Self::scan_pages`] or [`Self::scan_batches`] over its range — so a
+    /// serial scan and a parallel one share a single loop: one range runs
+    /// inline on the calling thread, more than one get a scoped worker each,
+    /// whose `storage.scan.partition` span parents under the caller's
+    /// ambient span.
+    pub fn scan_parallel<S, P>(&self, threads: usize, part: P) -> Vec<S>
     where
-        F: Fn(usize, Rid, &[u8]) -> StorageResult<()> + Sync,
+        S: Send,
+        P: Fn(usize, std::ops::Range<u32>) -> S + Sync,
     {
         let pages = self.page_count();
         let workers = threads.max(1).min(pages.max(1) as usize);
-        if workers <= 1 {
-            return self.scan_pages(0..pages, |rid, rec| visit(0, rid, rec));
+        if workers == 1 {
+            return vec![part(0, 0..pages)];
         }
         let chunk = (pages as usize).div_ceil(workers) as u32;
-        let visit = &visit;
-        // Propagate the coordinator's span across the worker threads so
-        // each partition's span parents under the read that spawned it.
+        let part = &part;
         let scan_ctx = wh_obs::trace::current();
-        let mut results: Vec<StorageResult<()>> = Vec::new();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
@@ -627,16 +626,15 @@ impl HeapFile {
                     let end = (start + chunk).min(pages);
                     s.spawn(move || {
                         let _ts = wh_obs::trace_span_under!("storage.scan.partition", scan_ctx);
-                        self.scan_pages(start..end, |rid, rec| visit(w, rid, rec))
+                        part(w, start..end)
                     })
                 })
                 .collect();
-            results = handles
+            handles
                 .into_iter()
                 .map(|h| h.join().expect("scan worker panicked")) // lint: allow(no-panic) — re-raises a scan-worker panic on the coordinator
-                .collect();
-        });
-        results.into_iter().collect()
+                .collect()
+        })
     }
 
     /// Batched scan of the pages in `range`: each page's live records are
@@ -694,49 +692,6 @@ impl HeapFile {
         self.stats.count_tuple_reads(tuple_reads);
         wh_obs::histogram!("storage.heap.scan_partition_ns").record(op.elapsed_ns());
         result
-    }
-
-    /// Parallel twin of [`Self::scan_batches`]: contiguous page partitions,
-    /// one reusable batch per worker, `visit(worker, batch)` from worker
-    /// threads. Partitioning and error handling match
-    /// [`Self::scan_parallel`].
-    pub fn scan_batches_parallel<F>(
-        &self,
-        threads: usize,
-        specs: &[FieldSpec],
-        visit: F,
-    ) -> StorageResult<()>
-    where
-        F: Fn(usize, &RecordBatch) -> StorageResult<()> + Sync,
-    {
-        let pages = self.page_count();
-        let workers = threads.max(1).min(pages.max(1) as usize);
-        if workers <= 1 {
-            return self.scan_batches(0..pages, specs, |batch| visit(0, batch));
-        }
-        let chunk = (pages as usize).div_ceil(workers) as u32;
-        let visit = &visit;
-        // Propagate the coordinator's span across the worker threads; see
-        // `scan_parallel`.
-        let scan_ctx = wh_obs::trace::current();
-        let mut results: Vec<StorageResult<()>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let start = w as u32 * chunk;
-                    let end = (start + chunk).min(pages);
-                    s.spawn(move || {
-                        let _ts = wh_obs::trace_span_under!("storage.scan.partition", scan_ctx);
-                        self.scan_batches(start..end, specs, |batch| visit(w, batch))
-                    })
-                })
-                .collect();
-            results = handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker panicked")) // lint: allow(no-panic) — re-raises a scan-worker panic on the coordinator
-                .collect();
-        });
-        results.into_iter().collect()
     }
 
     /// Collect all live `(rid, record)` pairs. Convenience over [`Self::scan`].
@@ -867,7 +822,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_parallel_matches_serial_scan() {
+    fn scan_parallel_partitions_concatenate_to_the_serial_scan() {
         let h = file(256);
         for i in 0..500u16 {
             let mut rec = [0u8; 256];
@@ -880,34 +835,41 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        serial.sort();
         for threads in [1, 2, 4, 8, 64] {
-            let parallel = Mutex::new(Vec::new());
-            h.scan_parallel(threads, |_, rid, rec| {
-                parallel.lock().unwrap().push((rid, rec[0], rec[1]));
-                Ok(())
-            })
-            .unwrap();
-            let mut parallel = parallel.into_inner().unwrap();
-            parallel.sort();
-            assert_eq!(parallel, serial, "threads={threads}");
+            let parts = h.scan_parallel(threads, |_, pages| {
+                let mut seen = Vec::new();
+                h.scan_pages(pages, |rid, rec| {
+                    seen.push((rid, rec[0], rec[1]));
+                    Ok(())
+                })
+                .unwrap();
+                seen
+            });
+            assert!(parts.len() <= threads);
+            // Partition order is heap order: no sort needed.
+            assert_eq!(parts.concat(), serial, "threads={threads}");
         }
     }
 
     #[test]
-    fn scan_parallel_propagates_errors() {
+    fn scan_parallel_returns_each_partitions_outcome() {
         let h = file(512);
         for i in 0..64u8 {
             h.insert(&[i; 512]).unwrap();
         }
-        let err = h
-            .scan_parallel(4, |_, _, rec| {
+        let outcomes = h.scan_parallel(4, |_, pages| {
+            h.scan_pages(pages, |_, rec| {
                 if rec[0] == 40 {
                     Err(StorageError::NoSuchPage(999))
                 } else {
                     Ok(())
                 }
             })
+        });
+        assert_eq!(outcomes.iter().filter(|o| o.is_err()).count(), 1);
+        let err = outcomes
+            .into_iter()
+            .collect::<StorageResult<Vec<()>>>()
             .unwrap_err();
         assert!(matches!(err, StorageError::NoSuchPage(999)));
     }
@@ -928,7 +890,9 @@ mod tests {
             h.page_count() as u64
         );
         assert_eq!(after_serial.tuple_reads - before.tuple_reads, 100);
-        h.scan_parallel(4, |_, _, _| Ok(())).unwrap();
+        for outcome in h.scan_parallel(4, |_, pages| h.scan_pages(pages, |_, _| Ok(()))) {
+            outcome.unwrap();
+        }
         let after_parallel = stats.snapshot();
         assert_eq!(
             after_parallel.page_reads - after_serial.page_reads,
@@ -1008,35 +972,28 @@ mod tests {
     }
 
     #[test]
-    fn scan_batches_parallel_matches_serial() {
+    fn scan_batches_over_partitions_matches_one_range() {
         let h = file(256);
         for i in 0..500u16 {
             let mut rec = [0u8; 256];
             rec[..2].copy_from_slice(&i.to_le_bytes());
             h.insert(&rec).unwrap();
         }
-        let mut serial = Vec::new();
-        h.scan_batches(0..h.page_count(), &[], |batch| {
-            for (i, &slot) in batch.slots().iter().enumerate() {
-                serial.push((Rid::new(batch.page_no(), slot), batch.record(i).to_vec()));
-            }
-            Ok(())
-        })
-        .unwrap();
-        serial.sort();
-        for threads in [1, 2, 4, 8] {
-            let parallel = Mutex::new(Vec::new());
-            h.scan_batches_parallel(threads, &[], |_, batch| {
-                let mut p = parallel.lock().unwrap();
+        let collect = |pages: std::ops::Range<u32>| {
+            let mut seen = Vec::new();
+            h.scan_batches(pages, &[], |batch| {
                 for (i, &slot) in batch.slots().iter().enumerate() {
-                    p.push((Rid::new(batch.page_no(), slot), batch.record(i).to_vec()));
+                    seen.push((Rid::new(batch.page_no(), slot), batch.record(i).to_vec()));
                 }
                 Ok(())
             })
             .unwrap();
-            let mut parallel = parallel.into_inner().unwrap();
-            parallel.sort();
-            assert_eq!(parallel, serial, "threads={threads}");
+            seen
+        };
+        let serial = collect(0..h.page_count());
+        for threads in [1, 2, 4, 8] {
+            let parts = h.scan_parallel(threads, |_, pages| collect(pages));
+            assert_eq!(parts.concat(), serial, "threads={threads}");
         }
     }
 

@@ -207,18 +207,6 @@ impl Table {
         })
     }
 
-    /// Visit every live row with `threads` workers over contiguous page
-    /// partitions; `visit(worker, rid, row)` runs on worker threads.
-    pub fn scan_parallel<F>(&self, threads: usize, visit: F) -> StorageResult<()>
-    where
-        F: Fn(usize, Rid, Row) -> StorageResult<()> + Sync,
-    {
-        self.heap.scan_parallel(threads, |worker, rid, buf| {
-            let row = self.codec.decode(buf)?;
-            visit(worker, rid, row)
-        })
-    }
-
     /// Collect all live rows with their RIDs.
     pub fn scan_all(&self) -> StorageResult<Vec<(Rid, Row)>> {
         let mut out = Vec::new();
@@ -296,25 +284,6 @@ mod tests {
             .collect();
         sales.sort_unstable();
         assert_eq!(sales, vec![1, 2]);
-    }
-
-    #[test]
-    fn scan_parallel_agrees_with_scan_all() {
-        let t = sample_table();
-        for i in 0..300 {
-            t.insert(&row(&format!("city{i:03}"), i)).unwrap();
-        }
-        let mut serial = t.scan_all().unwrap();
-        serial.sort_by_key(|(rid, _)| *rid);
-        let collected = std::sync::Mutex::new(Vec::new());
-        t.scan_parallel(4, |_, rid, r| {
-            collected.lock().unwrap().push((rid, r));
-            Ok(())
-        })
-        .unwrap();
-        let mut parallel = collected.into_inner().unwrap();
-        parallel.sort_by_key(|(rid, _)| *rid);
-        assert_eq!(parallel, serial);
     }
 
     #[test]

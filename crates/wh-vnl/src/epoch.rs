@@ -15,9 +15,9 @@
 use wh_kernel::epoch::{EpochCore, EpochPin, RetireList, GRACE};
 use wh_storage::Rid;
 
-/// Announcement slots available for concurrent pins. Pins are per-read
-/// *operation* (one covers an entire parallel scan, taken by the
-/// coordinator), so this bounds concurrent read operations, not threads.
+/// Announcement slots available for concurrent pins. A point read or index
+/// lookup holds one pin, a scan one per partition (taken on the thread
+/// that walks it), so this bounds concurrent read partitions.
 const PIN_SLOTS: usize = 128;
 
 /// Per-table epoch state: the kernel core plus the deferred-release queue

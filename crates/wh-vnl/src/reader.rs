@@ -8,8 +8,7 @@ use crate::version::VersionNo;
 use std::sync::Mutex;
 use std::time::Duration;
 use wh_sql::{
-    exec::{execute_select, execute_select_parallel},
-    parse_statement, ParallelRowSource, Params, QueryResult, RowSource, SelectStmt, SqlError,
+    execute_select, parse_statement, Params, QueryResult, RowSource, SelectStmt, SqlError,
     SqlResult, Statement,
 };
 use wh_types::{Row, Schema, Value};
@@ -21,21 +20,6 @@ pub enum ReadOutcome {
     Live,
     /// The session has expired; the reader should begin a new session.
     Expired,
-}
-
-/// Which scan implementation a session's reads run on. Both produce
-/// identical rows (the property tests in [`crate::scan`] pin them to the
-/// reference extractor); [`ScanPipeline::Scalar`] remains available as the
-/// oracle and for A/B measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanPipeline {
-    /// Per-tuple byte classification under the page latch
-    /// ([`crate::scan::ByteScanner`]).
-    Scalar,
-    /// Page-batched classification over gathered version columns with
-    /// bitmap-selected decode ([`crate::scan::BatchScanner`]).
-    #[default]
-    Batched,
 }
 
 /// A reader session pinned to one database version.
@@ -53,8 +37,6 @@ pub struct ReaderSession<'t> {
     lease: Option<LeaseId>,
     /// Rolling call count behind [`ReaderSession::note_staleness_sampled`].
     staleness_probe: std::sync::atomic::AtomicU32,
-    /// Scan implementation for this session's reads.
-    pipeline: ScanPipeline,
     /// Root trace span covering the session; each read operation's span
     /// parents under it so a session's whole read history shares one
     /// trace id. Closed when the session is released.
@@ -88,19 +70,8 @@ impl<'t> ReaderSession<'t> {
             finished: false,
             lease: None,
             staleness_probe: std::sync::atomic::AtomicU32::new(0),
-            pipeline: ScanPipeline::default(),
             span_ctx: wh_obs::trace::open_ctx(wh_obs::trace_name!("vnl.session"), 0, session_vn),
         }
-    }
-
-    /// The scan pipeline this session's reads run on.
-    pub fn pipeline(&self) -> ScanPipeline {
-        self.pipeline
-    }
-
-    /// Switch the scan pipeline (default [`ScanPipeline::Batched`]).
-    pub fn set_pipeline(&mut self, pipeline: ScanPipeline) {
-        self.pipeline = pipeline;
     }
 
     /// The version this session reads.
@@ -202,14 +173,41 @@ impl<'t> ReaderSession<'t> {
         }
     }
 
+    /// Open one read operation's instrumentation — its trace span under the
+    /// session's, its read-latency probe, its staleness note — and run it.
+    /// Every scan-shaped entry point goes through here exactly once.
+    fn observed<T>(&self, span: u32, read: impl FnOnce() -> VnlResult<T>) -> VnlResult<T> {
+        let _ts = wh_obs::trace::enter_under(span, self.span_ctx);
+        let _lat = ReadProbe::start();
+        self.note_staleness();
+        read()
+    }
+
+    /// The scan driver behind every row-visiting entry point: one partition
+    /// on the calling thread, `cols` projected (`None` = the full base row).
+    fn scan_rows<F>(&self, span: u32, cols: Option<&[usize]>, mut visit: F) -> VnlResult<()>
+    where
+        F: FnMut(Row) -> VnlResult<()>,
+    {
+        let scanner = BatchScanner::new(self.table.layout(), self.table.storage().codec(), cols);
+        self.observed(span, || {
+            self.table
+                .scan_serial(&scanner, self.session_vn, |batch, classes, pool| {
+                    scanner.visit_selected(batch, classes, pool, &mut visit)
+                })
+        })
+    }
+
     /// Scan the relation as of this session's version. Uses the per-tuple
     /// expiration detector: a tuple modified out from under the session
     /// raises [`VnlError::SessionExpired`].
     pub fn scan(&self) -> VnlResult<Vec<Row>> {
-        let _ts = wh_obs::trace_span_under!("vnl.read.scan", self.span_ctx);
-        let _lat = ReadProbe::start();
-        self.note_staleness();
-        self.table.scan_visible(self.session_vn)
+        let mut out = Vec::new();
+        self.scan_with(|row| {
+            out.push(row);
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Streaming twin of [`ReaderSession::scan`]: `visit` receives each
@@ -220,17 +218,7 @@ impl<'t> ReaderSession<'t> {
     where
         F: FnMut(Row) -> VnlResult<()>,
     {
-        let _ts = wh_obs::trace_span_under!("vnl.read.scan", self.span_ctx);
-        let _lat = ReadProbe::start();
-        self.note_staleness();
-        match self.pipeline {
-            ScanPipeline::Scalar => self.table.scan_visible_with(self.session_vn, None, visit),
-            ScanPipeline::Batched => {
-                let scanner = self.batch_scanner(None);
-                self.table
-                    .scan_visible_batched(&scanner, self.session_vn, visit)
-            }
-        }
+        self.scan_rows(wh_obs::trace_name!("vnl.read.scan"), None, visit)
     }
 
     /// [`ReaderSession::scan_with`] with projection pushdown: rows carry
@@ -240,93 +228,46 @@ impl<'t> ReaderSession<'t> {
     where
         F: FnMut(Row) -> VnlResult<()>,
     {
-        self.note_staleness();
-        match self.pipeline {
-            ScanPipeline::Scalar => {
-                self.table
-                    .scan_visible_with(self.session_vn, Some(cols), visit)
-            }
-            ScanPipeline::Batched => {
-                let scanner = self.batch_scanner(Some(cols));
-                self.table
-                    .scan_visible_batched(&scanner, self.session_vn, visit)
-            }
-        }
+        let span = wh_obs::trace_name!("vnl.read.scan_projected");
+        self.scan_rows(span, Some(cols), visit)
     }
 
-    /// Materializing form of [`ReaderSession::scan_projected_with`].
-    pub fn scan_projected(&self, cols: &[usize]) -> VnlResult<Vec<Row>> {
-        let mut out = Vec::new();
-        self.scan_projected_with(cols, |row| {
-            out.push(row);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// Parallel partitioned scan: the heap is split into contiguous page
-    /// ranges handled by up to `threads` workers, and `visit(worker, row)`
-    /// runs on those workers. Exactly the rows of [`ReaderSession::scan`]
-    /// are delivered (same Table 1 semantics at this session's version,
-    /// including per-tuple expiration), but interleaving across workers is
-    /// nondeterministic — within one worker, rows arrive in heap order.
+    /// Partitioned scan: the heap is split into at most `threads` contiguous
+    /// page ranges, and `visit(partition, row)` runs on the partitions'
+    /// threads. Exactly the rows of [`ReaderSession::scan`] are delivered
+    /// (same Table 1 semantics at this session's version, including
+    /// per-tuple expiration), but interleaving across partitions is
+    /// nondeterministic — within one partition, rows arrive in heap order.
     pub fn scan_parallel<F>(&self, threads: usize, visit: F) -> VnlResult<()>
     where
         F: Fn(usize, Row) -> VnlResult<()> + Sync,
     {
-        let _ts = wh_obs::trace_span_under!("vnl.read.scan_parallel", self.span_ctx);
-        let _lat = ReadProbe::start();
-        self.note_staleness();
-        match self.pipeline {
-            ScanPipeline::Scalar => {
-                self.table
-                    .scan_visible_parallel(threads, self.session_vn, None, visit)
-            }
-            ScanPipeline::Batched => {
-                let scanner = self.batch_scanner(None);
-                self.table
-                    .scan_visible_batched_parallel(threads, &scanner, self.session_vn, visit)
-            }
-        }
+        let scanner = BatchScanner::new(self.table.layout(), self.table.storage().codec(), None);
+        let deliver = |p, (): &mut (), batch: &_, classes: &_, pool: &mut _| {
+            scanner.visit_selected(batch, classes, pool, |row| visit(p, row))
+        };
+        self.observed(wh_obs::trace_name!("vnl.read.scan_parallel"), || {
+            self.table
+                .scan_partitioned(&scanner, self.session_vn, threads, deliver)
+        })
+        .map(drop)
     }
 
-    /// [`ReaderSession::scan_parallel`] with projection pushdown.
-    pub fn scan_projected_parallel<F>(
-        &self,
-        threads: usize,
-        cols: &[usize],
-        visit: F,
-    ) -> VnlResult<()>
-    where
-        F: Fn(usize, Row) -> VnlResult<()> + Sync,
-    {
-        self.note_staleness();
-        match self.pipeline {
-            ScanPipeline::Scalar => {
-                self.table
-                    .scan_visible_parallel(threads, self.session_vn, Some(cols), visit)
-            }
-            ScanPipeline::Batched => {
-                let scanner = self.batch_scanner(Some(cols));
-                self.table
-                    .scan_visible_batched_parallel(threads, &scanner, self.session_vn, visit)
-            }
-        }
-    }
-
-    /// Count the rows visible to this session without decoding any of them
-    /// — the batch pipeline's classify-only fast path (a selection bitmap
-    /// popcount per page). Unaffected by [`ReaderSession::set_pipeline`]:
-    /// there is no scalar analogue worth keeping.
+    /// Count the rows visible to this session without decoding any of them:
+    /// the scan with a popcount of each page's selection bitmap in place of
+    /// row delivery. Expiration detection is identical to a full scan.
     pub fn count(&self) -> VnlResult<u64> {
-        self.note_staleness();
-        self.table.count_visible(self.session_vn)
-    }
-
-    /// Build this session's batch scanner. `cols = None` decodes the full
-    /// base row; `Some` decodes exactly those columns in that order.
-    fn batch_scanner(&self, cols: Option<&[usize]>) -> BatchScanner {
-        BatchScanner::new(self.table.layout(), self.table.storage().codec(), cols)
+        let codec = self.table.storage().codec();
+        let scanner = BatchScanner::new_sparse(self.table.layout(), codec, &[]);
+        let mut count = 0u64;
+        self.observed(wh_obs::trace_name!("vnl.read.count"), || {
+            self.table
+                .scan_serial(&scanner, self.session_vn, |_, classes, _| {
+                    count += classes.selected() as u64;
+                    Ok(())
+                })
+        })?;
+        Ok(count)
     }
 
     /// Point lookup by key (base-schema row whose key columns are set).
@@ -395,104 +336,72 @@ impl<'t> ReaderSession<'t> {
     /// version extraction (always correct, including per-tuple expiration
     /// detection). The statement references base-schema columns.
     pub fn query(&self, sql: &str) -> VnlResult<QueryResult> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(VnlError::Sql(SqlError::Unsupported(
-                "reader sessions are read-only".into(),
-            )));
-        };
-        self.query_stmt(&select)
+        self.query_parallel(sql, 1)
     }
 
     /// Like [`ReaderSession::query`] with a pre-parsed statement. The
-    /// executor streams straight off the byte-level scan pipeline — WHERE
-    /// is applied per tuple as it is extracted, never against a
-    /// materialized snapshot (and on the batched pipeline, pushable WHERE
-    /// conjuncts run inside the page classify kernel, before decode).
+    /// executor streams straight off the scan — pushable WHERE conjuncts
+    /// run inside the page classify kernel, before decode, and the rest is
+    /// applied per row as it is delivered, never against a materialized
+    /// snapshot.
     pub fn query_stmt(&self, select: &SelectStmt) -> VnlResult<QueryResult> {
-        let _ts = wh_obs::trace_span_under!("vnl.read.query", self.span_ctx);
-        let _lat = ReadProbe::start();
-        self.note_staleness();
-        let (source, exec_stmt) = self.source_for(select)?;
-        let res = execute_select(&source, &exec_stmt, &Params::new());
-        source.settle(res)
+        self.run_select(select, 1)
     }
 
-    /// Parallel form of [`ReaderSession::query`]: the scan is partitioned
-    /// across up to `threads` workers and aggregates are folded into
-    /// per-worker partial states merged at the end. Results are identical
-    /// to the serial path (worker partitions are contiguous heap ranges
-    /// merged in order) up to floating-point reassociation in SUM/AVG.
+    /// [`ReaderSession::query`] over up to `threads` scan partitions, each
+    /// folding its rows into its own partial result; the partials are
+    /// combined in partition order. Results are identical at every thread
+    /// count (partitions are contiguous heap ranges) up to floating-point
+    /// reassociation in SUM/AVG.
     pub fn query_parallel(&self, sql: &str, threads: usize) -> VnlResult<QueryResult> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(VnlError::Sql(SqlError::Unsupported(
+        match parse_statement(sql)? {
+            Statement::Select(select) => self.run_select(&select, threads),
+            _ => Err(VnlError::Sql(SqlError::Unsupported(
                 "reader sessions are read-only".into(),
-            )));
-        };
-        self.query_stmt_parallel(&select, threads)
+            ))),
+        }
     }
 
-    /// Like [`ReaderSession::query_parallel`] with a pre-parsed statement.
-    pub fn query_stmt_parallel(
-        &self,
-        select: &SelectStmt,
-        threads: usize,
-    ) -> VnlResult<QueryResult> {
-        let _ts = wh_obs::trace_span_under!("vnl.read.query_parallel", self.span_ctx);
-        let _lat = ReadProbe::start();
-        self.note_staleness();
-        let (source, exec_stmt) = self.source_for(select)?;
-        let res = execute_select_parallel(&source, &exec_stmt, &Params::new(), threads);
-        source.settle(res)
+    /// The one native SELECT path: plan the statement against this session
+    /// and run the executor over its scan at `threads` partitions.
+    fn run_select(&self, select: &SelectStmt, threads: usize) -> VnlResult<QueryResult> {
+        self.observed(wh_obs::trace_name!("vnl.read.query"), || {
+            let (source, exec_stmt) = self.source_for(select)?;
+            source.settle(execute_select(&source, &exec_stmt, &Params::new(), threads))
+        })
     }
 
     /// Plan a statement against this session: build the scan source and the
-    /// statement the executor should actually run. On the batched pipeline
-    /// the two are planned together — pushable WHERE conjuncts move into
-    /// the scanner's filter kernel (and out of the executor statement), and
-    /// the *residual* statement's referenced columns drive projection
-    /// pushdown, so a column referenced only by pushed filters is never
-    /// decoded at all.
+    /// statement the executor should actually run. The two are planned
+    /// together — pushable WHERE conjuncts move into the scanner's filter
+    /// kernel (and out of the executor statement), and the *residual*
+    /// statement's referenced columns drive projection pushdown, so a
+    /// column referenced only by pushed filters is never decoded at all.
     fn source_for(&self, select: &SelectStmt) -> VnlResult<(SessionSource<'_>, SelectStmt)> {
         if select.from != self.table.name() {
             return Err(VnlError::Sql(SqlError::NoSuchTable(select.from.clone())));
         }
+        let layout = self.table.layout();
         let mut exec_stmt = select.clone();
-        let scanner = match self.pipeline {
-            ScanPipeline::Scalar => None,
-            ScanPipeline::Batched => {
-                let layout = self.table.layout();
-                let codec = self.table.storage().codec();
-                let filters: Vec<crate::scan::ColumnFilter> = match &select.where_clause {
-                    Some(pred) => {
-                        let (pushed, residual) =
-                            wh_sql::extract_scan_filters(pred, layout.base_schema());
-                        exec_stmt.where_clause = residual;
-                        pushed.iter().map(kernel_filter).collect()
-                    }
-                    None => Vec::new(),
-                };
-                // Rows keep full base arity (the executor addresses columns
-                // by index) but only the residual statement's referenced
-                // columns decode.
-                Some(match needed_base_cols(&exec_stmt, layout.base_schema()) {
-                    Some(needed) => {
-                        BatchScanner::new_sparse_filtered(layout, codec, &needed, &filters)
-                    }
-                    None if filters.is_empty() => BatchScanner::new(layout, codec, None),
-                    None => {
-                        let all: Vec<usize> = (0..layout.base_schema().arity()).collect();
-                        BatchScanner::new_sparse_filtered(layout, codec, &all, &filters)
-                    }
-                })
+        let filters = match &select.where_clause {
+            Some(pred) => {
+                let (pushed, residual) = wh_sql::extract_scan_filters(pred, layout.base_schema());
+                exec_stmt.where_clause = residual;
+                pushed
             }
+            None => Vec::new(),
         };
+        // Rows keep full base arity (the executor addresses columns by
+        // index) but only the residual statement's referenced columns
+        // decode.
+        let needed = needed_base_cols(&exec_stmt, layout.base_schema())
+            .unwrap_or_else(|| (0..layout.base_schema().arity()).collect());
+        let codec = self.table.storage().codec();
         Ok((
             SessionSource {
                 table: self.table,
                 session_vn: self.session_vn,
-                scanner,
+                scanner: BatchScanner::new_sparse_filtered(layout, codec, &needed, &filters),
                 failure: Mutex::new(None),
             },
             exec_stmt,
@@ -514,15 +423,14 @@ impl<'t> ReaderSession<'t> {
         if select.from != self.table.name() {
             return Err(VnlError::Sql(SqlError::NoSuchTable(select.from)));
         }
-        let _ts = wh_obs::trace_span_under!("vnl.read.query_rewrite", self.span_ctx);
-        let _lat = ReadProbe::start();
-        self.note_staleness();
-        let rewritten = self.table.rewriter().rewrite_select(&select)?;
-        let mut params = Params::new();
-        params.insert("sessionVN".into(), Value::from(self.session_vn as i64));
-        let result = execute_select(self.table.storage(), &rewritten, &params)?;
-        self.assert_live()?;
-        Ok(result)
+        self.observed(wh_obs::trace_name!("vnl.read.query_rewrite"), || {
+            let rewritten = self.table.rewriter().rewrite_select(&select)?;
+            let mut params = Params::new();
+            params.insert("sessionVN".into(), Value::from(self.session_vn as i64));
+            let result = execute_select(self.table.storage(), &rewritten, &params, 1)?;
+            self.assert_live()?;
+            Ok(result)
+        })
     }
 
     /// End the session, deregistering it (and releasing its lease).
@@ -549,8 +457,8 @@ impl Drop for ReaderSession<'_> {
 }
 
 /// Streaming row source over one session's consistent view: the SQL
-/// executor pulls rows straight off [`VnlTable::scan_visible_with`] /
-/// [`VnlTable::scan_visible_parallel`] — no intermediate snapshot.
+/// executor folds rows straight off [`VnlTable::scan_partitioned`] — no
+/// intermediate snapshot.
 ///
 /// The executor speaks [`SqlError`], but the scan can fail with
 /// session-level errors (expiration, storage faults) that must surface as
@@ -560,9 +468,8 @@ impl Drop for ReaderSession<'_> {
 struct SessionSource<'a> {
     table: &'a VnlTable,
     session_vn: VersionNo,
-    /// Batched pipeline: a statement-specific sparse scanner. `None` runs
-    /// the scalar pipeline.
-    scanner: Option<BatchScanner>,
+    /// The statement-specific sparse, filtering scanner.
+    scanner: BatchScanner,
     failure: Mutex<Option<VnlError>>,
 }
 
@@ -606,42 +513,19 @@ impl RowSource for SessionSource<'_> {
         self.table.layout().base_schema()
     }
 
-    fn for_each(&self, visit: &mut dyn FnMut(Row) -> SqlResult<()>) -> SqlResult<()> {
-        match &self.scanner {
-            Some(scanner) => self
-                .table
-                .scan_visible_batched(scanner, self.session_vn, |row| {
-                    visit(row).map_err(VnlError::Sql)
-                }),
-            None => self.table.scan_visible_with(self.session_vn, None, |row| {
-                visit(row).map_err(VnlError::Sql)
-            }),
-        }
-        .map_err(|e| self.smuggle(e))
-    }
-}
-
-impl ParallelRowSource for SessionSource<'_> {
-    fn for_each_parallel(
+    fn fold<S: Default + Send>(
         &self,
         threads: usize,
-        visit: &(dyn Fn(usize, Row) -> SqlResult<()> + Sync),
-    ) -> SqlResult<()> {
-        match &self.scanner {
-            Some(scanner) => self.table.scan_visible_batched_parallel(
-                threads,
-                scanner,
-                self.session_vn,
-                |worker, row| visit(worker, row).map_err(VnlError::Sql),
-            ),
-            None => {
-                self.table
-                    .scan_visible_parallel(threads, self.session_vn, None, |worker, row| {
-                        visit(worker, row).map_err(VnlError::Sql)
-                    })
-            }
-        }
-        .map_err(|e| self.smuggle(e))
+        visit: &(dyn Fn(&mut S, Row) -> SqlResult<()> + Sync),
+    ) -> SqlResult<Vec<S>> {
+        let deliver = |_, state: &mut S, batch: &_, classes: &_, pool: &mut _| {
+            self.scanner.visit_selected(batch, classes, pool, |row| {
+                visit(state, row).map_err(VnlError::Sql)
+            })
+        };
+        self.table
+            .scan_partitioned(&self.scanner, self.session_vn, threads, deliver)
+            .map_err(|e| self.smuggle(e))
     }
 }
 
@@ -650,24 +534,6 @@ impl ParallelRowSource for SessionSource<'_> {
 /// (empty item list), or any name that does not resolve against the base
 /// schema (the executor will fail it with a proper error — the scan must
 /// not mask that by handing back a NULL column).
-/// Translate a planned `wh_sql` scan filter into the kernel's
-/// SQL-type-free form.
-fn kernel_filter(f: &wh_sql::ScanFilter) -> crate::scan::ColumnFilter {
-    use crate::scan::FilterOp as K;
-    crate::scan::ColumnFilter {
-        column: f.column,
-        op: match f.op {
-            wh_sql::FilterOp::Lt => K::Lt,
-            wh_sql::FilterOp::LtEq => K::LtEq,
-            wh_sql::FilterOp::Gt => K::Gt,
-            wh_sql::FilterOp::GtEq => K::GtEq,
-            wh_sql::FilterOp::Eq => K::Eq,
-            wh_sql::FilterOp::NotEq => K::NotEq,
-        },
-        literal: f.literal,
-    }
-}
-
 fn needed_base_cols(select: &SelectStmt, schema: &Schema) -> Option<Vec<usize>> {
     if select.items.is_empty() {
         return None;

@@ -386,7 +386,7 @@ impl<'t> RepairEngine<'t> {
             schema: base,
             rows: &rows,
         };
-        match execute_select(&source, stmt, params) {
+        match execute_select(&source, stmt, params, 1) {
             Ok(result) => Ok(Some((result, roll.vn))),
             // A restart would surface the same statement error; let it.
             Err(_) => decline(),
@@ -463,14 +463,16 @@ impl RowSource for MemSource<'_> {
         self.schema
     }
 
-    fn for_each(
+    fn fold<S: Default + Send>(
         &self,
-        visit: &mut dyn FnMut(Row) -> wh_sql::SqlResult<()>,
-    ) -> wh_sql::SqlResult<()> {
+        _threads: usize,
+        visit: &(dyn Fn(&mut S, Row) -> wh_sql::SqlResult<()> + Sync),
+    ) -> wh_sql::SqlResult<Vec<S>> {
+        let mut state = S::default();
         for row in self.rows {
-            visit(row.clone())?;
+            visit(&mut state, row.clone())?;
         }
-        Ok(())
+        Ok(vec![state])
     }
 }
 

@@ -4,15 +4,17 @@ use crate::error::{VnlError, VnlResult};
 use crate::maintenance::MaintenanceTxn;
 use crate::reader::ReaderSession;
 use crate::rewrite::QueryRewriter;
+use crate::scan::{BatchClasses, BatchScanner, Classified, StrPool};
 use crate::schema_ext::ExtLayout;
 use crate::version::{VersionNo, VersionState};
 use crate::visibility;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, RwLock};
 use wh_index::{IndexKey, KeyDirectory, OrderedIndex};
-use wh_storage::{IoStats, Rid, Table};
+use wh_storage::batch::RecordBatch;
+use wh_storage::{IoStats, Rid, StorageError, Table};
 use wh_types::{Row, Schema, Value};
 
 /// A named secondary index over non-updatable base attributes (§4.3).
@@ -503,302 +505,115 @@ impl VnlTable {
         Ok(resolved)
     }
 
-    /// Scan all tuples as seen by `session_vn`. Errs with
-    /// [`VnlError::SessionExpired`] on the first tuple that proves the
-    /// session expired (the per-tuple detector of §3.2).
-    pub(crate) fn scan_visible(&self, session_vn: VersionNo) -> VnlResult<Vec<Row>> {
-        let mut out = Vec::new();
-        self.scan_visible_with(session_vn, None, |row| {
-            out.push(row);
-            Ok(())
-        })?;
+    /// One partition of a scan — the only scan loop there is. Under its own
+    /// epoch pin, the heap copies each page of `pages` out under a short
+    /// latch hold and gathers the version fields into column-strided arrays,
+    /// `scanner` classifies the whole page branch-free into a selection
+    /// bitmap (Table 1, including the per-tuple expiration detector of
+    /// §3.2), and `on_batch` consumes the classified page: row delivery
+    /// ([`BatchScanner::visit_selected`]) or a bare count of the bitmap.
+    /// Classification state and the string pool are the partition's own.
+    ///
+    /// A partition stops at the first expired tuple or `on_batch` error and
+    /// raises `halt` so its peers stop at their next page; a partition that
+    /// stops for a peer reports `Ok`, because the peer reports the error.
+    fn scan_partition<F>(
+        &self,
+        scanner: &BatchScanner,
+        session_vn: VersionNo,
+        pages: std::ops::Range<u32>,
+        halt: &AtomicBool,
+        mut on_batch: F,
+    ) -> VnlResult<()>
+    where
+        F: FnMut(&RecordBatch, &BatchClasses, &mut StrPool) -> VnlResult<()>,
+    {
+        let _pin = self.epochs.pin();
+        let mut classes = BatchClasses::default();
+        let mut pool = scanner.new_pool();
+        let mut failure: Option<VnlError> = None;
+        let heap = self.storage.heap();
+        let res = heap.scan_batches(pages, scanner.specs(), |batch| {
+            // ordering: scan-halt Relaxed — a hint to stop early; the failing partition's error reaches the coordinator through its own return value
+            if halt.load(Ordering::Relaxed) {
+                return Err(StorageError::ScanAborted);
+            }
+            scanner.classify_batch(batch, session_vn, &mut classes);
+            note_batch_metrics(batch.len(), classes.selected());
+            let outcome = if classes.codes().contains(&Classified::Expired) {
+                Err(self.expired_error(session_vn))
+            } else {
+                on_batch(batch, &classes, &mut pool)
+            };
+            outcome.map_err(|e| {
+                failure = Some(e);
+                halt.store(true, Ordering::Relaxed); // ordering: scan-halt Relaxed — see the load above
+                StorageError::ScanAborted
+            })
+        });
+        match (res, failure) {
+            (_, Some(e)) => Err(e),
+            (Ok(()) | Err(StorageError::ScanAborted), None) => Ok(()),
+            (Err(e), None) => Err(e.into()),
+        }
+    }
+
+    /// What every scan ends with, once per scan whatever its partition
+    /// count: an expiration is counted, and a scan that did complete is
+    /// held to the recovery fence.
+    fn settle_scan<T>(&self, session_vn: VersionNo, res: VnlResult<T>) -> VnlResult<T> {
+        if matches!(res, Err(VnlError::SessionExpired { .. })) {
+            self.note_expiration();
+        }
+        let out = res?;
+        self.fence_check(session_vn)?;
         Ok(out)
     }
 
-    /// Streaming visitor scan of the tuples visible to `session_vn` through
-    /// the byte-level Table 1 classifier ([`crate::scan::ByteScanner`]):
-    /// invisible tuples are skipped before any row decode, and only the
-    /// `projection` base columns (all when `None`) are materialized. Stops
-    /// at the first expired tuple or visitor error.
-    pub(crate) fn scan_visible_with<F>(
+    /// Scan the tuples visible to `session_vn` as one partition on the
+    /// calling thread. This is [`VnlTable::scan_partitioned`] at one
+    /// partition, for consumers whose `on_batch` may not cross threads.
+    pub(crate) fn scan_serial<F>(
         &self,
+        scanner: &BatchScanner,
         session_vn: VersionNo,
-        projection: Option<&[usize]>,
-        mut visit: F,
+        on_batch: F,
     ) -> VnlResult<()>
     where
-        F: FnMut(Row) -> VnlResult<()>,
+        F: FnMut(&RecordBatch, &BatchClasses, &mut StrPool) -> VnlResult<()>,
     {
-        let codec = self.storage.codec();
-        let scanner = crate::scan::ByteScanner::new(&self.layout, codec, projection);
-        let _pin = self.epochs.pin();
-        let mut failure: Option<VnlError> = None;
-        let res = self.storage.heap().scan(|_, buf| {
-            match scanner.classify(buf, session_vn) {
-                crate::scan::Classified::Ignore => return Ok(()),
-                crate::scan::Classified::Expired => {
-                    failure = Some(self.expired_error(session_vn));
-                }
-                which => match scanner.decode_visible(codec, buf, which) {
-                    Ok(row) => {
-                        if let Err(e) = visit(row) {
-                            failure = Some(e);
-                        }
-                    }
-                    Err(e) => failure = Some(e.into()),
-                },
-            }
-            if failure.is_some() {
-                Err(wh_storage::StorageError::ScanAborted)
-            } else {
-                Ok(())
-            }
-        });
-        self.settle_scan(res, failure)?;
-        self.fence_check(session_vn)
+        let pages = 0..self.storage.heap().page_count();
+        let halt = AtomicBool::new(false);
+        let res = self.scan_partition(scanner, session_vn, pages, &halt, on_batch);
+        self.settle_scan(session_vn, res)
     }
 
-    /// Parallel twin of [`VnlTable::scan_visible_with`]: partitions the heap
-    /// into contiguous page ranges scanned by `threads` workers
-    /// ([`wh_storage::HeapFile::scan_parallel`]). `visit(worker, row)` runs
-    /// on worker threads; the first failure (expiration, decode error, or
-    /// visitor error) aborts all partitions. Which worker sees which tuple
-    /// is deterministic for a fixed heap, but call interleaving is not — the
-    /// visitor must not rely on ordering.
-    pub(crate) fn scan_visible_parallel<F>(
+    /// Scan the tuples visible to `session_vn` as at most `threads`
+    /// contiguous page partitions, each folding its classified pages into
+    /// its own `S` through `on_batch(partition, state, …)`; the states come
+    /// back in partition (= heap) order. One partition runs inline on the
+    /// calling thread, so a serial read is not a separate path. The first
+    /// failure in partition order is the scan's.
+    pub(crate) fn scan_partitioned<S, F>(
         &self,
+        scanner: &BatchScanner,
+        session_vn: VersionNo,
         threads: usize,
-        session_vn: VersionNo,
-        projection: Option<&[usize]>,
-        visit: F,
-    ) -> VnlResult<()>
+        on_batch: F,
+    ) -> VnlResult<Vec<S>>
     where
-        F: Fn(usize, Row) -> VnlResult<()> + Sync,
+        S: Default + Send,
+        F: Fn(usize, &mut S, &RecordBatch, &BatchClasses, &mut StrPool) -> VnlResult<()> + Sync,
     {
-        let codec = self.storage.codec();
-        let scanner = crate::scan::ByteScanner::new(&self.layout, codec, projection);
-        // One pin covers every worker: it is held by the coordinator for
-        // the whole parallel scan, so any RID a worker observes stays
-        // un-reused until the scan returns.
-        let _pin = self.epochs.pin();
-        let failure: Mutex<Option<VnlError>> = Mutex::new(None);
-        let failed = std::sync::atomic::AtomicBool::new(false);
-        let fail = |e: VnlError| {
-            let mut slot = failure
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-            failed.store(true, Ordering::Release); // ordering: scan-abort Release — publishes the stashed error before the flag its reader Acquires
-        };
-        let res = self
-            .storage
-            .heap()
-            .scan_parallel(threads, |worker, _, buf| {
-                match scanner.classify(buf, session_vn) {
-                    crate::scan::Classified::Ignore => {}
-                    crate::scan::Classified::Expired => {
-                        fail(self.expired_error(session_vn));
-                    }
-                    which => match scanner.decode_visible(codec, buf, which) {
-                        Ok(row) => {
-                            if let Err(e) = visit(worker, row) {
-                                fail(e);
-                            }
-                        }
-                        Err(e) => fail(e.into()),
-                    },
-                }
-                // ordering: scan-abort Acquire — pairs with the workers' Release store publishing the stashed error
-                if failed.load(Ordering::Acquire) {
-                    Err(wh_storage::StorageError::ScanAborted)
-                } else {
-                    Ok(())
-                }
-            });
-        self.settle_scan(
-            res,
-            failure
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        )?;
-        self.fence_check(session_vn)
-    }
-
-    /// Batched twin of [`VnlTable::scan_visible_with`], driven by a
-    /// prebuilt [`crate::scan::BatchScanner`]: the heap copies each page's
-    /// live records out under a short latch hold and gathers their version
-    /// fields into column-strided arrays, the scanner classifies the whole
-    /// page branch-free into a selection bitmap, and only selected records
-    /// are decoded. Same Table 1 semantics (including per-tuple expiration)
-    /// as the scalar path — the property tests in [`crate::scan`] hold the
-    /// two to exact agreement.
-    pub(crate) fn scan_visible_batched<F>(
-        &self,
-        scanner: &crate::scan::BatchScanner,
-        session_vn: VersionNo,
-        mut visit: F,
-    ) -> VnlResult<()>
-    where
-        F: FnMut(Row) -> VnlResult<()>,
-    {
-        let _pin = self.epochs.pin();
-        let mut failure: Option<VnlError> = None;
-        let mut classes = crate::scan::BatchClasses::default();
-        let mut pool = scanner.new_pool();
-        let heap = self.storage.heap();
-        let res = heap.scan_batches(0..heap.page_count(), scanner.specs(), |batch| {
-            scanner.classify_batch(batch, session_vn, &mut classes);
-            note_batch_metrics(batch.len(), classes.selected());
-            for (i, &code) in classes.codes().iter().enumerate() {
-                match code {
-                    crate::scan::Classified::Ignore => {}
-                    crate::scan::Classified::Expired => {
-                        failure = Some(self.expired_error(session_vn));
-                    }
-                    which => match scanner.decode_visible(batch, i, which, &mut pool) {
-                        Ok(row) => {
-                            if let Err(e) = visit(row) {
-                                failure = Some(e);
-                            }
-                        }
-                        Err(e) => failure = Some(e.into()),
-                    },
-                }
-                if failure.is_some() {
-                    return Err(wh_storage::StorageError::ScanAborted);
-                }
-            }
-            Ok(())
+        let halt = AtomicBool::new(false);
+        let parts = self.storage.heap().scan_parallel(threads, |p, pages| {
+            let mut state = S::default();
+            self.scan_partition(scanner, session_vn, pages, &halt, |batch, classes, pool| {
+                on_batch(p, &mut state, batch, classes, pool)
+            })
+            .map(|()| state)
         });
-        self.settle_scan(res, failure)?;
-        self.fence_check(session_vn)
-    }
-
-    /// Parallel twin of [`VnlTable::scan_visible_batched`]: contiguous page
-    /// partitions, one batch in flight per worker, first failure aborts all
-    /// partitions (same contract as [`VnlTable::scan_visible_parallel`]).
-    pub(crate) fn scan_visible_batched_parallel<F>(
-        &self,
-        threads: usize,
-        scanner: &crate::scan::BatchScanner,
-        session_vn: VersionNo,
-        visit: F,
-    ) -> VnlResult<()>
-    where
-        F: Fn(usize, Row) -> VnlResult<()> + Sync,
-    {
-        // One pin covers every worker, exactly as in the scalar parallel
-        // scan.
-        let _pin = self.epochs.pin();
-        // One interning pool per worker, locked once per batch — the lock
-        // is uncontended (each worker only ever takes its own) but keeps
-        // the visit closure shareable as `scan_batches_parallel` requires.
-        let pools: Vec<Mutex<crate::scan::StrPool>> = (0..threads.max(1))
-            .map(|_| Mutex::new(scanner.new_pool()))
-            .collect();
-        let failure: Mutex<Option<VnlError>> = Mutex::new(None);
-        let failed = std::sync::atomic::AtomicBool::new(false);
-        let fail = |e: VnlError| {
-            let mut slot = failure
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-            failed.store(true, Ordering::Release); // ordering: scan-abort Release — publishes the stashed error before the flag its reader Acquires
-        };
-        let res =
-            self.storage
-                .heap()
-                .scan_batches_parallel(threads, scanner.specs(), |worker, batch| {
-                    let mut classes = crate::scan::BatchClasses::default();
-                    scanner.classify_batch(batch, session_vn, &mut classes);
-                    note_batch_metrics(batch.len(), classes.selected());
-                    let mut pool = pools[worker % pools.len()]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    for (i, &code) in classes.codes().iter().enumerate() {
-                        match code {
-                            crate::scan::Classified::Ignore => {}
-                            crate::scan::Classified::Expired => {
-                                fail(self.expired_error(session_vn));
-                            }
-                            which => match scanner.decode_visible(batch, i, which, &mut pool) {
-                                Ok(row) => {
-                                    if let Err(e) = visit(worker, row) {
-                                        fail(e);
-                                    }
-                                }
-                                Err(e) => fail(e.into()),
-                            },
-                        }
-                        // ordering: scan-abort Acquire — pairs with the workers' Release store publishing the stashed error
-                        if failed.load(Ordering::Acquire) {
-                            return Err(wh_storage::StorageError::ScanAborted);
-                        }
-                    }
-                    Ok(())
-                });
-        self.settle_scan(
-            res,
-            failure
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        )?;
-        self.fence_check(session_vn)
-    }
-
-    /// Count the tuples visible to `session_vn` without decoding any of
-    /// them: the classify-only fast path the selection bitmap makes
-    /// possible. Expiration detection is identical to a full scan.
-    pub(crate) fn count_visible(&self, session_vn: VersionNo) -> VnlResult<u64> {
-        let scanner =
-            crate::scan::BatchScanner::new_sparse(&self.layout, self.storage.codec(), &[]);
-        let _pin = self.epochs.pin();
-        let mut failure: Option<VnlError> = None;
-        let mut classes = crate::scan::BatchClasses::default();
-        let mut count = 0u64;
-        let heap = self.storage.heap();
-        let res = heap.scan_batches(0..heap.page_count(), scanner.specs(), |batch| {
-            scanner.classify_batch(batch, session_vn, &mut classes);
-            note_batch_metrics(batch.len(), classes.selected());
-            if classes
-                .codes()
-                .iter()
-                .any(|c| matches!(c, crate::scan::Classified::Expired))
-            {
-                failure = Some(self.expired_error(session_vn));
-                return Err(wh_storage::StorageError::ScanAborted);
-            }
-            count += classes.selected() as u64;
-            Ok(())
-        });
-        self.settle_scan(res, failure)?;
-        self.fence_check(session_vn)?;
-        Ok(count)
-    }
-
-    /// Resolve a heap-scan result against an error stashed by the visitor:
-    /// the stashed [`VnlError`] wins (the paired `ScanAborted` is only its
-    /// transport), expiration is counted, and genuine storage errors pass
-    /// through.
-    fn settle_scan(
-        &self,
-        res: Result<(), wh_storage::StorageError>,
-        failure: Option<VnlError>,
-    ) -> VnlResult<()> {
-        match (res, failure) {
-            (_, Some(e)) => {
-                if matches!(e, VnlError::SessionExpired { .. }) {
-                    self.note_expiration();
-                }
-                Err(e)
-            }
-            (Err(e), None) => Err(e.into()),
-            (Ok(()), None) => Ok(()),
-        }
+        self.settle_scan(session_vn, parts.into_iter().collect())
     }
 
     /// Raw extended rows with their RIDs (reports, GC, tests).

@@ -1,7 +1,8 @@
-//! The parallel partitioned scan pipeline must be *indistinguishable* from
-//! the serial one: same Table 1 semantics at every live sessionVN, same
-//! rows, same expiration behavior — under random histories and under
-//! concurrent maintenance and GC.
+//! There is one scan path, and its partition count must be
+//! *unobservable*: at every live sessionVN, one partition and several give
+//! the same rows, counts, SQL answers, and expiration behavior, and all of
+//! them equal what the reference `visibility::extract` says about the raw
+//! heap — under random histories and under concurrent maintenance and GC.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -9,7 +10,8 @@ use std::sync::Mutex;
 use wh_sql::Params;
 use wh_types::rng::SplitMix64;
 use wh_types::{Column, DataType, Row, Schema, Value};
-use wh_vnl::{gc, ScanPipeline, VnlError, VnlTable};
+use wh_vnl::visibility::{extract, Visible};
+use wh_vnl::{gc, ReaderSession, VnlError, VnlTable};
 
 fn kv_schema() -> Schema {
     Schema::with_key_names(
@@ -26,6 +28,10 @@ fn kv(k: i64, v: i64) -> Row {
     vec![Value::from(k), Value::from(v)]
 }
 
+fn ints(vals: &[i64]) -> Row {
+    vals.iter().copied().map(Value::from).collect()
+}
+
 /// Sort rows into a canonical order so unordered-collection comparisons
 /// are well-defined.
 fn canon(mut rows: Vec<Row>) -> Vec<Row> {
@@ -33,8 +39,8 @@ fn canon(mut rows: Vec<Row>) -> Vec<Row> {
     rows
 }
 
-/// Collect a parallel scan's rows (any interleaving) into one Vec.
-fn collect_parallel(s: &wh_vnl::ReaderSession<'_>, threads: usize) -> Result<Vec<Row>, VnlError> {
+/// Collect a partitioned scan's rows (any interleaving) into one Vec.
+fn collect_parallel(s: &ReaderSession<'_>, threads: usize) -> Result<Vec<Row>, VnlError> {
     let rows = Mutex::new(Vec::new());
     s.scan_parallel(threads, |_, row| {
         rows.lock().unwrap().push(row);
@@ -43,23 +49,151 @@ fn collect_parallel(s: &wh_vnl::ReaderSession<'_>, threads: usize) -> Result<Vec
     Ok(rows.into_inner().unwrap())
 }
 
+fn collect_with(s: &ReaderSession<'_>) -> Result<Vec<Row>, VnlError> {
+    let mut rows = Vec::new();
+    s.scan_with(|row| {
+        rows.push(row);
+        Ok(())
+    })?;
+    Ok(rows)
+}
+
+fn collect_projected(s: &ReaderSession<'_>, cols: &[usize]) -> Vec<Row> {
+    let mut rows = Vec::new();
+    s.scan_projected_with(cols, |row| {
+        rows.push(row);
+        Ok(())
+    })
+    .unwrap();
+    rows
+}
+
+/// What a session at `vn` must see, decided by the reference extractor
+/// over the raw heap, in heap order; `None` when any tuple proves the
+/// session expired.
+fn oracle(t: &VnlTable, vn: u64) -> Option<Vec<Row>> {
+    let mut rows = Vec::new();
+    for (_, ext) in t.scan_raw().unwrap() {
+        match extract(t.layout(), &ext, vn) {
+            Visible::Row(r) => rows.push(r),
+            Visible::Ignore => {}
+            Visible::Expired => return None,
+        }
+    }
+    Some(rows)
+}
+
+fn v_of(row: &Row) -> i64 {
+    row[1].as_int().unwrap()
+}
+
+/// Every way of reading `s` — one partition or several, rows or counts,
+/// scans or SQL — against the oracle's `want`.
+fn assert_session_matches(s: &ReaderSession<'_>, want: Option<&[Row]>, ctx: &str) {
+    let Some(want) = want else {
+        // Expired for the oracle must expire everywhere.
+        assert!(matches!(s.scan(), Err(VnlError::SessionExpired { .. })));
+        assert!(matches!(s.count(), Err(VnlError::SessionExpired { .. })));
+        for threads in [1, 2, 4] {
+            assert!(
+                matches!(
+                    collect_parallel(s, threads),
+                    Err(VnlError::SessionExpired { .. })
+                ),
+                "{ctx} threads={threads}"
+            );
+        }
+        return;
+    };
+    // One partition delivers heap order; so does the oracle.
+    assert_eq!(s.scan().unwrap(), want, "scan diverged: {ctx}");
+    assert_eq!(collect_with(s).unwrap(), want, "scan_with diverged: {ctx}");
+    assert_eq!(
+        s.count().unwrap() as usize,
+        want.len(),
+        "classify-only count diverged: {ctx}"
+    );
+    let want_canon = canon(want.to_vec());
+    for threads in [1, 2, 4, 7] {
+        let got = collect_parallel(s, threads).unwrap();
+        assert_eq!(canon(got), want_canon, "{ctx} threads={threads}");
+    }
+    // Projection pushdown: v-only, and reordered (v, k).
+    assert_eq!(
+        collect_projected(s, &[1]),
+        want.iter().map(|r| vec![r[1].clone()]).collect::<Vec<_>>()
+    );
+    assert_eq!(
+        collect_projected(s, &[1, 0]),
+        want.iter()
+            .map(|r| vec![r[1].clone(), r[0].clone()])
+            .collect::<Vec<_>>()
+    );
+    // SQL at one partition and at several, against closed forms over the
+    // oracle's rows.
+    let vs = || want.iter().map(v_of);
+    let extreme = |v: Option<i64>| v.map_or(Value::Null, Value::from);
+    let sum = if want.is_empty() {
+        Value::Null
+    } else {
+        Value::from(vs().sum::<i64>())
+    };
+    let aggregates = vec![
+        Value::from(want.len() as i64),
+        sum,
+        extreme(vs().min()),
+        extreme(vs().max()),
+    ];
+    // WHERE pushdown: both conjuncts run inside the classify kernel (v is
+    // updatable, so Pre(j) records test their pre-update image). Row sets
+    // must match the predicate applied to the oracle's rows exactly.
+    let filtered: Vec<Row> = want
+        .iter()
+        .filter(|r| v_of(r) >= 3 && r[0].as_int().unwrap() < 300)
+        .cloned()
+        .collect();
+    for threads in [1, 2, 4] {
+        let q = "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM kv";
+        let got = s.query_parallel(q, threads).unwrap();
+        assert_eq!(
+            got.rows,
+            vec![aggregates.clone()],
+            "{ctx} threads={threads}"
+        );
+        let q = "SELECT k, v FROM kv WHERE v >= 3 AND k < 300";
+        let got = s.query_parallel(q, threads).unwrap();
+        assert_eq!(
+            got.rows, filtered,
+            "pushdown diverged: {ctx} threads={threads}"
+        );
+    }
+    assert_eq!(
+        s.query("SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM kv")
+            .unwrap()
+            .rows,
+        vec![aggregates]
+    );
+}
+
+/// Enough keys that the heap spans several pages, so `threads > 1` really
+/// partitions.
+const KEYS: i64 = 900;
+
 /// Drive `generations` random maintenance transactions over an nVNL table,
-/// pinning a session at every version along the way, then check that for
-/// every still-live session the parallel scan (at several thread counts)
-/// returns exactly the serial scan's rows — projected variants included.
+/// pinning a session at every version along the way, then hold every
+/// session — live or expired — to the oracle.
 fn random_history_agrees(seed: u64, n: usize, generations: usize) {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let t = VnlTable::create_named("kv", kv_schema(), n).unwrap();
-    let keys: i64 = 40;
-    t.load_initial(&(0..keys).map(|k| kv(k, 0)).collect::<Vec<_>>())
+    t.load_initial(&(0..KEYS).map(|k| kv(k, 0)).collect::<Vec<_>>())
         .unwrap();
+    assert!(t.storage().heap().page_count() >= 4);
 
-    // Sessions pinned at every generation; prune the ones that expire.
     let mut sessions = vec![t.begin_session()];
     for g in 1..=generations {
         let txn = t.begin_maintenance().unwrap();
-        for _ in 0..rng.range_i64(1, 12) {
-            let k = rng.range_i64(0, keys);
+        for _ in 0..rng.range_i64(1, 120) {
+            let k = rng.range_i64(0, KEYS);
             let alive = txn.read_current(&kv(k, 0)).unwrap().is_some();
             match (alive, rng.range_i64(0, 3)) {
                 (true, 0) => txn.delete_row(&kv(k, 0)).unwrap(),
@@ -71,118 +205,131 @@ fn random_history_agrees(seed: u64, n: usize, generations: usize) {
         sessions.push(t.begin_session());
     }
 
-    for mut s in sessions {
-        // The scalar (byte-at-a-time) pipeline is the oracle; the batched
-        // pipeline must agree with it verdict-for-verdict, rows included.
-        s.set_pipeline(ScanPipeline::Scalar);
-        let serial = match s.scan() {
-            Ok(rows) => rows,
-            Err(VnlError::SessionExpired { .. }) => {
-                // Expired on the scalar path must expire everywhere.
-                s.set_pipeline(ScanPipeline::Batched);
-                assert!(matches!(s.scan(), Err(VnlError::SessionExpired { .. })));
-                assert!(matches!(s.count(), Err(VnlError::SessionExpired { .. })));
-                for threads in [2, 4] {
-                    assert!(matches!(
-                        collect_parallel(&s, threads),
-                        Err(VnlError::SessionExpired { .. })
-                    ));
-                }
-                continue;
-            }
-            Err(e) => panic!("serial scan failed: {e}"),
-        };
-        let serial_canon = canon(serial.clone());
-        s.set_pipeline(ScanPipeline::Batched);
-        assert_eq!(
-            canon(s.scan().unwrap()),
-            serial_canon,
-            "batched scan diverged: seed={seed} n={n} vn={}",
-            s.session_vn()
-        );
-        assert_eq!(
-            s.count().unwrap() as usize,
-            serial.len(),
-            "classify-only count diverged: seed={seed} n={n} vn={}",
-            s.session_vn()
-        );
-        for threads in [1, 2, 4, 7] {
-            let parallel = collect_parallel(&s, threads).unwrap();
-            assert_eq!(
-                canon(parallel),
-                serial_canon,
-                "seed={seed} n={n} threads={threads} vn={}",
-                s.session_vn()
-            );
-        }
-        // Projection pushdown: v-only, and reordered (v, k).
-        let mut v_only = Vec::new();
-        s.scan_projected_with(&[1], |r| {
-            v_only.push(r);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(
-            canon(v_only),
-            canon(serial.iter().map(|r| vec![r[1].clone()]).collect())
-        );
-        let reordered = s.scan_projected(&[1, 0]).unwrap();
-        assert_eq!(
-            canon(reordered),
-            canon(
-                serial
-                    .iter()
-                    .map(|r| vec![r[1].clone(), r[0].clone()])
-                    .collect()
-            )
-        );
-        // The SQL paths agree too: serial executor vs parallel executor.
-        let q = "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM kv";
-        assert_eq!(
-            s.query(q).unwrap(),
-            s.query_parallel(q, 4).unwrap(),
-            "seed={seed} vn={}",
-            s.session_vn()
-        );
-        // WHERE pushdown: on the batched pipeline both conjuncts run
-        // inside the classify kernel (v is updatable, so Pre(j) records
-        // test their pre-update image); the scalar pipeline evaluates the
-        // same predicate in the executor. Row sets must match exactly.
-        let filtered = "SELECT k, v FROM kv WHERE v >= 3 AND k < 30";
-        let pushed_serial = s.query(filtered).unwrap();
-        let pushed_parallel = s.query_parallel(filtered, 4).unwrap();
-        s.set_pipeline(ScanPipeline::Scalar);
-        let oracle = s.query(filtered).unwrap();
-        assert_eq!(
-            canon(pushed_serial.rows),
-            canon(oracle.rows.clone()),
-            "pushdown diverged: seed={seed} n={n} vn={}",
-            s.session_vn()
-        );
-        assert_eq!(
-            canon(pushed_parallel.rows),
-            canon(oracle.rows),
-            "parallel pushdown diverged: seed={seed} n={n} vn={}",
-            s.session_vn()
-        );
+    for s in sessions {
+        let vn = s.session_vn();
+        let want = oracle(&t, vn);
+        assert_session_matches(&s, want.as_deref(), &format!("seed={seed} n={n} vn={vn}"));
     }
 }
 
 #[test]
-fn parallel_scan_equals_serial_on_random_histories_2vnl() {
+fn every_partition_count_equals_the_oracle_on_random_histories_2vnl() {
     for seed in 0..8 {
         random_history_agrees(0xE18_0000 + seed, 2, 12);
     }
 }
 
 #[test]
-fn parallel_scan_equals_serial_on_random_histories_nvnl() {
+fn every_partition_count_equals_the_oracle_on_random_histories_nvnl() {
     for (seed, n) in [(1u64, 3usize), (2, 4), (3, 3), (4, 4)] {
         random_history_agrees(0xE18_1000 + seed, n, 16);
     }
 }
 
-/// Stress: parallel scans run while maintenance transactions and GC churn
+/// An open maintenance transaction leaves uncommitted inserts, updates and
+/// deletes in the heap. A session begun before it must read straight
+/// through them — and `scan()`, the streaming scan, and the classify-only
+/// count are one path, so they cannot disagree about what that means.
+#[test]
+fn scan_scan_with_and_count_agree_under_an_open_maintenance_txn() {
+    let t = VnlTable::create_named("kv", kv_schema(), 2).unwrap();
+    t.load_initial(&(0..KEYS).map(|k| kv(k, 0)).collect::<Vec<_>>())
+        .unwrap();
+    let s = t.begin_session();
+    let txn = t.begin_maintenance().unwrap();
+    for k in (0..KEYS).step_by(3) {
+        txn.update_row(&kv(k, 7)).unwrap();
+    }
+    for k in (1..KEYS).step_by(50) {
+        txn.delete_row(&kv(k, 0)).unwrap();
+    }
+    for k in KEYS..KEYS + 40 {
+        txn.insert(kv(k, 9)).unwrap();
+    }
+    // Nothing the open transaction did is visible: the session still sees
+    // the initial load, in heap order.
+    let want: Vec<Row> = (0..KEYS).map(|k| kv(k, 0)).collect();
+    assert_eq!(oracle(&t, s.session_vn()).as_deref(), Some(&want[..]));
+    assert_session_matches(&s, Some(&want), "open maintenance txn");
+    txn.abort().unwrap();
+}
+
+/// HAVING, ORDER BY on an aggregate, and LIMIT all run after the
+/// partitions' groups are merged. The pushed-down `k` range leaves the
+/// middle partitions with no rows at all, and the groups the outer
+/// partitions share must still be merged before any of the three applies.
+#[test]
+fn grouped_having_order_limit_merge_across_empty_partitions() {
+    let t = VnlTable::create_named("kv", kv_schema(), 2).unwrap();
+    t.load_initial(&(0..KEYS).map(|k| kv(k, k % 5)).collect::<Vec<_>>())
+        .unwrap();
+    let s = t.begin_session();
+    let sql = "SELECT v, COUNT(*), SUM(k) FROM kv WHERE k < 60 OR k >= 840 GROUP BY v \
+               HAVING COUNT(*) >= 24 ORDER BY SUM(k) DESC LIMIT 3";
+    // The predicate under OR stays in the executor; the same shape with
+    // both bounds pushed into the scan kernel is the AND form below.
+    let pushed = "SELECT v, COUNT(*), SUM(k) FROM kv WHERE k >= 100 AND k < 160 GROUP BY v \
+                  HAVING COUNT(*) >= 12 ORDER BY SUM(k) DESC LIMIT 3";
+    let expect = |keep: &dyn Fn(i64) -> bool, min_count: i64| -> Vec<Row> {
+        let mut groups: Vec<Row> = (0..5)
+            .map(|v| {
+                let ks = (0..KEYS).filter(|&k| keep(k) && k % 5 == v);
+                ints(&[v, ks.clone().count() as i64, ks.sum()])
+            })
+            .filter(|g| g[1].as_int().unwrap() >= min_count)
+            .collect();
+        groups.sort_by_key(|g| std::cmp::Reverse(g[2].as_int().unwrap()));
+        groups.truncate(3);
+        groups
+    };
+    for threads in [1, 2, 4, 7] {
+        let got = s.query_parallel(sql, threads).unwrap();
+        assert_eq!(
+            got.rows,
+            expect(&|k| !(60..840).contains(&k), 24),
+            "{threads}"
+        );
+        let got = s.query_parallel(pushed, threads).unwrap();
+        assert_eq!(
+            got.rows,
+            expect(&|k| (100..160).contains(&k), 12),
+            "{threads}"
+        );
+    }
+}
+
+/// A visitor error stops the scan and comes back as itself, at every
+/// partition count.
+#[test]
+fn visitor_errors_propagate_at_every_partition_count() {
+    let t = VnlTable::create_named("kv", kv_schema(), 2).unwrap();
+    t.load_initial(&(0..KEYS).map(|k| kv(k, 0)).collect::<Vec<_>>())
+        .unwrap();
+    let s = t.begin_session();
+    let boom = || VnlError::NoSuchIndex("boom".into());
+    for threads in [1, 2, 4] {
+        let err = s
+            .scan_parallel(threads, |_, row| {
+                if row[0] == Value::from(KEYS - 1) {
+                    Err(boom())
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap_err();
+        assert_eq!(err, boom(), "threads={threads}");
+    }
+    assert_eq!(s.scan_with(|_| Err(boom())).unwrap_err(), boom());
+    // An executor-side error (a type error in a projection) too.
+    for threads in [1, 4] {
+        assert!(matches!(
+            s.query_parallel("SELECT k + 'x' FROM kv", threads),
+            Err(VnlError::Sql(_))
+        ));
+    }
+}
+
+/// Stress: partitioned scans run while maintenance transactions and GC churn
 /// the heap. Every transaction rewrites all keys to one generation value,
 /// so any successful scan must observe a *consistent snapshot*: all rows
 /// carry the same generation, and the row count equals the key count.
@@ -190,7 +337,7 @@ fn parallel_scan_equals_serial_on_random_histories_nvnl() {
 #[test]
 fn parallel_scans_stay_consistent_under_maintenance_and_gc() {
     let t = std::sync::Arc::new(VnlTable::create_named("kv", kv_schema(), 2).unwrap());
-    let keys: i64 = 32;
+    let keys = KEYS; // several pages, so the 4-way scans below really partition
     t.load_initial(&(0..keys).map(|k| kv(k, 0)).collect::<Vec<_>>())
         .unwrap();
 
