@@ -32,8 +32,8 @@ use std::collections::BTreeMap;
 ///
 /// `lock_list` (the heap free-list) is deliberately outside the
 /// hierarchy: the free-list guard is always dropped within a statement
-/// (see `HeapFile::append`) and its legacy interplay with page latches is
-/// covered by the intra-function `lock-order` rule.
+/// (see `HeapFile::append`), and `wh-storage`, its only caller, sits
+/// below the index registry and cannot name it.
 const LEVEL_NAMES: &[&str] = &[
     "index-registry",
     "lease-registry",
@@ -200,11 +200,13 @@ fn witness_chain(
 }
 
 /// `latch-order`: check the declared hierarchy along call-graph paths.
-/// The lexical grain matches `lock-order`: once a function has acquired a
-/// level (even if the guard since dropped), any later acquisition of a
-/// strictly lower level — directly or anywhere inside a callee — is an
-/// inversion. The direct-direct page-latch→index-registry case is left to
-/// the legacy `lock-order` rule (identical finding, stable fixture).
+/// The grain is lexical and function-granular: once a function has
+/// acquired a level (even if the guard since dropped), any later
+/// acquisition of a strictly lower level — directly or anywhere inside a
+/// callee — is an inversion. The motivating case is the index registry
+/// under a page latch: index backfill holds the registry lock across a
+/// full storage scan (page latches inside), so the inverted order
+/// deadlocks — take an `indexes_snapshot()` before latching.
 pub(crate) fn latch_order(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
     let n = ws.graph.fns.len();
     let directs: Vec<Vec<(usize, u32, u8)>> =
@@ -240,7 +242,7 @@ pub(crate) fn latch_order(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
             match ev {
                 Ev::Direct(line, level) => {
                     if let Some((h, hline)) = held {
-                        if level < h && !(h == 4 && level == 0) {
+                        if level < h {
                             ctx.emit(
                                 out,
                                 "latch-order",

@@ -8,7 +8,7 @@
 //! ([`crate::callgraph`]). It is still a hand-rolled single pass (no
 //! `syn`, per the dependency policy): a scope stack driven by `{`/`}`
 //! with a small pending-item state machine, the same shape the legacy
-//! `lock_order`/`failpoint_trace` scanners used, now shared.
+//! per-rule scanners used, now shared.
 //!
 //! Deliberate simplifications, documented because the rules inherit them:
 //!

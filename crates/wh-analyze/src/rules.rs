@@ -18,7 +18,6 @@
 //! | `safety-comment` | every `unsafe` block carries an adjacent `// safety:` justification |
 //! | `failpoint-registry` | every `fail_point!("name")` is in `wh_types::fault::REGISTRY`, and every registry entry has a call site |
 //! | `failpoint-trace` | every `fail_point!` site is covered by a trace span opened earlier in the same function, or carries a `// trace:` marker naming the ambient span |
-//! | `lock-order` | the secondary-index registry lock is never acquired after a page latch in the same function |
 //! | `version-encapsulation` | the version kernel's atomic fields are never poked directly outside `wh-kernel` |
 
 use crate::lexer::{Kind, Tok};
@@ -33,7 +32,6 @@ pub const RULES: &[&str] = &[
     "safety-comment",
     "failpoint-registry",
     "failpoint-trace",
-    "lock-order",
     "version-encapsulation",
     "latch-order",
     "epoch-discipline",
@@ -182,7 +180,6 @@ pub fn analyze_report(files: &[SourceFile]) -> Report {
         no_panic(ctx, &mut out);
         ordering_comment(ctx, &mut out);
         safety_comment(ctx, &mut out);
-        lock_order(ctx, table, &mut out);
         failpoint_trace(ctx, table, &mut out);
         version_encapsulation(ctx, &mut out);
         collect_failpoints(
@@ -634,45 +631,6 @@ pub(crate) fn registry_hit_at(ctx: &FileCtx<'_>, i: usize) -> bool {
             && !prev_code(toks, i).is_some_and(|p| p.is_ident("fn")))
 }
 
-/// `lock-order`: the secondary-index registry lock may not be acquired
-/// under a page latch. Index backfill holds the registry lock across a
-/// full storage scan (page latches inside), so the inverted order
-/// deadlocks — see `VnlTable::indexes_snapshot`. The rule is lexical and
-/// function-granular: once a function acquires a latch, any later
-/// `.indexes.read()/.write()` or `indexes_snapshot()` in the same function
-/// is flagged, even if the guard was dropped (take the snapshot first —
-/// it is never wrong to). The interprocedural generalization (declared
-/// hierarchy, call-graph paths) is the `latch-order` rule in
-/// [`crate::interproc`]; this one stays as the cheap intra-function
-/// anchor the fixtures pin.
-fn lock_order(ctx: &FileCtx<'_>, table: &crate::parser::FnTable, out: &mut Vec<Diagnostic>) {
-    for f in &table.fns {
-        let mut first_latch: Option<u32> = None;
-        for (i, t) in crate::walker::body_tokens(&ctx.toks, table, f) {
-            if ctx.in_test(i) {
-                continue;
-            }
-            if latch_call_at(ctx, i, LATCH_CALLS) {
-                first_latch.get_or_insert(t.line);
-                continue;
-            }
-            if registry_hit_at(ctx, i) {
-                if let Some(latch_line) = first_latch {
-                    ctx.emit(
-                        out,
-                        "lock-order",
-                        t.line,
-                        format!(
-                            "index-registry lock acquired after a page latch (latched at \
-                             line {latch_line}); take an indexes_snapshot() before latching"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Calls that open a trace span (the RAII macros plus the explicit
 /// cross-call constructor). `trace_event!` is deliberately absent: an
 /// instant event carries no extent, so it cannot *cover* a failpoint —
@@ -686,10 +644,10 @@ const SPAN_CALLS: &[&str] = &["trace_span", "trace_span_under", "trace_root", "o
 /// `trace::open_ctx`) appears lexically earlier in the same function, or
 /// when the site carries an adjacent `// trace:` marker naming the
 /// ambient span that covers it (point-op leaves whose span lives in the
-/// caller). Like `lock-order`, the scan is lexical and function-granular:
-/// a span opened in a closed sibling block still counts as "earlier in
-/// the same fn" (the walker's per-function grain), and nested fns don't
-/// inherit the parent's spans.
+/// caller). The scan is lexical and function-granular: a span opened in a
+/// closed sibling block still counts as "earlier in the same fn" (the
+/// walker's per-function grain), and nested fns don't inherit the parent's
+/// spans.
 fn failpoint_trace(ctx: &FileCtx<'_>, table: &crate::parser::FnTable, out: &mut Vec<Diagnostic>) {
     let toks = &ctx.toks;
     for f in &table.fns {
@@ -913,7 +871,7 @@ mod tests {
         let bad = "fn f(&self) {\n    let g = write_latch(&page);\n    let snap = self.indexes_snapshot();\n}\n";
         let d = run_one("crates/a/src/lib.rs", bad);
         assert_eq!(d.len(), 1);
-        assert_eq!((d[0].rule, d[0].line), ("lock-order", 3));
+        assert_eq!((d[0].rule, d[0].line), ("latch-order", 3));
 
         let good = "fn f(&self) {\n    let snap = self.indexes_snapshot();\n    let g = write_latch(&page);\n}\n";
         assert!(run_one("crates/a/src/lib.rs", good).is_empty());

@@ -1,9 +1,9 @@
 //! Shared function-body walker.
 //!
-//! Before the item parser existed, `lock_order` and `failpoint_trace`
-//! each carried their own brace-tracking `pending_fn` scanner to answer
-//! "which function does this token belong to?". Both now walk the bodies
-//! the parser produced instead; the interprocedural rules
+//! Before the item parser existed, each function-scoped per-file rule
+//! carried its own brace-tracking `pending_fn` scanner to answer "which
+//! function does this token belong to?". `failpoint_trace` now walks the
+//! bodies the parser produced instead; the interprocedural rules
 //! ([`crate::interproc`], [`crate::protocol`]) use the same walk.
 //!
 //! The walk preserves the legacy scanners' semantics exactly:

@@ -60,7 +60,7 @@ fn fixture_tree_flags_each_seeded_violation() {
             "failpoint-trace",
         ),
         ("src/lib.rs".to_string(), 5, "version-encapsulation"),
-        ("src/lib.rs".to_string(), 14, "lock-order"),
+        ("src/lib.rs".to_string(), 14, "latch-order"),
     ];
     assert_eq!(found, expected, "full diagnostics: {diagnostics:#?}");
 }

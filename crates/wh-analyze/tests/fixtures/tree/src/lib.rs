@@ -11,7 +11,7 @@ pub fn method_ok(core: &VersionCore) -> u64 {
 
 pub fn latch_then_registry(table: &Table) {
     let _guard = write_latch(&table.page);
-    let _snap = table.indexes_snapshot(); // line 14: lock-order
+    let _snap = table.indexes_snapshot(); // line 14: latch-order
 }
 
 pub fn registry_then_latch(table: &Table) {

@@ -149,8 +149,26 @@ impl fmt::Debug for TraceGuard {
 mod imp {
     use super::{EventKind, TraceCtx, TraceEvent, TraceGuard, THREAD_RING_CAPACITY};
     use std::cell::RefCell;
-    use std::sync::atomic::{fence, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, PoisonError};
+    use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+    use std::time::Instant;
+
+    /// Shared process time base (ns since first observability use), so
+    /// trace events and the SLO windows sort on one axis.
+    pub(crate) fn process_epoch_ns() -> u64 {
+        static EPOCH: OnceLock<Instant> = OnceLock::new();
+        EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    }
+
+    /// Compact per-process thread id (0, 1, 2, …), assigned on a thread's
+    /// first event, so encoders can group by thread without OS tids.
+    fn process_thread_id() -> u32 {
+        static NEXT_THREAD_ID: AtomicU32 = AtomicU32::new(0);
+        thread_local! {
+            static THREAD_ID: u32 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed); // ordering: trace-seq Relaxed — sequence allocation; the slot/event payload is synchronized separately
+        }
+        THREAD_ID.with(|id| *id)
+    }
 
     /// Words per slot: version + 7 payload words
     /// (seq, trace, span, parent, meta, ts, arg).
@@ -297,8 +315,8 @@ mod imp {
 
     fn emit(kind: EventKind, name_idx: u32, trace: u64, span: u64, parent: u64, arg: u64) {
         let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed); // ordering: trace-seq Relaxed — sequence allocation; the slot/event payload is synchronized separately
-        let ts = crate::span::process_epoch_ns();
-        let thread = u64::from(crate::span::process_thread_id()) & THREAD_MASK;
+        let ts = process_epoch_ns();
+        let thread = u64::from(process_thread_id()) & THREAD_MASK;
         let meta = u64::from(name_idx) | ((kind as u64) << 32) | (thread << THREAD_SHIFT);
         // try_with: events emitted while this thread's TLS is being torn
         // down (after the RingHolder destructor ran) are dropped rather
@@ -327,7 +345,7 @@ mod imp {
             span,
             parent,
             name_idx,
-            start_ns: crate::span::process_epoch_ns(),
+            start_ns: process_epoch_ns(),
             _not_send: std::marker::PhantomData,
         }
     }
@@ -380,7 +398,7 @@ mod imp {
     }
 
     pub fn drop_guard(g: &TraceGuard) {
-        let end = crate::span::process_epoch_ns();
+        let end = process_epoch_ns();
         STACK.with(|s| {
             let mut stack = s.borrow_mut();
             if let Some(pos) = stack.iter().rposition(|&(_, sp)| sp == g.span) {
@@ -455,8 +473,8 @@ mod imp {
             .any(|r| r.head.load(Ordering::Relaxed) > THREAD_RING_CAPACITY as u64)
     }
 
-    /// Clear every ring. Quiescent-use only (like `SpanRing::reset`):
-    /// callers must ensure no thread is concurrently emitting events.
+    /// Clear every ring. Quiescent-use only: callers must ensure no thread
+    /// is concurrently emitting events.
     pub fn reset() {
         let rings = RINGS.lock().unwrap_or_else(PoisonError::into_inner);
         for ring in rings.iter() {
@@ -470,6 +488,8 @@ mod imp {
     }
 }
 
+#[cfg(feature = "enabled")]
+pub(crate) use imp::process_epoch_ns;
 #[cfg(feature = "enabled")]
 pub use imp::{
     any_ring_wrapped, close_ctx, collect, current, enter, enter_root, enter_under, events_recorded,

@@ -1,14 +1,13 @@
 //! Integration tests for the observability substrate (ISSUE 3 satellite):
 //! histogram bucket boundaries and merge associativity, concurrent counter
-//! increments, span ring wraparound, and snapshot-delta arithmetic
-//! mirroring `IoStats`/`IoSnapshot` semantics.
+//! increments, and snapshot-delta arithmetic mirroring
+//! `IoStats`/`IoSnapshot` semantics.
 //!
 //! The registry is process-global and these tests run concurrently in one
 //! binary, so every test uses its own metric names and asserts with `>=`
 //! or via `since()` deltas rather than absolute totals.
 
 use wh_obs::histogram::{bucket_index, bucket_upper_bound};
-use wh_obs::span::{SpanRecord, SpanRing};
 use wh_obs::{registry, Histogram, HistogramSnapshot, BUCKETS};
 
 #[test]
@@ -105,33 +104,6 @@ fn concurrent_histogram_records_lose_nothing() {
         }
     });
     assert_eq!(h.snapshot().count(), 40_000);
-}
-
-#[test]
-fn span_ring_wraps_and_keeps_newest() {
-    let ring = SpanRing::with_capacity(8);
-    let names: Vec<&'static str> = (0..20)
-        .map(|i| &*Box::leak(format!("span{i}").into_boxed_str()))
-        .collect();
-    for &n in &names {
-        ring.push(SpanRecord {
-            name: n,
-            thread: 0,
-            depth: 0,
-            start_ns: 0,
-            dur_ns: 1,
-            seq: 0,
-        });
-    }
-    assert_eq!(ring.pushed(), 20);
-    let kept = ring.drain_ordered();
-    assert_eq!(kept.len(), 8, "bounded at capacity");
-    let kept_names: Vec<&str> = kept.iter().map(|r| r.name).collect();
-    assert_eq!(
-        kept_names,
-        &names[12..],
-        "oldest overwritten, newest retained in order"
-    );
 }
 
 #[test]

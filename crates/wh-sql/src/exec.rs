@@ -149,8 +149,7 @@ pub fn execute_select<R: RowSource + ?Sized>(
         let _stage_span = wh_obs::trace_span!("sql.exec.stage");
         let stage_timer = wh_obs::Timer::start();
         let groups = merge_groups(parts, &specs, stmt.group_by.is_empty())?;
-        let finished = groups.iter().map(|g| (g.rep.as_ref(), g.accs.iter()));
-        let projected = project_groups(&ctx, stmt, &specs, finished)?;
+        let projected = project_groups(&ctx, stmt, &specs, &groups)?;
         wh_obs::histogram!("sql.exec.aggregate_ns").record(stage_timer.elapsed_ns());
         projected
     } else {
@@ -225,14 +224,14 @@ where
     Ok(parts.into_iter().map(|p| p.state).collect())
 }
 
-pub(crate) fn is_aggregate_query(stmt: &SelectStmt) -> bool {
+fn is_aggregate_query(stmt: &SelectStmt) -> bool {
     !stmt.group_by.is_empty()
         || stmt.having.is_some()
         || stmt.items.iter().any(|it| it.expr.contains_aggregate())
 }
 
 /// The shared tail of SELECT execution: ORDER BY on precomputed keys, LIMIT.
-pub(crate) fn sort_and_limit(
+fn sort_and_limit(
     stmt: &SelectStmt,
     columns: Vec<String>,
     mut out_rows: Vec<Row>,
@@ -264,7 +263,7 @@ pub(crate) fn sort_and_limit(
 }
 
 /// Output columns, rows, and per-row ORDER BY keys, before sort and limit.
-pub(crate) type ProjectedRows = (Vec<String>, Vec<Row>, Vec<Vec<Value>>);
+type ProjectedRows = (Vec<String>, Vec<Row>, Vec<Vec<Value>>);
 
 /// A plain query's partition state: projected rows and their ORDER BY keys,
 /// in scan order.
@@ -297,7 +296,7 @@ fn project_row(
 }
 
 /// One aggregate call site: function and argument expression.
-pub(crate) type AggSpec = (AggFunc, Option<Expr>);
+type AggSpec = (AggFunc, Option<Expr>);
 
 /// Collect the distinct aggregate call sites of `expr` into `out`.
 fn collect_aggregates(expr: &Expr, out: &mut Vec<AggSpec>) {
@@ -345,7 +344,7 @@ fn collect_aggregates(expr: &Expr, out: &mut Vec<AggSpec>) {
 
 /// A mergeable partial state for one aggregate call site over one group.
 #[derive(Debug, Clone)]
-pub(crate) enum AggAcc {
+enum AggAcc {
     /// COUNT: rows (or non-null argument evaluations) seen.
     Count(i64),
     /// SUM / MIN / MAX: the running value, `None` until a non-null input.
@@ -355,7 +354,7 @@ pub(crate) enum AggAcc {
 }
 
 impl AggAcc {
-    pub(crate) fn new(func: AggFunc) -> AggAcc {
+    fn new(func: AggFunc) -> AggAcc {
         match func {
             AggFunc::Count => AggAcc::Count(0),
             AggFunc::Sum | AggFunc::Min | AggFunc::Max => AggAcc::Value(None),
@@ -365,7 +364,7 @@ impl AggAcc {
 
     /// Fold one input value (`None` = COUNT(*), which counts every row).
     #[inline]
-    pub(crate) fn fold(&mut self, func: AggFunc, value: Option<Value>) -> SqlResult<()> {
+    fn fold(&mut self, func: AggFunc, value: Option<Value>) -> SqlResult<()> {
         match self {
             AggAcc::Count(n) => {
                 if value.as_ref().is_none_or(|v| !v.is_null()) {
@@ -429,7 +428,7 @@ impl AggAcc {
 
     /// The final aggregate value (over empty input COUNT is 0 and
     /// everything else NULL).
-    pub(crate) fn finish(&self) -> SqlResult<Value> {
+    fn finish(&self) -> SqlResult<Value> {
         match self {
             AggAcc::Count(n) => Ok(Value::Int(*n)),
             AggAcc::Value(v) => Ok(v.clone().unwrap_or(Value::Null)),
@@ -495,7 +494,7 @@ struct GroupPart {
 
 /// Every aggregate call site across projections, HAVING, and ORDER BY; each
 /// gets one accumulator slot per group.
-pub(crate) fn aggregate_specs(stmt: &SelectStmt) -> Vec<AggSpec> {
+fn aggregate_specs(stmt: &SelectStmt) -> Vec<AggSpec> {
     let mut specs = Vec::new();
     for it in &stmt.items {
         collect_aggregates(&it.expr, &mut specs);
@@ -597,23 +596,23 @@ fn merge_groups(
     Ok(all.groups)
 }
 
-/// HAVING, projection, and ORDER BY keys over finished groups, each given as
-/// its representative row and its accumulators (one per `specs` entry).
-pub(crate) fn project_groups<'g, A>(
+/// HAVING, projection, and ORDER BY keys over the merged groups.
+fn project_groups(
     ctx: &EvalContext<'_>,
     stmt: &SelectStmt,
     specs: &[AggSpec],
-    groups: impl Iterator<Item = (Option<&'g Row>, A)>,
-) -> SqlResult<ProjectedRows>
-where
-    A: Iterator<Item = &'g AggAcc>,
-{
+    groups: &[GroupAcc],
+) -> SqlResult<ProjectedRows> {
     let columns: Vec<String> = stmt.items.iter().map(SelectItem::label).collect();
     let mut out_rows = Vec::new();
     let mut order_keys = Vec::new();
-    for (rep, accs) in groups {
-        let values: Vec<Value> = accs.map(AggAcc::finish).collect::<SqlResult<_>>()?;
-        let eval = |expr: &Expr| eval_computed(ctx, expr, rep, specs, &values);
+    for group in groups {
+        let values: Vec<Value> = group
+            .accs
+            .iter()
+            .map(AggAcc::finish)
+            .collect::<SqlResult<_>>()?;
+        let eval = |expr: &Expr| eval_computed(ctx, expr, group.rep.as_ref(), specs, &values);
         if let Some(h) = &stmt.having {
             if eval(h)? != Value::Bool(true) {
                 continue;
@@ -724,7 +723,7 @@ fn eval_computed(
 /// Reject non-grouped bare column references in projections of aggregate
 /// queries (only plain-column GROUP BY expressions are recognized as
 /// grouping columns, which covers the paper's queries).
-pub(crate) fn validate_grouping(schema: &Schema, stmt: &SelectStmt) -> SqlResult<()> {
+fn validate_grouping(schema: &Schema, stmt: &SelectStmt) -> SqlResult<()> {
     let grouped: Vec<&str> = stmt
         .group_by
         .iter()

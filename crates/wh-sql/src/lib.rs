@@ -39,7 +39,6 @@ pub mod eval;
 pub mod exec;
 pub mod lexer;
 pub mod parser;
-pub mod patch;
 pub mod pushdown;
 
 pub use ast::{
@@ -52,5 +51,4 @@ pub use error::{SqlError, SqlResult};
 pub use eval::{EvalContext, Params};
 pub use exec::{execute_select, QueryResult, RowSource};
 pub use parser::{parse_expression, parse_statement};
-pub use patch::AggPatcher;
 pub use pushdown::{extract_scan_filters, FilterOp, ScanFilter};

@@ -24,10 +24,12 @@
 //!   window (within the physically provisioned slot count) from the
 //!   observed expiration rate, the on-line counterpart of §5's static
 //!   [`crate::choose_n`].
-//! * [`repair`] — [`RepairEngine`]: fixes an expired session up from the
-//!   maintenance commits' retained net-effect deltas instead of restarting
-//!   it, re-admitting the session at `currentVN`; the retry layer tries
-//!   repair first and falls back to restart when repair declines.
+//! * [`repair`] — [`RepairEngine`]: answers an expired session's scan,
+//!   lookup or SELECT as of `currentVN` from the maintenance commits'
+//!   retained net-effect deltas. A scan or query repair reads the relation
+//!   once plus the delta window; what it saves is re-running the caller's
+//!   operation and the backoff before it. The retry layer tries repair
+//!   first and falls back to restart when repair declines.
 //!
 //! The effective window governs only the §4.1 *global* (pessimistic)
 //! liveness check; the physical slot mechanics — `push_back`, rollback,

@@ -1,14 +1,21 @@
-//! Session repair: fix up an expired reader from the maintenance delta
-//! instead of restarting it.
+//! Session repair: answer an expired reader from the maintenance delta
+//! instead of restarting its operation.
 //!
 //! The paper's answer to expiration (§4.1) is restart-and-rescan: throw the
-//! partial result away and re-read everything at a fresh VN. But the
-//! session's result is wrong by *exactly* the keys the overlapping
-//! maintenance transactions touched — and each commit retained its net
-//! effect as a [`DeltaBatch`] in the version state's bounded delta log.
-//! [`RepairEngine`] replays the window `(sessionVN, currentVN]` against the
-//! session's view and re-admits it at `currentVN` under the §4.1 global
-//! check, turning an O(relation) restart into an O(delta) patch.
+//! partial result away, begin a new session, and re-run the operation at a
+//! fresh VN. But the session's view is wrong by *exactly* the keys the
+//! overlapping maintenance transactions touched — and each commit retained
+//! its net effect as a [`DeltaBatch`] in the version state's bounded delta
+//! log. [`RepairEngine`] replays the window `(sessionVN, currentVN]` against
+//! the session's view and hands back the answer as of `currentVN`.
+//!
+//! What that costs and saves: a scan or query repair reads the whole
+//! relation once (every tuple, classified at `sessionVN`) plus the window —
+//! the same order of work as the rescan a restart would do. What it saves
+//! is everything *around* that read: the caller's operation is not re-run,
+//! the retry loop's backoff is not slept, and the rows already read are not
+//! counted as wasted. Only a lookup repair is cheaper than its restart in
+//! rows touched (the window plus at most one point read).
 //!
 //! Every entry point returns `Ok(None)` — **decline** — whenever repair
 //! cannot be proven equivalent to a rescan: the window was evicted, a batch
@@ -19,7 +26,7 @@
 //! to restart", never as an answer — the fail-closed discipline the
 //! wh-kernel `delta_repair_equals_rescan` model underwrites.
 //!
-//! Three repair shapes:
+//! Three answers over one window fetch, one reconstruct and one roll:
 //!
 //! * **Scans** ([`RepairEngine::scan_at_current`]) — rebuild the visible
 //!   row set at `sessionVN` keyed by primary key (tuples whose slots were
@@ -28,22 +35,19 @@
 //! * **Point lookups** ([`RepairEngine::read_key_at_current`]) — if the
 //!   window touched the key, the latest post-image is the answer; otherwise
 //!   a point read at `currentVN` sees exactly what the session saw.
-//! * **Queries** ([`RepairEngine::query_at_current`]) — aggregate
-//!   statements patch a streaming per-group partial-aggregate state
-//!   ([`wh_sql::AggPatcher`]): SUM/COUNT/AVG retract in place, MIN/MAX fall
-//!   back to a per-affected-group rescan of the repaired rows. Anything
-//!   else re-executes over the repaired row set.
+//! * **Queries** ([`RepairEngine::query_at_current`]) — the repaired scan's
+//!   rows, in primary-key order, through [`wh_sql::execute_select`]: the
+//!   one executor every other SELECT runs on, whatever the statement shape.
 
 use crate::delta::DeltaBatch;
 use crate::error::{VnlError, VnlResult};
-use crate::reader::ReaderSession;
 use crate::table::VnlTable;
 use crate::version::{Operation, VersionNo};
 use crate::visibility::{self, Visible};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use wh_index::IndexKey;
-use wh_sql::{execute_select, AggPatcher, Params, QueryResult, RowSource, SelectStmt};
+use wh_sql::{execute_select, Params, QueryResult, RowSource, SelectStmt};
 use wh_types::fail_point;
 use wh_types::{Row, Schema, Value};
 
@@ -68,13 +72,10 @@ pub struct Repaired {
     pub reconstructed: u64,
 }
 
-/// Outcome of rolling a key map forward through the delta window(s).
-struct Roll {
-    patched: u64,
-    vn: VersionNo,
-    /// Every batch applied, in order (initial window plus chase rounds) —
-    /// the aggregate path replays these against its per-group state.
+/// A complete, repairable delta window `(from, upto]`.
+struct Window {
     batches: Vec<Arc<DeltaBatch>>,
+    upto: VersionNo,
 }
 
 /// Repairs expired reader sessions of one table from the delta log.
@@ -108,43 +109,46 @@ impl<'t> RepairEngine<'t> {
         self.table
     }
 
-    /// Rebuild the full visible row set of a session at `session_vn`, keyed
-    /// by primary key, plus the delta window to `currentVN`. `Ok(None)`
-    /// declines to the restart fallback.
-    #[allow(clippy::type_complexity)]
-    fn complete_at(
-        &self,
-        session_vn: VersionNo,
-    ) -> VnlResult<
-        Option<(
-            BTreeMap<IndexKey, Row>,
-            Vec<Arc<DeltaBatch>>,
-            VersionNo,
-            u64,
-        )>,
-    > {
-        let base = self.table.layout().base_schema();
-        if !base.has_key() {
+    /// The admission preamble every answer (and every chase round) starts
+    /// from: the complete, repairable delta window `(from, currentVN]`.
+    /// `Ok(None)` declines to the restart fallback.
+    fn window_after(&self, from: VersionNo) -> VnlResult<Option<Window>> {
+        if !self.table.layout().base_schema().has_key() {
             return decline();
         }
         let version = self.table.version();
-        if session_vn < version.recovery_floor() {
+        // Recovery wipes the delta log (repair state never survives a
+        // restart); a floor above `from` proves one happened since.
+        if from < version.recovery_floor() {
             return decline();
         }
         // Latched read: a batch for every VN this peek observes is already
         // retained (publish_commit_with retains inside the same latch hold).
-        let current_vn = version.peek().current_vn;
-        let Some(window) = version.delta_window(session_vn, current_vn) else {
+        let upto = version.peek().current_vn;
+        let Some(batches) = version.delta_window(from, upto) else {
             return decline();
         };
-        if window.iter().any(|b| !b.repairable) {
+        if batches.iter().any(|b| !b.repairable) {
             return decline();
         }
+        Ok(Some(Window { batches, upto }))
+    }
+
+    /// Rebuild the full visible row set of a session at `session_vn`, keyed
+    /// by primary key, from the heap and the `window` that follows it.
+    /// Returns the map and how many tuples were reconstructed; `Ok(None)`
+    /// declines to the restart fallback.
+    fn complete_at(
+        &self,
+        session_vn: VersionNo,
+        window: &Window,
+    ) -> VnlResult<Option<(BTreeMap<IndexKey, Row>, u64)>> {
+        let base = self.table.layout().base_schema();
         // The earliest pre-image per key in the window is that key's value
         // at `session_vn`: the first commit to touch a key after the
         // session began saved what the session was seeing.
         let mut first_pre: HashMap<IndexKey, Option<Row>> = HashMap::new();
-        for b in &window {
+        for b in &window.batches {
             for r in b.rows_for(self.table.name()) {
                 first_pre
                     .entry(IndexKey(r.key.clone()))
@@ -189,22 +193,20 @@ impl<'t> RepairEngine<'t> {
                 }
             }
         }
-        Ok(Some((map, window, current_vn, reconstructed)))
+        Ok(Some((map, reconstructed)))
     }
 
     /// Replay `window` (and any extension windows that commit while we
-    /// work) against `map`, producing the VN the map is now consistent at.
+    /// work) against `map`. Returns the delta rows replayed and the VN the
+    /// map is now consistent at.
     fn roll_forward(
         &self,
         map: &mut BTreeMap<IndexKey, Row>,
-        mut window: Vec<Arc<DeltaBatch>>,
-        mut upto: VersionNo,
-    ) -> VnlResult<Option<Roll>> {
-        let version = self.table.version();
-        let mut applied: Vec<Arc<DeltaBatch>> = Vec::new();
+        mut window: Window,
+    ) -> VnlResult<Option<(u64, VersionNo)>> {
         let mut patched: u64 = 0;
         for _ in 0..MAX_EXTEND_ROUNDS {
-            for b in &window {
+            for b in &window.batches {
                 for r in b.rows_for(self.table.name()) {
                     patched += 1;
                     match r.op {
@@ -223,55 +225,49 @@ impl<'t> RepairEngine<'t> {
                     }
                 }
             }
-            applied.append(&mut window);
-            // Recovery wipes the delta log (repair state never survives a
-            // restart); a raised floor proves one happened mid-repair.
-            if upto < version.recovery_floor() {
-                return decline();
-            }
-            let now = version.peek().current_vn;
-            if now == upto {
-                wh_obs::counter!("vnl.resilience.repair.patched_rows").add(patched);
-                return Ok(Some(Roll {
-                    patched,
-                    vn: upto,
-                    batches: applied,
-                }));
-            }
-            // Commits landed while we replayed: chase them.
-            let Some(ext) = version.delta_window(upto, now) else {
-                return decline();
+            // Commits that landed while we replayed: chase them.
+            let Some(next) = self.window_after(window.upto)? else {
+                return Ok(None);
             };
-            if ext.iter().any(|b| !b.repairable) {
-                return decline();
+            if next.upto == window.upto {
+                wh_obs::counter!("vnl.resilience.repair.patched_rows").add(patched);
+                return Ok(Some((patched, window.upto)));
             }
-            window = ext;
-            upto = now;
+            window = next;
         }
         decline()
     }
 
-    /// Repair a full-scan session that expired at `session_vn`: the rows it
-    /// *would* read if restarted at `currentVN`, without rescanning
-    /// unaffected tuples. `Ok(None)` declines to the restart fallback.
-    pub fn scan_at_current(&self, session_vn: VersionNo) -> VnlResult<Option<Repaired>> {
-        let _span = wh_obs::trace_span!("vnl.repair.scan");
+    /// Window fetch, reconstruct at `session_vn`, roll to `currentVN`: the
+    /// row set both [`Self::scan_at_current`] and
+    /// [`Self::query_at_current`] answer from.
+    fn rows_at_current(&self, session_vn: VersionNo) -> VnlResult<Option<Repaired>> {
         if !repair_admitted() {
             return decline();
         }
-        let Some((mut map, window, current_vn, reconstructed)) = self.complete_at(session_vn)?
-        else {
+        let Some(window) = self.window_after(session_vn)? else {
             return Ok(None);
         };
-        let Some(roll) = self.roll_forward(&mut map, window, current_vn)? else {
+        let Some((mut map, reconstructed)) = self.complete_at(session_vn, &window)? else {
+            return Ok(None);
+        };
+        let Some((patched, vn)) = self.roll_forward(&mut map, window)? else {
             return Ok(None);
         };
         Ok(Some(Repaired {
             rows: map.into_values().collect(),
-            vn: roll.vn,
-            patched: roll.patched,
+            vn,
+            patched,
             reconstructed,
         }))
+    }
+
+    /// Repair a full-scan session that expired at `session_vn`: the rows it
+    /// *would* read if restarted at `currentVN`, without re-running the
+    /// caller's scan. `Ok(None)` declines to the restart fallback.
+    pub fn scan_at_current(&self, session_vn: VersionNo) -> VnlResult<Option<Repaired>> {
+        let _span = wh_obs::trace_span!("vnl.repair.scan");
+        self.rows_at_current(session_vn)
     }
 
     /// Repair an expired point lookup. Returns the row (or its absence) as
@@ -286,24 +282,12 @@ impl<'t> RepairEngine<'t> {
         if !repair_admitted() {
             return decline();
         }
-        let base = self.table.layout().base_schema();
-        if !base.has_key() {
-            return decline();
-        }
-        let version = self.table.version();
-        if session_vn < version.recovery_floor() {
-            return decline();
-        }
-        let current_vn = version.peek().current_vn;
-        let Some(window) = version.delta_window(session_vn, current_vn) else {
-            return decline();
+        let Some(window) = self.window_after(session_vn)? else {
+            return Ok(None);
         };
-        if window.iter().any(|b| !b.repairable) {
-            return decline();
-        }
         // Touched in the window: the latest post-image is the answer.
         let mut touched = None;
-        for b in &window {
+        for b in &window.batches {
             for r in b.rows_for(self.table.name()) {
                 if r.key.as_slice() == key_row {
                     touched = Some(r.post.clone());
@@ -312,22 +296,21 @@ impl<'t> RepairEngine<'t> {
         }
         if let Some(post) = touched {
             wh_obs::counter!("vnl.resilience.repair.patched_rows").add(1);
-            return Ok(Some((post, current_vn)));
+            return Ok(Some((post, window.upto)));
         }
         // Untouched by any commit in the window: a point read at
         // `currentVN` sees exactly what the session was seeing.
-        match self.table.read_visible_by_key(key_row, current_vn) {
-            Ok(row) => Ok(Some((row, current_vn))),
+        match self.table.read_visible_by_key(key_row, window.upto) {
+            Ok(row) => Ok(Some((row, window.upto))),
             Err(VnlError::SessionExpired { .. }) => decline(),
             Err(e) => Err(e),
         }
     }
 
-    /// Repair an expired SELECT: re-answer `stmt` as of the returned VN
-    /// without a full rescan. Aggregate statements patch per-group partial
-    /// aggregates in place (MIN/MAX per-affected-group rescan fallback);
-    /// everything else re-executes over the repaired row set. `Ok(None)`
-    /// declines to the restart fallback.
+    /// Repair an expired SELECT: re-answer `stmt` as of the returned VN by
+    /// running the one executor over the repaired rows (primary-key order),
+    /// whatever the statement's shape. `Ok(None)` declines to the restart
+    /// fallback.
     pub fn query_at_current(
         &self,
         session_vn: VersionNo,
@@ -338,121 +321,22 @@ impl<'t> RepairEngine<'t> {
         if stmt.from != self.table.name() {
             return decline();
         }
-        if !repair_admitted() {
-            return decline();
-        }
-        let Some((mut map, window, current_vn, _)) = self.complete_at(session_vn)? else {
+        let Some(repaired) = self.rows_at_current(session_vn)? else {
             return Ok(None);
         };
-        let base = self.table.layout().base_schema();
-        // Aggregate path: fold the session's base rows into per-group
-        // accumulators, then patch each delta against them. `Unsupported`
-        // (non-aggregate, or a shape patching cannot mirror exactly) falls
-        // through to plain re-execution over the repaired rows.
-        if let Ok(mut patcher) = AggPatcher::new(base, stmt, params) {
-            for row in map.values() {
-                if patcher.fold(row).is_err() {
-                    return decline();
-                }
-            }
-            let Some(roll) = self.roll_forward(&mut map, window, current_vn)? else {
-                return Ok(None);
-            };
-            for b in &roll.batches {
-                for r in b.rows_for(self.table.name()) {
-                    if patcher.apply(r.pre.as_ref(), r.post.as_ref()).is_err() {
-                        return decline();
-                    }
-                }
-            }
-            if patcher.has_dirty() {
-                // MIN/MAX retracted an extremum: rebuild just those groups
-                // from the repaired (current-VN) rows.
-                if patcher.rescan_dirty(map.values()).is_err() {
-                    return decline();
-                }
-            }
-            return match patcher.finish() {
-                Ok(result) => Ok(Some((result, roll.vn))),
-                // A restart would surface the same statement error; let it.
-                Err(_) => decline(),
-            };
-        }
-        let Some(roll) = self.roll_forward(&mut map, window, current_vn)? else {
-            return Ok(None);
-        };
-        let rows: Vec<Row> = map.into_values().collect();
         let source = MemSource {
-            schema: base,
-            rows: &rows,
+            schema: self.table.layout().base_schema(),
+            rows: &repaired.rows,
         };
         match execute_select(&source, stmt, params, 1) {
-            Ok(result) => Ok(Some((result, roll.vn))),
+            Ok(result) => Ok(Some((result, repaired.vn))),
             // A restart would surface the same statement error; let it.
             Err(_) => decline(),
         }
     }
-
-    /// Roll an already-complete (but stale) row set forward to `currentVN`.
-    /// This is the repair primitive for callers that buffered a finished
-    /// read at `stale_vn` and only later learned the warehouse moved on.
-    pub fn repair_rows(&self, stale_vn: VersionNo, rows: Vec<Row>) -> VnlResult<Option<Repaired>> {
-        let _span = wh_obs::trace_span!("vnl.repair.rows");
-        if !repair_admitted() {
-            return decline();
-        }
-        let base = self.table.layout().base_schema();
-        if !base.has_key() {
-            return decline();
-        }
-        let version = self.table.version();
-        if stale_vn < version.recovery_floor() {
-            return decline();
-        }
-        let current_vn = version.peek().current_vn;
-        let Some(window) = version.delta_window(stale_vn, current_vn) else {
-            return decline();
-        };
-        if window.iter().any(|b| !b.repairable) {
-            return decline();
-        }
-        let mut map: BTreeMap<IndexKey, Row> = rows
-            .into_iter()
-            .map(|r| (IndexKey(base.key_of(&r)), r))
-            .collect();
-        let Some(roll) = self.roll_forward(&mut map, window, current_vn)? else {
-            return Ok(None);
-        };
-        Ok(Some(Repaired {
-            rows: map.into_values().collect(),
-            vn: roll.vn,
-            patched: roll.patched,
-            reconstructed: 0,
-        }))
-    }
-
-    /// Re-admit a repaired session at `vn` under the §4.1 global check.
-    /// `None` means the window moved again before the session could
-    /// register — the caller should restart after all.
-    pub fn resume_session(&self, vn: VersionNo) -> Option<ReaderSession<'t>> {
-        let version = self.table.version();
-        let n = self.table.effective_n();
-        if !version.session_live(vn, n) {
-            return None;
-        }
-        let session = self.table.begin_session_at(vn);
-        // Re-check under registration: a flip between the check and the
-        // begin could have invalidated `vn`.
-        if version.session_live(vn, n) {
-            Some(session)
-        } else {
-            session.finish();
-            None
-        }
-    }
 }
 
-/// In-memory [`RowSource`] over repaired rows for plain-path re-execution.
+/// In-memory [`RowSource`] over repaired rows.
 struct MemSource<'a> {
     schema: &'a Schema,
     rows: &'a [Row],
@@ -601,37 +485,6 @@ mod tests {
         let fresh = t.begin_session();
         assert_eq!(repaired, fresh.query_stmt(&stmt).unwrap());
         fresh.finish();
-    }
-
-    #[test]
-    fn repair_rows_rolls_a_stale_buffer_forward() {
-        let t = kv(2);
-        let s = t.begin_session();
-        let svn = s.session_vn();
-        let stale_rows = s.scan().unwrap();
-        s.finish();
-        commit_update(&t, 7, 777);
-        let engine = RepairEngine::new(&t);
-        let repaired = engine
-            .repair_rows(svn, stale_rows)
-            .unwrap()
-            .expect("repairable");
-        let fresh = t.begin_session();
-        assert_eq!(sorted(repaired.rows.clone()), sorted(fresh.scan().unwrap()));
-        fresh.finish();
-    }
-
-    #[test]
-    fn resume_session_re_admits_at_current_vn() {
-        let t = kv(2);
-        commit_update(&t, 1, 11);
-        let engine = RepairEngine::new(&t);
-        let vn = t.version().peek().current_vn;
-        let session = engine.resume_session(vn).expect("current VN is live");
-        assert_eq!(session.session_vn(), vn);
-        session.finish();
-        // A long-dead VN is refused.
-        assert!(engine.resume_session(0).is_none() || vn == 0);
     }
 
     #[test]

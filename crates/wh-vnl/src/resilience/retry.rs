@@ -284,9 +284,10 @@ impl RetryPolicy {
         self.run(table, |s| s.read_by_key(key_row))
     }
 
-    /// Repair-first retried scan. An expired attempt is fixed up from the
+    /// Repair-first retried scan. An expired attempt is answered from the
     /// maintenance deltas ([`RepairEngine::scan_at_current`]) instead of
-    /// rescanning; only when repair declines does the restart fallback run.
+    /// backing off and re-running; only when repair declines does the
+    /// restart fallback run.
     ///
     /// The repaired path returns rows in **primary-key order** (the repair
     /// map is keyed); the first-attempt/restart path returns heap scan
@@ -327,11 +328,10 @@ impl RetryPolicy {
         (res, stats)
     }
 
-    /// Repair-first retried SELECT: parses once; an expired attempt patches
-    /// the statement's result from the deltas (per-group aggregate patching
-    /// where the shape allows — [`RepairEngine::query_at_current`]) before
-    /// any restart. Uses empty [`Params`], matching
-    /// [`ReaderSession::query_stmt`].
+    /// Repair-first retried SELECT: parses once; an expired attempt is
+    /// answered by the executor over the repaired rows
+    /// ([`RepairEngine::query_at_current`]) before any restart. Uses empty
+    /// [`Params`], matching [`ReaderSession::query_stmt`].
     pub fn query_repaired(
         &self,
         table: &VnlTable,
@@ -543,7 +543,7 @@ mod tests {
         bump_all(&t, 20);
         assert!(matches!(stale.scan(), Err(VnlError::SessionExpired { .. })));
         stale.finish();
-        // Repair-first: the expiring attempt is patched from the deltas.
+        // Repair-first: the expiring attempt is answered from the deltas.
         let policy = RetryPolicy::default().with_backoff(Duration::ZERO, Duration::ZERO);
         let expire_once = Cell::new(true);
         let engine = RepairEngine::new(&t);
