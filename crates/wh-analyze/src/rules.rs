@@ -636,12 +636,19 @@ pub(crate) fn registry_hit_at(ctx: &FileCtx<'_>, i: usize) -> bool {
 /// instant event carries no extent, so it cannot *cover* a failpoint —
 /// a site whose causal parent is an event would show an orphaned blip
 /// in the flight recorder instead of an enclosing span.
-const SPAN_CALLS: &[&str] = &["trace_span", "trace_span_under", "trace_root", "open_ctx"];
+const SPAN_CALLS: &[&str] = &[
+    "trace_span",
+    "trace_span_under",
+    "timed_span",
+    "timed_span_under",
+    "trace_root",
+    "open_ctx",
+];
 
 /// `failpoint-trace`: every `fail_point!` site must be causally visible
 /// in the flight recorder. Satisfied when a span-family call
-/// (`trace_span!`, `trace_span_under!`, `trace_root!`, or
-/// `trace::open_ctx`) appears lexically earlier in the same function, or
+/// (`trace_span!`, `trace_span_under!`, their `timed_span!` forms,
+/// `trace_root!`, or `trace::open_ctx`) appears lexically earlier in the same function, or
 /// when the site carries an adjacent `// trace:` marker naming the
 /// ambient span that covers it (point-op leaves whose span lives in the
 /// caller). The scan is lexical and function-granular: a span opened in a
@@ -843,6 +850,12 @@ mod tests {
              { let _ts = wh_obs::trace_span_under!(\"a.f\", ctx); }\n    \
              fail_point!(\"vnl.version.begin\");\n    Ok(())\n}\n";
         assert!(run_one("crates/a/src/lib.rs", spanned).is_empty());
+
+        // The timed forms open the same span, so they cover it too.
+        let timed = "fn f() -> Result<(), E> {\n    \
+             let _ts = wh_obs::timed_span!(\"a.f\", \"a.f_ns\");\n    \
+             fail_point!(\"vnl.version.begin\");\n    Ok(())\n}\n";
+        assert!(run_one("crates/a/src/lib.rs", timed).is_empty());
 
         // An adjacent `// trace:` marker names the ambient span instead.
         let marked = "fn f() -> Result<(), E> {\n    \

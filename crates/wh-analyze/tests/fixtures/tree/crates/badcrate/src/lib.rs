@@ -40,6 +40,12 @@ pub fn covered_by_span() -> Result<(), Error> {
     Ok(())
 }
 
+pub fn covered_by_timed_span() -> Result<(), Error> {
+    let _ts = wh_obs::timed_span!("fixture.timed", "fixture.timed_ns");
+    fail_point!("vnl.version.begin"); // fine: a timed span is a span
+    Ok(())
+}
+
 pub fn covered_by_marker() -> Result<(), Error> {
     // trace: fixture — the caller's ambient txn span covers this leaf.
     fail_point!("vnl.version.begin"); // fine: adjacent trace marker

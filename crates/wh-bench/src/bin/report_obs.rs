@@ -1,17 +1,29 @@
-//! Experiment E20 — the unified observability layer under load.
+//! Experiments E20/E24 — the observability layer under load, and the one
+//! gate on what it costs.
 //!
-//! Runs the E18 reader/maintenance workload with every `wh-obs` metric
-//! live, then dumps one `Registry::snapshot()`: reader staleness
-//! (`currentVN − sessionVN`) distribution while maintenance transactions
-//! commit under the readers, decision-table arm counters, maintenance phase
-//! timings, GC reclaim latencies and horizon lag, latch waits, and the
-//! per-scheme `cc.*` lock-wait histograms from a short §6 mixed run.
+//! `wh-obs` has one `enabled` feature covering metrics and tracing alike,
+//! so there is one report: it runs the E18 reader/maintenance workload
+//! with every metric, span and causal event live and shows what the
+//! telemetry surface sees.
 //!
-//! Also measures the numbers the CI overhead gate rides on: six
-//! independent hot-loop probes (full scan, projected scan, point lookups,
-//! an aggregate query, a maintenance update round, a raw heap scan). Build once with default features
-//! and once with `--no-default-features` (all instrumentation compiled
-//! out), run both, and compare the geometric mean of the probe ratios:
+//! * **Registry under load** — one `Registry::snapshot()`: reader staleness
+//!   (`currentVN − sessionVN`) while maintenance commits under the readers,
+//!   decision-table arm counters, maintenance phase timings, GC reclaim
+//!   latencies, latch waits, and the per-scheme `cc.*` lock-wait
+//!   histograms from a short §6 mixed run.
+//! * **Ring fill** — the same load interleaves serial and parallel scans
+//!   with maintenance, so the per-thread trace rings hold multi-thread
+//!   traces; the report counts events and recent traces.
+//! * **Introspection server** — `/metrics`, `/health`, `/snapshot` and
+//!   `/traces/<id>` scraped over plain HTTP/1.0.
+//! * **Flight recorder** — a provoked recovery must leave a dump on disk.
+//!
+//! It also measures the numbers the CI overhead gate rides on: seven
+//! independent hot-loop probes (full scan, projected scan, parallel scan,
+//! point lookups, an aggregate query, a maintenance update round, a raw
+//! heap scan). Build once with default features and once with
+//! `--no-default-features` (all instrumentation compiled out), run both,
+//! and compare the geometric mean of the probe ratios:
 //!
 //! ```text
 //! report_obs                              # writes BENCH_obs.json
@@ -92,13 +104,13 @@ fn dates(days: usize) -> Vec<Date> {
         .collect()
 }
 
-fn build_table(cfg: &Config) -> VnlTable {
+fn build_table(cities: usize, lines: usize, days: usize) -> VnlTable {
     let t =
         VnlTable::create_named("DailySales", daily_sales_schema(), 2).expect("create DailySales");
-    let dates = dates(cfg.days);
-    let mut rows = Vec::with_capacity(cfg.rows());
-    for c in 0..cfg.cities {
-        for l in 0..cfg.lines {
+    let dates = dates(days);
+    let mut rows = Vec::with_capacity(cities * lines * days);
+    for c in 0..cities {
+        for l in 0..lines {
             for d in &dates {
                 rows.push(vec![
                     Value::from(format!("City-{c:03}").as_str()),
@@ -132,7 +144,7 @@ fn best_ms(repeats: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// The overhead-gate probes: six independent hot loops over the quiescent
+/// The overhead-gate probes: seven independent hot loops over the quiescent
 /// relation, each reported as its best-of-N wall clock.
 ///
 /// Comparing a *single* loop across two binaries measures that binary's
@@ -171,7 +183,22 @@ fn overhead_probes(table: &VnlTable, cfg: &Config) -> Vec<(&'static str, f64)> {
         assert_eq!(n.load(Ordering::Relaxed) as usize, rows);
     });
 
+    // The partitioned path: the coordinator's span is propagated into
+    // every worker (storage.scan.partition spans).
+    let scan_parallel = best_ms(cfg.scan_repeats, || {
+        let n = AtomicU64::new(0);
+        session
+            .scan_parallel(4, |_, _| {
+                n.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            })
+            .expect("parallel scan");
+        assert_eq!(n.load(Ordering::Relaxed) as usize, rows);
+    });
+
     // Point reads: the first day of one product line in every city.
+    // Deliberately span- and timer-free — this probe verifies the hot path
+    // stayed untouched.
     let first_day = dates(cfg.days)[0];
     let keys: Vec<Vec<Value>> = (0..cfg.cities)
         .map(|c| {
@@ -235,6 +262,7 @@ fn overhead_probes(table: &VnlTable, cfg: &Config) -> Vec<(&'static str, f64)> {
     vec![
         ("probe_scan_ms", scan),
         ("probe_scan_projected_ms", projected),
+        ("probe_scan_parallel_ms", scan_parallel),
         ("probe_lookup_ms", lookup),
         ("probe_sql_agg_ms", sql),
         ("probe_update_txn_ms", update),
@@ -245,7 +273,10 @@ fn overhead_probes(table: &VnlTable, cfg: &Config) -> Vec<(&'static str, f64)> {
 /// The concurrency phase: readers scanning in sessions (restarting on
 /// expiration) while maintenance commits `rounds` of updates plus a
 /// delete/re-insert churn that leaves logically-deleted tuples for the GC
-/// collector sweeping alongside. Returns (reads_ok, sessions, commits).
+/// collector sweeping alongside. Each session ends in a parallel scan, so
+/// the trace rings fill with interleaved multi-thread traces under the
+/// same load the registry is snapshotted after. Returns (reads_ok,
+/// sessions, commits).
 fn reader_maintenance_phase(table: &std::sync::Arc<VnlTable>, cfg: &Config) -> (u64, u64, u64) {
     let reads_ok = AtomicU64::new(0);
     let sessions = AtomicU64::new(0);
@@ -313,10 +344,10 @@ fn reader_maintenance_phase(table: &std::sync::Arc<VnlTable>, cfg: &Config) -> (
                     .with_seed(seed);
                 while !done.load(Ordering::SeqCst) {
                     let (res, stats) = retry.run_with_stats(table, |session| {
-                        for _ in 0..4 {
+                        for _ in 0..3 {
                             session.scan_with(|_| Ok(()))?;
                         }
-                        Ok(())
+                        session.scan_parallel(4, |_, _| Ok(()))
                     });
                     sessions.fetch_add(u64::from(stats.attempts), Ordering::Relaxed);
                     match res {
@@ -337,17 +368,9 @@ fn reader_maintenance_phase(table: &std::sync::Arc<VnlTable>, cfg: &Config) -> (
     )
 }
 
-/// `"name": value` pulled out of a rendered JSON document by string search —
-/// the repo has no JSON parser dependency, and the documents are written by
-/// our own `wh_bench::json` with a stable `"key": value` shape.
-fn extract_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// One probe's milliseconds out of a `BENCH_obs.json` document.
+fn probe_ms(doc: &Json, name: &str) -> Option<f64> {
+    doc.get("overhead_probes")?.get(name)?.as_f64()
 }
 
 fn hist_row(snap: &wh_obs::registry::Snapshot, name: &str) -> Vec<String> {
@@ -362,6 +385,98 @@ fn hist_row(snap: &wh_obs::registry::Snapshot, name: &str) -> Vec<String> {
     ]
 }
 
+/// One blocking HTTP/1.0 GET against the introspection server; returns
+/// (status_line, body).
+fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
+    use std::io::{Read as _, Write as _};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect introspection server");
+    write!(stream, "GET {path} HTTP/1.0\r\n\r\n").expect("send request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    let status = response.lines().next().unwrap_or("").to_string();
+    let body = response
+        .split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_string())
+        .unwrap_or_default();
+    (status, body)
+}
+
+/// Scrape every endpoint once; returns whether all answered 200.
+fn server_phase(trace_id: u64) -> bool {
+    let server = match wh_obs::IntrospectionServer::start("127.0.0.1:0") {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("introspection server failed to start: {e}");
+            return false;
+        }
+    };
+    let addr = server.addr();
+    let (metrics_status, metrics_body) = http_get(addr, "/metrics");
+    let (health_status, health_body) = http_get(addr, "/health");
+    let (snapshot_status, _) = http_get(addr, "/snapshot");
+    let (trace_status, trace_body) = http_get(addr, &format!("/traces/{trace_id}"));
+    println!("introspection server on {addr}:");
+    println!(
+        "  /metrics      {metrics_status} ({} bytes)",
+        metrics_body.len()
+    );
+    println!(
+        "  /health       {health_status} ({})",
+        health_body.trim().len()
+    );
+    println!("  /snapshot     {snapshot_status}");
+    println!(
+        "  /traces/{trace_id}  {trace_status} ({} bytes)",
+        trace_body.len()
+    );
+    let ok = [&metrics_status, &health_status, &snapshot_status]
+        .iter()
+        .all(|s| s.contains("200"))
+        && (trace_status.contains("200") || !wh_obs::is_enabled());
+    server.stop();
+    ok
+}
+
+/// Provoke the flight recorder: arm it at a temp dir, crash a maintenance
+/// transaction (`mem::forget` — its root span never closes), and recover.
+/// The `recovery_entry` trigger must produce a dump whose events include
+/// the crashed txn's still-open span. Returns (dumped, dump_events).
+fn flight_phase() -> (bool, u64) {
+    let dir = std::env::temp_dir().join(format!("wh-obs-flight-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create flight dir");
+    wh_obs::recorder::arm(&dir);
+
+    let table = build_table(5, 4, 10);
+    let txn = table.begin_maintenance().expect("begin");
+    txn.execute_sql(
+        "UPDATE DailySales SET total_sales = 0 WHERE product_line = 'line-00'",
+        &Params::new(),
+    )
+    .expect("update");
+    std::mem::forget(txn); // crash: the txn span stays open
+    let report = wh_vnl::recovery::recover(&table).expect("recover");
+    println!(
+        "provoked recovery: {} pending tuples rolled back, {} flight dumps on disk",
+        report.pending_found,
+        wh_obs::recorder::dumps_written()
+    );
+    wh_obs::recorder::disarm();
+
+    let mut dump_events = 0u64;
+    let mut dumped = false;
+    if let Ok(entries) = std::fs::read_dir(&dir) {
+        for entry in entries.flatten() {
+            let content = std::fs::read_to_string(entry.path()).unwrap_or_default();
+            if content.starts_with("{\"schema\":\"wh-flight-1\"") {
+                dumped = true;
+                dump_events = dump_events.max(content.lines().count().saturating_sub(2) as u64);
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    (dumped, dump_events)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let baseline = args
@@ -373,7 +488,7 @@ fn main() {
 
     let cfg = Config::from_env();
     println!(
-        "E20: observability under the E18 workload ({} rows{}; metrics {})\n",
+        "E20/E24: observability under the E18 workload ({} rows{}; metrics and tracing {})\n",
         cfg.rows(),
         if cfg.quick { ", quick mode" } else { "" },
         if wh_obs::is_enabled() {
@@ -383,14 +498,17 @@ fn main() {
         }
     );
 
-    let table = std::sync::Arc::new(build_table(&cfg));
+    let table = std::sync::Arc::new(build_table(cfg.cities, cfg.lines, cfg.days));
 
     // Phase 1: the overhead-gate probes on the quiescent relation.
     let mut probes = overhead_probes(&table, &cfg);
     if merge_probes {
-        if let Ok(prev) = std::fs::read_to_string(json::out_path("BENCH_obs.json")) {
+        let prev = std::fs::read_to_string(json::out_path("BENCH_obs.json"))
+            .ok()
+            .and_then(|text| json::parse(&text).ok());
+        if let Some(prev) = prev {
             for (name, ms) in &mut probes {
-                if let Some(old) = extract_number(&prev, name) {
+                if let Some(old) = probe_ms(&prev, name) {
                     *ms = ms.min(old);
                 }
             }
@@ -408,33 +526,48 @@ fn main() {
     for (name, ms) in &probes {
         println!("  {name:24} {ms:8.3} ms");
     }
+    let mut doc = vec![
+        ("experiment", "E20".into()),
+        ("rows", cfg.rows().into()),
+        ("quick", cfg.quick.into()),
+        ("obs_enabled", wh_obs::is_enabled().into()),
+        (
+            "overhead_probes",
+            Json::Object(
+                probes
+                    .iter()
+                    .map(|(name, ms)| ((*name).to_string(), Json::Fixed(*ms, 3)))
+                    .collect(),
+            ),
+        ),
+    ];
 
     if probes_only {
-        let doc = Json::obj([
-            ("experiment", "E20".into()),
-            ("rows", cfg.rows().into()),
-            ("quick", cfg.quick.into()),
-            ("obs_enabled", wh_obs::is_enabled().into()),
-            (
-                "overhead_probes",
-                Json::Object(
-                    probes
-                        .iter()
-                        .map(|(name, ms)| ((*name).to_string(), Json::Fixed(*ms, 3)))
-                        .collect(),
-                ),
-            ),
-        ]);
-        json::write_report("BENCH_obs.json", &doc);
+        json::write_report("BENCH_obs.json", &Json::obj(doc));
         check_overhead(baseline.as_deref(), &probes);
         return;
     }
 
-    // Phase 2: readers against live maintenance + GC.
+    // Phase 2: readers against live maintenance + GC, filling the registry
+    // and the trace rings alike.
     let (reads_ok, sessions, commits) = reader_maintenance_phase(&table, &cfg);
+    let recent = wh_obs::trace::recent_traces();
     println!(
-        "concurrency phase: {reads_ok} scans ok across {sessions} sessions, {commits} commits"
+        "concurrency phase: {reads_ok} scans ok across {sessions} sessions, {commits} commits; \
+         {} trace events recorded across {} recent traces (ring wrapped: {})",
+        wh_obs::trace::events_recorded(),
+        recent.len(),
+        wh_obs::trace::any_ring_wrapped()
     );
+    // A trace whose root start is still in the rings ("?" marks one the
+    // wrap has already overwritten).
+    let sample_trace = recent
+        .iter()
+        .filter(|(_, root, _)| *root != "?")
+        .max_by_key(|(_, _, n)| *n);
+    if let Some((id, name, n)) = sample_trace {
+        println!("  largest recent trace: id={id} root={name} events={n}");
+    }
 
     // Phase 2b: a final delete followed by a quiescent collection pass, so
     // GC reclaim latency is always populated even when the concurrent
@@ -465,6 +598,17 @@ fn main() {
         );
     }
 
+    // Phase 4: scrape the introspection server.
+    let server_ok = server_phase(sample_trace.map_or(0, |&(id, _, _)| id));
+
+    // Phase 5: provoke a flight-recorder dump through a crashed txn.
+    let (flight_dumped, flight_events) = flight_phase();
+
+    if wh_obs::is_enabled() {
+        assert!(server_ok, "introspection endpoints must answer 200");
+        assert!(flight_dumped, "recovery must produce a flight dump");
+    }
+
     let snap = wh_obs::registry::global().snapshot();
 
     if wh_obs::is_enabled() {
@@ -492,20 +636,7 @@ fn main() {
     }
 
     let staleness = snap.histogram("vnl.reader.staleness_vns");
-    let doc = Json::obj([
-        ("experiment", "E20".into()),
-        ("rows", cfg.rows().into()),
-        ("quick", cfg.quick.into()),
-        ("obs_enabled", wh_obs::is_enabled().into()),
-        (
-            "overhead_probes",
-            Json::Object(
-                probes
-                    .iter()
-                    .map(|(name, ms)| ((*name).to_string(), Json::Fixed(*ms, 3)))
-                    .collect(),
-            ),
-        ),
+    doc.extend([
         ("reads_ok", reads_ok.into()),
         ("reader_sessions", sessions.into()),
         ("maintenance_commits", commits.into()),
@@ -519,20 +650,28 @@ fn main() {
                 ("max", staleness.max.into()),
             ]),
         ),
+        ("trace_events", wh_obs::trace::events_recorded().into()),
+        ("recent_traces", (recent.len() as u64).into()),
+        ("ring_wrapped", wh_obs::trace::any_ring_wrapped().into()),
+        ("server_ok", server_ok.into()),
+        ("flight_dumped", flight_dumped.into()),
+        ("flight_dump_events", flight_events.into()),
         ("snapshot", Json::Raw(snap.to_json())),
     ]);
-    json::write_report("BENCH_obs.json", &doc);
+    json::write_report("BENCH_obs.json", &Json::obj(doc));
 
     check_overhead(baseline.as_deref(), &probes);
 }
 
-/// Compare this run's probe numbers against a metrics-disabled baseline
-/// JSON and exit nonzero if the geometric-mean overhead exceeds the gate
+/// Compare this run's probe numbers against a compiled-out baseline JSON
+/// and exit nonzero if the geometric-mean overhead exceeds the gate
 /// (`WH_OBS_OVERHEAD_PCT`, default 5%). No-op without a baseline path.
 fn check_overhead(baseline: Option<&str>, probes: &[(&'static str, f64)]) {
     let Some(path) = baseline else { return };
-    let base_doc =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
+    let base_doc = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| json::parse(&text))
+        .unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
     let gate_pct: f64 = std::env::var("WH_OBS_OVERHEAD_PCT")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -540,8 +679,8 @@ fn check_overhead(baseline: Option<&str>, probes: &[(&'static str, f64)]) {
     println!("\noverhead check (geomean across probes, gate {gate_pct:.1}%):");
     let mut log_ratio_sum = 0.0;
     for (name, ms) in probes {
-        let base = extract_number(&base_doc, name)
-            .unwrap_or_else(|| panic!("baseline {path} missing {name}"));
+        let base =
+            probe_ms(&base_doc, name).unwrap_or_else(|| panic!("baseline {path} missing {name}"));
         let ratio = ms / base;
         log_ratio_sum += ratio.ln();
         println!(
@@ -553,7 +692,7 @@ fn check_overhead(baseline: Option<&str>, probes: &[(&'static str, f64)]) {
     let overhead_pct = (geomean - 1.0) * 100.0;
     println!("  geomean overhead {overhead_pct:+.2}%");
     if overhead_pct > gate_pct {
-        eprintln!("FAIL: enabled-metrics overhead exceeds the {gate_pct:.1}% gate");
+        eprintln!("FAIL: enabled-observability overhead exceeds the {gate_pct:.1}% gate");
         std::process::exit(1);
     }
     println!("overhead within gate");

@@ -16,9 +16,10 @@
 //!    `OnceLock` by the [`counter!`]/[`gauge!`]/[`histogram!`] macros).
 //! 2. **Zero cost when disabled.** Without the `enabled` cargo feature every
 //!    recording method compiles to an empty `#[inline]` body — no atomics,
-//!    no clock reads — and [`Timer::start`] doesn't read the clock. The CI
-//!    overhead gate (E20) holds the enabled build to within 5% of the
-//!    disabled build on the E18 serial scan.
+//!    no clock reads — [`Timer::start`] doesn't read the clock and a
+//!    [`TraceGuard`] is a ZST. The one CI overhead gate (`report_obs`,
+//!    E20/E24) holds the enabled build to within 5% of the disabled build,
+//!    geomean over seven hot-loop probes.
 //! 3. **No dependencies.** `std` only, like the rest of the workspace.
 //!
 //! Metric names follow the `layer.object.metric` convention (DESIGN.md §8):
@@ -45,10 +46,12 @@ pub use recorder::DumpInfo;
 pub use registry::{counter, gauge, histogram, Registry, Snapshot};
 pub use server::IntrospectionServer;
 pub use slo::SlidingWindow;
-pub use trace::{EventKind, TraceCtx, TraceEvent, TraceGuard};
+pub use trace::{DurationSink, EventKind, TraceCtx, TraceEvent, TraceGuard};
 
 /// A monotonic stopwatch that is free when observability is disabled: the
-/// disabled build neither stores nor reads a clock.
+/// disabled build neither stores nor reads a clock. For regions that have
+/// no trace span (sampled point ops, latch waits, sub-steps of a span); a
+/// region with a span is timed by the span itself — [`timed_span!`].
 #[derive(Debug, Clone, Copy)]
 pub struct Timer {
     #[cfg(feature = "enabled")]
@@ -155,6 +158,31 @@ macro_rules! trace_span_under {
     ($name:expr, $ctx:expr) => {
         $crate::trace::enter_under($crate::trace_name!($name), $ctx)
     };
+}
+
+/// The one way to time a region: [`trace_span!`] whose duration also
+/// lands in the histogram called `$hist`. The span's start and end events
+/// carry the only two clock reads taken, and the histogram observation is
+/// the `SpanEnd` event's `arg` — on normal exit, early `?` return and
+/// unwind alike.
+#[macro_export]
+macro_rules! timed_span {
+    ($name:expr, $hist:expr) => {
+        $crate::timed_span_under!($name, $hist, $crate::TraceCtx::ZERO)
+    };
+}
+
+/// [`timed_span!`] explicitly parented under `$ctx`, as
+/// [`trace_span_under!`] is to [`trace_span!`] (an inert ctx means ambient
+/// parenting).
+#[macro_export]
+macro_rules! timed_span_under {
+    ($name:expr, $hist:expr, $ctx:expr) => {{
+        fn __sink(ns: u64) {
+            $crate::histogram!($hist).record(ns);
+        }
+        $crate::trace::enter_under_timed($crate::trace_name!($name), $ctx, __sink)
+    }};
 }
 
 /// Open a root span on trace `$trace_id` (0 allocates a fresh trace);

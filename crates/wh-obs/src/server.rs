@@ -23,7 +23,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Handle to a running introspection server.
 #[derive(Debug)]
@@ -92,14 +92,30 @@ fn accept_loop(listener: &TcpListener, stop: &AtomicBool) {
     }
 }
 
-fn serve_connection(mut stream: TcpStream) {
-    stream.set_nonblocking(false).ok();
-    stream.set_read_timeout(Some(Duration::from_secs(2))).ok();
+/// Longest one connection may take to deliver its request head, and again
+/// to accept its response. There is one serving thread and `stop()`/`Drop`
+/// join it, so a silent, trickling or never-reading client must cost a
+/// bounded wait, not a wedge: both budgets are overall deadlines, not
+/// per-syscall timeouts a byte every second could renew forever.
+const IO_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Time left until `deadline`; `None` once it has passed (a zero timeout
+/// is an error to `set_read_timeout`/`set_write_timeout`, not "don't wait").
+fn time_left(deadline: Instant) -> Option<Duration> {
+    deadline
+        .checked_duration_since(Instant::now())
+        .filter(|left| !left.is_zero())
+}
+
+/// The request head, or `None` if it did not arrive whole in time.
+fn read_head(stream: &mut TcpStream) -> Option<String> {
+    let deadline = Instant::now() + IO_DEADLINE;
     let mut buf = [0u8; 2048];
     let mut len = 0usize;
     // Read until the end of the request head (or the buffer fills; a bare
     // "GET /path HTTP/1.0" fits many times over).
     while len < buf.len() {
+        stream.set_read_timeout(Some(time_left(deadline)?)).ok()?;
         match stream.read(&mut buf[len..]) {
             Ok(0) => break,
             Ok(n) => {
@@ -108,10 +124,38 @@ fn serve_connection(mut stream: TcpStream) {
                     break;
                 }
             }
-            Err(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return None,
         }
     }
-    let head = String::from_utf8_lossy(&buf[..len]);
+    Some(String::from_utf8_lossy(&buf[..len]).into_owned())
+}
+
+/// `write_all` under one deadline; gives up on the client when it passes.
+fn write_response(stream: &mut TcpStream, response: &[u8]) {
+    let deadline = Instant::now() + IO_DEADLINE;
+    let mut rest = response;
+    while !rest.is_empty() {
+        let Some(left) = time_left(deadline) else {
+            return;
+        };
+        if stream.set_write_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.write(rest) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Ok(0) | Err(_) => return,
+            Ok(n) => rest = &rest[n..],
+        }
+    }
+    stream.flush().ok();
+}
+
+fn serve_connection(mut stream: TcpStream) {
+    stream.set_nonblocking(false).ok();
+    let Some(head) = read_head(&mut stream) else {
+        return;
+    };
     let mut parts = head.split_whitespace();
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
         return;
@@ -132,8 +176,7 @@ fn serve_connection(mut stream: TcpStream) {
         "HTTP/1.0 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(response.as_bytes()).ok();
-    stream.flush().ok();
+    write_response(&mut stream, response.as_bytes());
 }
 
 fn route(path: &str) -> (u16, &'static str, String) {
@@ -287,5 +330,46 @@ mod tests {
         }
 
         server.stop();
+    }
+
+    /// A stalled client costs the one serving thread a bounded wait: with a
+    /// silent connection and one that requests a large body and never
+    /// reads it both queued ahead, the next client is still answered and
+    /// `stop()` still returns.
+    #[test]
+    fn stalled_clients_do_not_wedge_the_server() {
+        // A body no pair of loopback socket buffers can absorb, so the
+        // never-reading client really does block the server's write.
+        let bulk = "x".repeat(64 * 1024);
+        for i in 0..256 {
+            crate::registry::counter(&format!("obs.test.bulk_{i}_{bulk}"));
+        }
+        let server = IntrospectionServer::start("127.0.0.1:0").expect("bind");
+        let addr = server.addr();
+        let begun = Instant::now();
+
+        let silent = TcpStream::connect(addr).expect("connect silent client");
+        let mut never_reads = TcpStream::connect(addr).expect("connect never-reading client");
+        write!(never_reads, "GET /snapshot HTTP/1.0\r\n\r\n").expect("request");
+
+        let mut probe = TcpStream::connect(addr).expect("connect probe");
+        probe
+            .set_read_timeout(Some(Duration::from_secs(15)))
+            .expect("probe timeout");
+        write!(probe, "GET /health HTTP/1.0\r\n\r\n").expect("request");
+        let mut response = String::new();
+        probe
+            .read_to_string(&mut response)
+            .expect("the probe must be answered despite the stalled clients");
+        assert!(response.starts_with("HTTP/1.0 "), "{response}");
+        assert!(response.contains("\"status\""), "{response}");
+
+        server.stop();
+        assert!(
+            begun.elapsed() < 3 * IO_DEADLINE + Duration::from_secs(2),
+            "served and stopped in {:?}",
+            begun.elapsed()
+        );
+        drop((silent, never_reads));
     }
 }

@@ -112,9 +112,21 @@ impl TraceCtx {
     }
 }
 
+/// Receives a timed span's duration (ns) when its guard drops. A plain
+/// `fn` so a guard stays `Copy`-sized and capture-free: the
+/// [`crate::timed_span!`] macros build one per call site around a cached
+/// histogram handle, and the reader path passes
+/// [`crate::slo::note_read_latency`] as is.
+pub type DurationSink = fn(u64);
+
 /// RAII guard for a span opened with [`enter`] / [`enter_under`] /
-/// [`enter_root`]: emits the `SpanEnd` event (duration in `arg`) and pops
-/// the ambient stack on drop. A ZST no-op without the `enabled` feature.
+/// [`enter_root`] / [`enter_under_timed`]: emits the `SpanEnd` event
+/// (duration in `arg`) and pops the ambient stack on drop. A timed guard
+/// also hands that same duration to its sink, so a span and the histogram
+/// (or SLO window) fed from it can never disagree and the interval costs
+/// two clock reads in total: the start event's timestamp is the span's
+/// start, the end event's timestamp is its end. A ZST no-op without the
+/// `enabled` feature.
 #[must_use = "a trace span measures the scope it is held for"]
 pub struct TraceGuard {
     #[cfg(feature = "enabled")]
@@ -127,6 +139,9 @@ pub struct TraceGuard {
     name_idx: u32,
     #[cfg(feature = "enabled")]
     start_ns: u64,
+    /// Where the span's duration goes besides its `SpanEnd` event.
+    #[cfg(feature = "enabled")]
+    sink: Option<DurationSink>,
     /// `!Send` marker (in both enabled and disabled builds, so code that
     /// compiles with tracing off cannot break with it on): a guard pops
     /// the ambient span stack of the thread that opened it, so dropping
@@ -147,7 +162,7 @@ impl fmt::Debug for TraceGuard {
 
 #[cfg(feature = "enabled")]
 mod imp {
-    use super::{EventKind, TraceCtx, TraceEvent, TraceGuard, THREAD_RING_CAPACITY};
+    use super::{DurationSink, EventKind, TraceCtx, TraceEvent, TraceGuard, THREAD_RING_CAPACITY};
     use std::cell::RefCell;
     use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -314,8 +329,21 @@ mod imp {
     const THREAD_MASK: u64 = 0xff_ffff;
 
     fn emit(kind: EventKind, name_idx: u32, trace: u64, span: u64, parent: u64, arg: u64) {
+        emit_at(process_epoch_ns(), kind, name_idx, trace, span, parent, arg);
+    }
+
+    /// Append one event stamped `ts`: a span's start and end events carry
+    /// the very clock reads its duration is computed from.
+    fn emit_at(
+        ts: u64,
+        kind: EventKind,
+        name_idx: u32,
+        trace: u64,
+        span: u64,
+        parent: u64,
+        arg: u64,
+    ) {
         let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed); // ordering: trace-seq Relaxed — sequence allocation; the slot/event payload is synchronized separately
-        let ts = process_epoch_ns();
         let thread = u64::from(process_thread_id()) & THREAD_MASK;
         let meta = u64::from(name_idx) | ((kind as u64) << 32) | (thread << THREAD_SHIFT);
         // try_with: events emitted while this thread's TLS is being torn
@@ -336,36 +364,62 @@ mod imp {
         })
     }
 
-    fn open_span(name_idx: u32, trace: u64, parent: u64, arg: u64) -> TraceGuard {
+    fn open_span(
+        name_idx: u32,
+        trace: u64,
+        parent: u64,
+        arg: u64,
+        sink: Option<DurationSink>,
+    ) -> TraceGuard {
         let span = next_id();
-        emit(EventKind::SpanStart, name_idx, trace, span, parent, arg);
+        let start_ns = process_epoch_ns();
+        emit_at(
+            start_ns,
+            EventKind::SpanStart,
+            name_idx,
+            trace,
+            span,
+            parent,
+            arg,
+        );
         STACK.with(|s| s.borrow_mut().push((trace, span)));
         TraceGuard {
             trace,
             span,
             parent,
             name_idx,
-            start_ns: process_epoch_ns(),
+            start_ns,
+            sink,
             _not_send: std::marker::PhantomData,
         }
     }
 
+    /// Open under `ctx` when it is live, else under the ambient span (a
+    /// fresh trace if there is none).
+    fn open_under(name_idx: u32, ctx: TraceCtx, sink: Option<DurationSink>) -> TraceGuard {
+        let (trace, parent) = if ctx.is_live() {
+            (ctx.trace, ctx.span)
+        } else {
+            ambient().unwrap_or_else(|| (next_id(), 0))
+        };
+        open_span(name_idx, trace, parent, 0, sink)
+    }
+
     pub fn enter(name_idx: u32) -> TraceGuard {
-        let (trace, parent) = ambient().map_or_else(|| (next_id(), 0), |(t, s)| (t, s));
-        open_span(name_idx, trace, parent, 0)
+        open_under(name_idx, TraceCtx::ZERO, None)
     }
 
     pub fn enter_root(name_idx: u32, trace_id: u64, arg: u64) -> TraceGuard {
         let trace = if trace_id == 0 { next_id() } else { trace_id };
-        open_span(name_idx, trace, 0, arg)
+        open_span(name_idx, trace, 0, arg, None)
     }
 
     pub fn enter_under(name_idx: u32, ctx: TraceCtx) -> TraceGuard {
-        if ctx.is_live() {
-            open_span(name_idx, ctx.trace, ctx.span, 0)
-        } else {
-            enter(name_idx)
-        }
+        open_under(name_idx, ctx, None)
+    }
+
+    pub fn enter_under_timed(name_idx: u32, ctx: TraceCtx, sink: DurationSink) -> TraceGuard {
+        open_under(name_idx, ctx, Some(sink))
     }
 
     pub fn instant(name_idx: u32, arg: u64) {
@@ -399,20 +453,25 @@ mod imp {
 
     pub fn drop_guard(g: &TraceGuard) {
         let end = process_epoch_ns();
+        let elapsed = end.saturating_sub(g.start_ns);
         STACK.with(|s| {
             let mut stack = s.borrow_mut();
             if let Some(pos) = stack.iter().rposition(|&(_, sp)| sp == g.span) {
                 stack.truncate(pos);
             }
         });
-        emit(
+        emit_at(
+            end,
             EventKind::SpanEnd,
             g.name_idx,
             g.trace,
             g.span,
             g.parent,
-            end.saturating_sub(g.start_ns),
+            elapsed,
         );
+        if let Some(sink) = g.sink {
+            sink(elapsed);
+        }
     }
 
     fn decode(w: [u64; WORDS - 1]) -> TraceEvent {
@@ -492,8 +551,8 @@ mod imp {
 pub(crate) use imp::process_epoch_ns;
 #[cfg(feature = "enabled")]
 pub use imp::{
-    any_ring_wrapped, close_ctx, collect, current, enter, enter_root, enter_under, events_recorded,
-    instant, intern, open_ctx, reset, ring_count,
+    any_ring_wrapped, close_ctx, collect, current, enter, enter_root, enter_under,
+    enter_under_timed, events_recorded, instant, intern, open_ctx, reset, ring_count,
 };
 
 #[cfg(feature = "enabled")]
@@ -505,7 +564,11 @@ impl Drop for TraceGuard {
 
 #[cfg(not(feature = "enabled"))]
 mod noop {
-    use super::{TraceCtx, TraceEvent, TraceGuard};
+    use super::{DurationSink, TraceCtx, TraceEvent, TraceGuard};
+
+    const INERT: TraceGuard = TraceGuard {
+        _not_send: std::marker::PhantomData,
+    };
 
     #[inline]
     pub fn intern(_name: &'static str) -> u32 {
@@ -513,21 +576,19 @@ mod noop {
     }
     #[inline]
     pub fn enter(_name_idx: u32) -> TraceGuard {
-        TraceGuard {
-            _not_send: std::marker::PhantomData,
-        }
+        INERT
     }
     #[inline]
     pub fn enter_root(_name_idx: u32, _trace_id: u64, _arg: u64) -> TraceGuard {
-        TraceGuard {
-            _not_send: std::marker::PhantomData,
-        }
+        INERT
     }
     #[inline]
     pub fn enter_under(_name_idx: u32, _ctx: TraceCtx) -> TraceGuard {
-        TraceGuard {
-            _not_send: std::marker::PhantomData,
-        }
+        INERT
+    }
+    #[inline]
+    pub fn enter_under_timed(_name_idx: u32, _ctx: TraceCtx, _sink: DurationSink) -> TraceGuard {
+        INERT
     }
     #[inline]
     pub fn instant(_name_idx: u32, _arg: u64) {}
@@ -563,8 +624,8 @@ mod noop {
 
 #[cfg(not(feature = "enabled"))]
 pub use noop::{
-    any_ring_wrapped, close_ctx, collect, current, enter, enter_root, enter_under, events_recorded,
-    instant, intern, open_ctx, reset, ring_count,
+    any_ring_wrapped, close_ctx, collect, current, enter, enter_root, enter_under,
+    enter_under_timed, events_recorded, instant, intern, open_ctx, reset, ring_count,
 };
 
 /// Events belonging to one trace, in `seq` order.
@@ -669,6 +730,85 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| e.name == "obs.test.session" && e.kind == EventKind::SpanEnd));
+    }
+
+    thread_local! {
+        /// What this test thread's timed spans handed their sink (a guard
+        /// drops on the thread that opened it, so tests don't interfere).
+        static SUNK: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    fn sink(ns: u64) {
+        SUNK.with(|s| s.borrow_mut().push(ns));
+    }
+
+    /// One duration per timed span: the `SpanEnd` event's `arg` is the
+    /// difference of the two event timestamps (no third clock read) and the
+    /// sink gets exactly that value exactly once — on normal exit, on
+    /// early return through `?`, and on unwind.
+    #[test]
+    fn timed_span_feeds_its_sink_the_span_end_arg_once() {
+        if !crate::is_enabled() {
+            return;
+        }
+        fn early_return(name: u32) -> Result<(), ()> {
+            let _g = enter_under_timed(name, TraceCtx::ZERO, sink);
+            Err(())?;
+            unreachable!("`?` returned above");
+        }
+        let name = intern("obs.test.timed");
+        let root = open_ctx(intern("obs.test.timed_root"), 0, 0);
+        {
+            let _g = enter_under_timed(name, root, sink);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        {
+            let _outer = enter_under(intern("obs.test.timed_outer"), root);
+            assert_eq!(early_return(name), Err(()));
+            let unwound = std::panic::catch_unwind(|| {
+                let _g = enter_under_timed(name, TraceCtx::ZERO, sink);
+                panic!("unwind through a timed span");
+            });
+            assert!(unwound.is_err());
+        }
+        close_ctx(root, 0);
+
+        let events = trace_events(root.trace);
+        let durations: Vec<u64> = events
+            .iter()
+            .filter(|e| e.name == "obs.test.timed" && e.kind == EventKind::SpanEnd)
+            .map(|end| {
+                let start = events
+                    .iter()
+                    .find(|e| e.span_id == end.span_id && e.kind == EventKind::SpanStart)
+                    .expect("span start");
+                assert_eq!(end.arg, end.ts_ns - start.ts_ns, "{start:?} {end:?}");
+                end.arg
+            })
+            .collect();
+        assert_eq!(durations.len(), 3, "{events:#?}");
+        assert!(durations[0] >= 1_000_000);
+        assert_eq!(SUNK.with(|s| s.borrow().clone()), durations);
+    }
+
+    /// Compiled out, a timed span is the same nothing an untimed one is.
+    #[cfg(not(feature = "enabled"))]
+    #[test]
+    fn disabled_timed_span_is_a_zst_and_records_nothing() {
+        assert_eq!(std::mem::size_of::<TraceGuard>(), 0);
+        drop(enter_under_timed(
+            intern("obs.test.noop_timed"),
+            TraceCtx::ZERO,
+            sink,
+        ));
+        drop(crate::timed_span!(
+            "obs.test.noop_timed",
+            "obs.test.noop_timed_ns"
+        ));
+        assert!(SUNK.with(|s| s.borrow().is_empty()));
+        assert_eq!(events_recorded(), 0);
+        let snap = crate::registry::global().snapshot();
+        assert!(!snap.histograms.contains_key("obs.test.noop_timed_ns"));
     }
 
     #[test]

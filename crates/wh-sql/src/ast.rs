@@ -851,4 +851,19 @@ mod tests {
         };
         assert_eq!(del.to_string(), "DELETE FROM t");
     }
+
+    #[test]
+    fn create_table_statement_round_trips() {
+        let sql = "CREATE TABLE t (a INT, b CHAR(8) UPDATABLE, c DATE, PRIMARY KEY (a, c))";
+        let stmt = crate::parser::parse_statement(sql).unwrap();
+        let Statement::CreateTable(ct) = &stmt else {
+            panic!("not a CREATE TABLE")
+        };
+        assert_eq!((ct.columns.len(), ct.columns[1].updatable), (3, true));
+        assert_eq!(ct.key, vec!["a".to_string(), "c".to_string()]);
+        assert_eq!(
+            crate::parser::parse_statement(&stmt.to_string()).unwrap(),
+            stmt
+        );
+    }
 }

@@ -26,8 +26,6 @@ pub enum SqlError {
     MisplacedAggregate,
     /// Non-aggregated, non-grouped column in an aggregate query.
     NotGrouped(String),
-    /// A unique-key violation on INSERT.
-    KeyConflict(String),
     /// Feature outside the supported subset.
     Unsupported(String),
     /// Type-system error from expression evaluation.
@@ -50,7 +48,6 @@ impl fmt::Display for SqlError {
             SqlError::NotGrouped(c) => {
                 write!(f, "column {c} must appear in GROUP BY or an aggregate")
             }
-            SqlError::KeyConflict(k) => write!(f, "unique key conflict on {k}"),
             SqlError::Unsupported(what) => write!(f, "unsupported SQL feature: {what}"),
             SqlError::Type(e) => write!(f, "{e}"),
             SqlError::Storage(e) => write!(f, "{e}"),

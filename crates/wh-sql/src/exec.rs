@@ -146,18 +146,14 @@ pub fn execute_select<R: RowSource + ?Sized>(
         let parts = scan_filter(source, &ctx, stmt, threads, |part, row| {
             fold_group_row(&ctx, stmt, &specs, part, row)
         })?;
-        let _stage_span = wh_obs::trace_span!("sql.exec.stage");
-        let stage_timer = wh_obs::Timer::start();
+        let _stage = wh_obs::timed_span!("sql.exec.stage", "sql.exec.aggregate_ns");
         let groups = merge_groups(parts, &specs, stmt.group_by.is_empty())?;
-        let projected = project_groups(&ctx, stmt, &specs, &groups)?;
-        wh_obs::histogram!("sql.exec.aggregate_ns").record(stage_timer.elapsed_ns());
-        projected
+        project_groups(&ctx, stmt, &specs, &groups)?
     } else {
         let parts = scan_filter(source, &ctx, stmt, threads, |part, row| {
             project_row(&ctx, stmt, part, row)
         })?;
-        let _stage_span = wh_obs::trace_span!("sql.exec.stage");
-        let stage_timer = wh_obs::Timer::start();
+        let _stage = wh_obs::timed_span!("sql.exec.stage", "sql.exec.project_ns");
         let columns: Vec<String> = if stmt.items.is_empty() {
             schema.columns().iter().map(|c| c.name.clone()).collect()
         } else {
@@ -169,7 +165,6 @@ pub fn execute_select<R: RowSource + ?Sized>(
             all.out_rows.extend(part.out_rows);
             all.order_keys.extend(part.order_keys);
         }
-        wh_obs::histogram!("sql.exec.project_ns").record(stage_timer.elapsed_ns());
         (columns, all.out_rows, all.order_keys)
     };
 
@@ -204,8 +199,7 @@ where
     R: RowSource + ?Sized,
     T: Default + Send,
 {
-    let _scan_span = wh_obs::trace_span!("sql.exec.scan_filter");
-    let scan_timer = wh_obs::Timer::start();
+    let _scan = wh_obs::timed_span!("sql.exec.scan_filter", "sql.exec.scan_filter_ns");
     let parts = source.fold(threads, &|part: &mut Partition<T>, row| {
         part.scanned += 1;
         let keep = match &stmt.where_clause {
@@ -218,7 +212,6 @@ where
         }
         Ok(())
     })?;
-    wh_obs::histogram!("sql.exec.scan_filter_ns").record(scan_timer.elapsed_ns());
     wh_obs::counter!("sql.exec.scan.rows_in").add(parts.iter().map(|p| p.scanned).sum());
     wh_obs::counter!("sql.exec.filter.rows_out").add(parts.iter().map(|p| p.kept).sum());
     Ok(parts.into_iter().map(|p| p.state).collect())

@@ -9,31 +9,35 @@
 //! aggregates, **CASE WHEN** expressions, named `:parameters`, INSERT /
 //! UPDATE / DELETE), an AST that renders back to SQL text (the rewrite golden
 //! tests in `wh-vnl` compare rendered SQL against the paper's Example 4.1),
-//! and an executor that runs statements against `wh-storage` tables.
+//! and the one SELECT executor, [`execute_select`], which runs over any
+//! [`RowSource`] — a `wh-storage` table here, a 2VNL reader session in
+//! `wh-vnl`. Maintenance DML is parsed here and executed by
+//! `wh_vnl::MaintenanceTxn`, which owns the per-tuple decision tables.
 //!
 //! ```
-//! use wh_sql::{parse_statement, Database};
+//! use std::sync::Arc;
+//! use wh_sql::{execute_select, parse_statement, Params, Statement};
+//! use wh_storage::{IoStats, Table};
 //! use wh_types::{Column, DataType, Schema, Value};
 //!
-//! let db = Database::new();
-//! db.create_table(
-//!     "t",
-//!     Schema::new(vec![
-//!         Column::new("city", DataType::Char(16)),
-//!         Column::updatable("sales", DataType::Int32),
-//!     ])
-//!     .unwrap(),
-//! )
+//! let schema = Schema::new(vec![
+//!     Column::new("city", DataType::Char(16)),
+//!     Column::updatable("sales", DataType::Int32),
+//! ])
 //! .unwrap();
-//! db.run("INSERT INTO t VALUES ('San Jose', 10)").unwrap();
-//! db.run("INSERT INTO t VALUES ('San Jose', 5)").unwrap();
-//! let result = db.run("SELECT city, SUM(sales) FROM t GROUP BY city").unwrap();
+//! let t = Table::create("t", schema, Arc::new(IoStats::new())).unwrap();
+//! t.insert(&[Value::from("San Jose"), Value::from(10)]).unwrap();
+//! t.insert(&[Value::from("San Jose"), Value::from(5)]).unwrap();
+//! let Statement::Select(stmt) =
+//!     parse_statement("SELECT city, SUM(sales) FROM t GROUP BY city").unwrap()
+//! else {
+//!     unreachable!("a SELECT was parsed")
+//! };
+//! let result = execute_select(&t, &stmt, &Params::new(), 1).unwrap();
 //! assert_eq!(result.rows, vec![vec![Value::from("San Jose"), Value::from(15)]]);
 //! ```
 
 pub mod ast;
-pub mod cursor;
-pub mod database;
 pub mod error;
 pub mod eval;
 pub mod exec;
@@ -45,8 +49,6 @@ pub use ast::{
     AggFunc, BinOp, ColumnDef, CreateTableStmt, DeleteStmt, DropTableStmt, Expr, InsertStmt,
     OrderKey, SelectItem, SelectStmt, Statement, UpdateStmt,
 };
-pub use cursor::Cursor;
-pub use database::Database;
 pub use error::{SqlError, SqlResult};
 pub use eval::{EvalContext, Params};
 pub use exec::{execute_select, QueryResult, RowSource};

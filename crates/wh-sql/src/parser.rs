@@ -754,4 +754,11 @@ mod tests {
         let e = parse_expression("a IN (1)").unwrap();
         assert!(matches!(e, Expr::InList { ref list, .. } if list.len() == 1));
     }
+
+    #[test]
+    fn create_table_rejects_bad_definitions() {
+        assert!(parse_statement("CREATE TABLE t ()").is_err());
+        assert!(parse_statement("CREATE TABLE t (a WIBBLE)").is_err());
+        assert!(parse_statement("CREATE TABLE t (a CHAR(0))").is_err());
+    }
 }

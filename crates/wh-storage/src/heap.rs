@@ -203,12 +203,11 @@ impl HeapFile {
     /// recovery, so no quiescing is needed.
     pub fn checkpoint(&self, version: VersionMeta) -> StorageResult<CheckpointStats> {
         // trace: nests under `vnl.checkpoint` when driven from the table.
-        let _ts = wh_obs::trace_span!("storage.checkpoint");
+        let _ts = wh_obs::timed_span!("storage.checkpoint", "storage.ckpt.ns");
         fail_point!("storage.ckpt.begin");
         let dir = self.dir.as_ref().ok_or_else(|| {
             StorageError::Corrupt("checkpoint requested on an in-memory heap".into())
         })?;
-        let timer = wh_obs::Timer::start();
         let pages_flushed = self.pool.flush_all()?;
         self.pool.sync()?;
         let meta = CheckpointMeta {
@@ -222,7 +221,6 @@ impl HeapFile {
         };
         meta.write(dir)?;
         wh_obs::counter!("storage.ckpt.completed").inc();
-        wh_obs::histogram!("storage.ckpt.ns").record(timer.elapsed_ns());
         wh_obs::histogram!("storage.ckpt.pages_flushed").record(pages_flushed);
         Ok(CheckpointStats {
             pages_flushed,
@@ -290,6 +288,19 @@ impl HeapFile {
     /// insert is allocating, high values mean deletes are outpacing reuse).
     fn note_free_list(free: &[u32]) {
         wh_obs::gauge!("storage.heap.free_pages").set(free.len() as i64);
+    }
+
+    /// Return `page` to the free list after one of its slots was freed
+    /// (call with the page latch already dropped).
+    fn note_page_free(&self, page: u32) -> StorageResult<()> {
+        // trace: point-op leaf; the enclosing vnl txn/read span is the causal parent.
+        fail_point!("storage.heap.free_space");
+        let mut free = lock_list(&self.free_pages);
+        if !free.contains(&page) {
+            free.push(page);
+        }
+        Self::note_free_list(&free);
+        Ok(())
     }
 
     /// Insert a record, returning its RID.
@@ -443,14 +454,7 @@ impl HeapFile {
         self.stats.count_tuple_writes(1);
         then();
         drop(guard);
-        // trace: point-op leaf; the enclosing vnl txn/read span is the causal parent.
-        fail_point!("storage.heap.free_space");
-        let mut free = lock_list(&self.free_pages);
-        if !free.contains(&rid.page) {
-            free.push(rid.page);
-        }
-        Self::note_free_list(&free);
-        drop(free);
+        self.note_page_free(rid.page)?;
         if let Some(op) = op {
             wh_obs::histogram_sampled!("storage.heap.delete_ns", 16).record(op.elapsed_ns());
         }
@@ -501,41 +505,12 @@ impl HeapFile {
         guard.release(rid.page, rid.slot)?;
         page.mark_dirty();
         drop(guard);
-        // trace: point-op leaf; the enclosing vnl txn/read span is the causal parent.
-        fail_point!("storage.heap.free_space");
-        let mut free = lock_list(&self.free_pages);
-        if !free.contains(&rid.page) {
-            free.push(rid.page);
-        }
-        Self::note_free_list(&free);
-        Ok(())
+        self.note_page_free(rid.page)
     }
 
     /// Physically delete the record at `rid`.
     pub fn delete(&self, rid: Rid) -> StorageResult<()> {
-        // trace: point-op leaf; the enclosing vnl txn/read span is the causal parent.
-        fail_point!("storage.heap.delete");
-        let op = self.sample_op().then(wh_obs::Timer::start);
-        let page = self.page(rid.page)?;
-        let mut guard = write_latch_timed(&page);
-        self.stats.count_page_reads(1);
-        guard.delete(rid.page, rid.slot)?;
-        page.mark_dirty();
-        self.stats.count_page_writes(1);
-        self.stats.count_tuple_writes(1);
-        drop(guard);
-        // trace: point-op leaf; the enclosing vnl txn/read span is the causal parent.
-        fail_point!("storage.heap.free_space");
-        let mut free = lock_list(&self.free_pages);
-        if !free.contains(&rid.page) {
-            free.push(rid.page);
-        }
-        Self::note_free_list(&free);
-        drop(free);
-        if let Some(op) = op {
-            wh_obs::histogram_sampled!("storage.heap.delete_ns", 16).record(op.elapsed_ns());
-        }
-        Ok(())
+        self.delete_if_then(rid, |_| true, || ()).map(drop)
     }
 
     /// Scan all live records, invoking `visit` for each `(rid, record)`.

@@ -43,8 +43,7 @@ pub struct GcReport {
 pub fn collect(table: &VnlTable) -> VnlResult<GcReport> {
     // trace: each GC pass is its own trace — usually nothing ambient is
     // running on the collector thread, and a pass is a complete story.
-    let _ts = wh_obs::trace_span!("vnl.gc.pass");
-    let pass = wh_obs::Timer::start();
+    let _ts = wh_obs::timed_span!("vnl.gc.pass", "vnl.gc.pass_ns");
     let layout = table.layout().clone();
     let snap = table.version().snapshot();
     // The horizon: the oldest version any active session reads. Future
@@ -148,7 +147,6 @@ pub fn collect(table: &VnlTable) -> VnlResult<GcReport> {
     // sessionVN can never be part of one again.
     evict_deltas(table, horizon);
     report.released = release_after_grace(table)?;
-    wh_obs::histogram!("vnl.gc.pass_ns").record(pass.elapsed_ns());
     Ok(report)
 }
 

@@ -142,28 +142,6 @@ enum UndoEntry {
 }
 
 /// The single active maintenance transaction on a [`VnlTable`].
-/// Records the elapsed time of one maintenance phase into a histogram when
-/// dropped, so early returns (`?`) and error paths are timed like successes.
-struct PhaseTimer {
-    hist: &'static wh_obs::Histogram,
-    timer: wh_obs::Timer,
-}
-
-impl PhaseTimer {
-    fn new(hist: &'static wh_obs::Histogram) -> Self {
-        PhaseTimer {
-            hist,
-            timer: wh_obs::Timer::start(),
-        }
-    }
-}
-
-impl Drop for PhaseTimer {
-    fn drop(&mut self) {
-        self.hist.record(self.timer.elapsed_ns());
-    }
-}
-
 pub struct MaintenanceTxn<'t> {
     table: &'t VnlTable,
     vn: VersionNo,
@@ -326,9 +304,9 @@ impl<'t> MaintenanceTxn<'t> {
 
     /// Logically insert `base_row` (Table 2).
     pub fn insert(&self, base_row: Row) -> VnlResult<()> {
-        let _phase = PhaseTimer::new(wh_obs::histogram!("vnl.maintenance.insert_ns"));
-        // trace: phase span parented under the txn's root span.
-        let _ts = wh_obs::trace_span_under!("vnl.txn.insert", self.span_ctx);
+        // Phase span under the txn's root; `?` exits are timed like successes.
+        let _ts =
+            wh_obs::timed_span_under!("vnl.txn.insert", "vnl.maintenance.insert_ns", self.span_ctx);
         self.check_open()?;
         self.table.layout().base_schema().validate(&base_row)?;
         let layout = self.table.layout();
@@ -463,9 +441,8 @@ impl<'t> MaintenanceTxn<'t> {
     // ------------------------------------------------------------------
 
     fn apply_update(&self, rid: Rid, new_updatable: &[Value]) -> VnlResult<()> {
-        let _phase = PhaseTimer::new(wh_obs::histogram!("vnl.maintenance.update_ns"));
-        // trace: phase span parented under the txn's root span.
-        let _ts = wh_obs::trace_span_under!("vnl.txn.update", self.span_ctx);
+        let _ts =
+            wh_obs::timed_span_under!("vnl.txn.update", "vnl.maintenance.update_ns", self.span_ctx);
         let layout = self.table.layout();
         let ext = match self.table.storage().read(rid) {
             Ok(e) => e,
@@ -583,9 +560,8 @@ impl<'t> MaintenanceTxn<'t> {
     // ------------------------------------------------------------------
 
     fn apply_delete(&self, rid: Rid) -> VnlResult<()> {
-        let _phase = PhaseTimer::new(wh_obs::histogram!("vnl.maintenance.delete_ns"));
-        // trace: phase span parented under the txn's root span.
-        let _ts = wh_obs::trace_span_under!("vnl.txn.delete", self.span_ctx);
+        let _ts =
+            wh_obs::timed_span_under!("vnl.txn.delete", "vnl.maintenance.delete_ns", self.span_ctx);
         let layout = self.table.layout();
         let ext = match self.table.storage().read(rid) {
             Ok(e) => e,
@@ -823,8 +799,8 @@ impl<'t> MaintenanceTxn<'t> {
     /// retaining the transaction's net-effect batch for session repair in
     /// the same latched step.
     pub fn commit(self) -> VnlResult<()> {
-        let _phase = PhaseTimer::new(wh_obs::histogram!("vnl.maintenance.commit_ns"));
-        let _ts = wh_obs::trace_span_under!("vnl.txn.commit", self.span_ctx);
+        let _ts =
+            wh_obs::timed_span_under!("vnl.txn.commit", "vnl.maintenance.commit_ns", self.span_ctx);
         self.check_open()?;
         // Capture before `finished` flips: a fault here leaves the txn
         // open, so Drop rolls everything back and nothing — data or delta —
@@ -924,8 +900,8 @@ impl<'t> MaintenanceTxn<'t> {
     /// Abort by reverting every touched tuple from its own version slots
     /// (§7's log-free rollback), then clearing the maintenance flag.
     pub fn abort(self) -> VnlResult<()> {
-        let _phase = PhaseTimer::new(wh_obs::histogram!("vnl.maintenance.abort_ns"));
-        let _ts = wh_obs::trace_span_under!("vnl.txn.abort", self.span_ctx);
+        let _ts =
+            wh_obs::timed_span_under!("vnl.txn.abort", "vnl.maintenance.abort_ns", self.span_ctx);
         self.check_open()?;
         *self
             .finished
@@ -959,9 +935,11 @@ impl<'t> MaintenanceTxn<'t> {
     }
 
     fn rollback_changes(&self) -> VnlResult<()> {
-        let _phase = PhaseTimer::new(wh_obs::histogram!("vnl.maintenance.rollback_ns"));
-        // trace: phase span parented under the txn's root span.
-        let _ts = wh_obs::trace_span_under!("vnl.txn.rollback", self.span_ctx);
+        let _ts = wh_obs::timed_span_under!(
+            "vnl.txn.rollback",
+            "vnl.maintenance.rollback_ns",
+            self.span_ctx
+        );
         let layout = self.table.layout();
         // Pin: the rollback scan collects RIDs it later mutates; GC must
         // not recycle them in between.

@@ -43,24 +43,6 @@ pub struct ReaderSession<'t> {
     span_ctx: wh_obs::TraceCtx,
 }
 
-/// RAII probe feeding the read-latency SLO sliding window on drop; inert
-/// (no clock read) when observability is disabled.
-struct ReadProbe(Option<std::time::Instant>);
-
-impl ReadProbe {
-    fn start() -> ReadProbe {
-        ReadProbe(wh_obs::is_enabled().then(std::time::Instant::now))
-    }
-}
-
-impl Drop for ReadProbe {
-    fn drop(&mut self) {
-        if let Some(t) = self.0 {
-            wh_obs::slo::note_read_latency(t.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
 impl<'t> ReaderSession<'t> {
     pub(crate) fn new(table: &'t VnlTable, id: u64, session_vn: VersionNo) -> Self {
         ReaderSession {
@@ -174,11 +156,12 @@ impl<'t> ReaderSession<'t> {
     }
 
     /// Open one read operation's instrumentation — its trace span under the
-    /// session's, its read-latency probe, its staleness note — and run it.
-    /// Every scan-shaped entry point goes through here exactly once.
+    /// session's, whose duration is the read-latency SLO observation, and
+    /// its staleness note — and run it. Every scan-shaped entry point goes
+    /// through here exactly once.
     fn observed<T>(&self, span: u32, read: impl FnOnce() -> VnlResult<T>) -> VnlResult<T> {
-        let _ts = wh_obs::trace::enter_under(span, self.span_ctx);
-        let _lat = ReadProbe::start();
+        let _ts =
+            wh_obs::trace::enter_under_timed(span, self.span_ctx, wh_obs::slo::note_read_latency);
         self.note_staleness();
         read()
     }

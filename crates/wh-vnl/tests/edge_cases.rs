@@ -193,3 +193,57 @@ fn many_small_maintenance_rounds_only_two_versions_survive() {
     assert_eq!(s.scan().unwrap()[0][1], Value::from(50));
     s.finish();
 }
+
+fn two_updatable_columns() -> VnlTable {
+    let schema = Schema::with_key(
+        vec![
+            Column::new("k", DataType::Int32),
+            Column::updatable("a", DataType::Int32),
+            Column::updatable("b", DataType::Int32),
+        ],
+        vec![0],
+    )
+    .unwrap();
+    VnlTable::create_named("T", schema, 2).unwrap()
+}
+
+#[test]
+fn update_right_hand_sides_see_pre_update_values() {
+    let t = two_updatable_columns();
+    let txn = t.begin_maintenance().unwrap();
+    txn.execute_sql("INSERT INTO T VALUES (1, 1, 2)", &Params::new())
+        .unwrap();
+    // Simultaneous swap semantics: both RHS evaluate against the old row.
+    txn.execute_sql("UPDATE T SET a = b, b = a", &Params::new())
+        .unwrap();
+    txn.commit().unwrap();
+    let s = t.begin_session();
+    assert_eq!(
+        s.scan().unwrap(),
+        vec![vec![Value::from(1), Value::from(2), Value::from(1)]]
+    );
+    s.finish();
+}
+
+#[test]
+fn insert_column_list_fills_nulls_and_values_see_no_columns() {
+    let t = two_updatable_columns();
+    let txn = t.begin_maintenance().unwrap();
+    txn.execute_sql("INSERT INTO T (k, b) VALUES (7, 9)", &Params::new())
+        .unwrap();
+    // VALUES expressions are evaluated against no row at all.
+    let err = txn
+        .execute_sql("INSERT INTO T VALUES (8, a, 1)", &Params::new())
+        .unwrap_err();
+    assert!(
+        matches!(err, VnlError::Sql(wh_sql::SqlError::NoSuchColumn(_))),
+        "{err}"
+    );
+    txn.commit().unwrap();
+    let s = t.begin_session();
+    assert_eq!(
+        s.scan().unwrap(),
+        vec![vec![Value::from(7), Value::Null, Value::from(9)]]
+    );
+    s.finish();
+}

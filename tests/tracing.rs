@@ -203,6 +203,57 @@ fn span_nesting_is_well_formed_under_parallel_scan_and_maintenance() {
     );
 }
 
+/// The one `SpanEnd` named `name` emitted after event number `after`.
+fn span_end_after(after: u64, name: &str) -> trace::TraceEvent {
+    let ends: Vec<trace::TraceEvent> = trace::collect()
+        .into_iter()
+        .filter(|e| e.seq > after && e.name == name && e.kind == EventKind::SpanEnd)
+        .collect();
+    assert_eq!(ends.len(), 1, "{name}: {ends:#?}");
+    ends[0]
+}
+
+/// A timed span and the histogram (or SLO window) fed from it are one
+/// measurement: a committed transaction adds exactly one observation to
+/// `vnl.maintenance.commit_ns`, equal to its `vnl.txn.commit` span's
+/// duration, and a `query()` adds exactly one read-latency SLO observation,
+/// equal to its `vnl.read.query` span's.
+#[test]
+fn a_timed_span_and_its_histogram_are_one_measurement() {
+    let _guard = TEST_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    if !obs::is_enabled() {
+        return;
+    }
+    let table = build_table(2);
+
+    let before = obs::registry::global().snapshot();
+    let mark = trace::events_recorded();
+    let txn = table.begin_maintenance().expect("begin");
+    txn.update_row(&sales_row("city-00", "line-00", 1, 7))
+        .expect("update");
+    txn.commit().expect("commit");
+    let commit = obs::registry::global()
+        .snapshot()
+        .since(&before)
+        .histogram("vnl.maintenance.commit_ns");
+    assert_eq!(commit.count(), 1);
+    assert_eq!(commit.sum, span_end_after(mark, "vnl.txn.commit").arg);
+
+    let window = obs::slo::WINDOW_BUCKETS as u64;
+    let (count_before, sum_before) = obs::slo::read_latency_ns().totals(window);
+    let mark = trace::events_recorded();
+    let session = table.begin_session();
+    session
+        .query("SELECT COUNT(*) FROM DailySales")
+        .expect("query");
+    session.finish();
+    let (count, sum) = obs::slo::read_latency_ns().totals(window);
+    assert_eq!(count - count_before, 1);
+    assert_eq!(sum - sum_before, span_end_after(mark, "vnl.read.query").arg);
+}
+
 fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
     use std::io::{Read as _, Write as _};
     let mut stream = std::net::TcpStream::connect(addr).expect("connect introspection server");
