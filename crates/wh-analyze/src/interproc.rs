@@ -307,13 +307,10 @@ pub(crate) fn latch_order(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
 const SINKS: &[(&str, &str)] = &[
     ("HeapFile", "read"),
     ("HeapFile", "scan"),
-    ("HeapFile", "scan_pages"),
     ("HeapFile", "scan_batches"),
-    ("HeapFile", "scan_all"),
-    ("Table", "scan"),
-    ("Table", "scan_all"),
     ("RecordBatch", "gather"),
     ("VnlTable", "find_physical"),
+    ("VnlTable", "walk_stamps"),
     ("BatchScanner", "classify_batch"),
     ("*", "decode_visible"),
     ("*", "decode_planned"),
@@ -336,8 +333,8 @@ fn is_protector(call: &Call) -> bool {
 
 /// `epoch-discipline`: every call-graph path from a public entry point to
 /// a sink must pass a protector before reaching the sink call. Sinks'
-/// own bodies are exempt (they compose: `Table::scan` delegating to
-/// `HeapFile::scan` moves the obligation to `Table::scan`'s callers);
+/// own bodies are exempt (they compose: `VnlTable::walk_stamps` delegating
+/// to `HeapFile::scan_batches` moves the obligation to the walker's callers);
 /// `#[cfg(test)]` code and bin targets (single-threaded report
 /// harnesses) are out of scope, mirroring `no-panic`.
 pub(crate) fn epoch_discipline(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {

@@ -128,6 +128,13 @@ fn epoch_tree_flags_the_pr4_fence_bug_shape() {
                 23,
                 "epoch-discipline"
             ),
+            // An unpinned call of the whole-relation walker; the pinned
+            // twin below it must NOT fire.
+            (
+                "crates/epochcase/src/lib.rs".to_string(),
+                53,
+                "epoch-discipline"
+            ),
         ]
     );
 }

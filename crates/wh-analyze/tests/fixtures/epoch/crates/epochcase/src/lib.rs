@@ -37,3 +37,23 @@ pub fn audit_suppressed(heap: &HeapFile) -> Result<(), Error> {
     // lint: allow(epoch-discipline) — fixture: the caller's contract re-validates every RID at fetch time
     heap.scan(note_row)
 }
+
+pub struct VnlTable;
+
+impl VnlTable {
+    /// Raw-access sink: the whole-relation stamp walker hands out RIDs and
+    /// does not pin — the obligation sits with every caller.
+    pub fn walk_stamps(&self, visit: Visitor) -> Result<(), Error> {
+        let _ = visit;
+        Ok(())
+    }
+}
+
+pub fn sweep(table: &VnlTable) -> Result<(), Error> {
+    table.walk_stamps(note_row) // line 53: epoch-discipline (unpinned walker call)
+}
+
+pub fn sweep_pinned(table: &VnlTable, epochs: &EpochRegistry) -> Result<(), Error> {
+    let _pin = epochs.pin();
+    table.walk_stamps(note_row) // fine: the walk and what follows its RIDs share the pin
+}

@@ -6,16 +6,23 @@
 //! enforces the physical-uniqueness invariant the paper's in-place-update
 //! requirement exists to protect: at most one *physical record* per key.
 
-use crate::hash::HashIndex;
 use crate::key::IndexKey;
 use crate::IndexError;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::sync::RwLock;
 use wh_storage::Rid;
 use wh_types::{Schema, Value};
 
-/// Directory over a schema's declared unique key.
+/// Directory over a schema's declared unique key: one RID per key.
+///
+/// Thread-safe; mutations take a write lock, lookups a read lock. This
+/// mirrors index latching in a conventional DBMS — the paper's layer above
+/// never holds an index latch across user-visible operations.
 #[derive(Debug)]
 pub struct KeyDirectory {
-    index: HashIndex,
+    columns: Vec<usize>,
+    map: RwLock<HashMap<IndexKey, Rid>>,
 }
 
 impl KeyDirectory {
@@ -27,39 +34,60 @@ impl KeyDirectory {
             return None;
         }
         Some(KeyDirectory {
-            index: HashIndex::unique(schema.key().to_vec()),
+            columns: schema.key().to_vec(),
+            map: RwLock::new(HashMap::new()),
         })
-    }
-
-    /// Key columns covered by this directory.
-    pub fn columns(&self) -> &[usize] {
-        self.index.columns()
     }
 
     /// The RID physically holding `row`'s key, if any.
     pub fn find(&self, row: &[Value]) -> Option<Rid> {
-        self.index
-            .get(&IndexKey::project(row, self.index.columns()))
-    }
-
-    /// The RID holding exactly `key`, if any.
-    pub fn find_key(&self, key: &IndexKey) -> Option<Rid> {
-        self.index.get(key)
+        self.map
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .get(&IndexKey::project(row, &self.columns))
+            .copied()
     }
 
     /// Register `row` at `rid`; fails with the incumbent's RID on conflict.
     pub fn register(&self, row: &[Value], rid: Rid) -> Result<(), IndexError> {
-        self.index.insert(row, rid)
+        let mut map = self
+            .map
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        match map.entry(IndexKey::project(row, &self.columns)) {
+            Entry::Occupied(e) => Err(IndexError::KeyConflict(*e.get())),
+            Entry::Vacant(e) => {
+                e.insert(rid);
+                wh_obs::counter!("index.hash.inserts").inc();
+                Ok(())
+            }
+        }
     }
 
-    /// Unregister `row` at `rid` (on physical delete).
+    /// Unregister `row` at `rid` (on physical delete). A key registered at
+    /// a different RID is left alone and reported as missing: a late
+    /// cleanup must never tear down a successor's registration.
     pub fn unregister(&self, row: &[Value], rid: Rid) -> Result<(), IndexError> {
-        self.index.remove(row, rid)
+        let mut map = self
+            .map
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        match map.entry(IndexKey::project(row, &self.columns)) {
+            Entry::Occupied(e) if *e.get() == rid => {
+                e.remove();
+                wh_obs::counter!("index.hash.removes").inc();
+                Ok(())
+            }
+            _ => Err(IndexError::MissingEntry),
+        }
     }
 
     /// Number of registered keys.
     pub fn len(&self) -> usize {
-        self.index.key_count()
+        self.map
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .len()
     }
 
     /// Whether no keys are registered.
@@ -121,5 +149,18 @@ mod tests {
         // Different key registers fine.
         dir.register(&sales_row("Berkeley"), rid(2)).unwrap();
         assert_eq!(dir.len(), 2);
+    }
+
+    #[test]
+    fn unregister_requires_the_registered_rid() {
+        let dir = KeyDirectory::for_schema(&daily_sales_schema()).unwrap();
+        let row = sales_row("San Jose");
+        assert_eq!(dir.unregister(&row, rid(1)), Err(IndexError::MissingEntry));
+        dir.register(&row, rid(1)).unwrap();
+        assert_eq!(dir.unregister(&row, rid(9)), Err(IndexError::MissingEntry));
+        assert_eq!(dir.find(&row), Some(rid(1)), "successor left alone");
+        dir.unregister(&row, rid(1)).unwrap();
+        dir.register(&row, rid(2)).unwrap();
+        assert_eq!(dir.find(&row), Some(rid(2)));
     }
 }

@@ -7,18 +7,15 @@
 //! failed due to a unique key conflict" case of Example 4.2 (Table 2 rows
 //! 1–2). Both needs are served here:
 //!
-//! * [`HashIndex`] — equality lookups, optionally unique.
 //! * [`OrderedIndex`] — equality plus range scans (BTree-backed).
 //! * [`KeyDirectory`] — the unique-key directory a 2VNL table keeps over its
 //!   key attributes.
 
 pub mod directory;
-pub mod hash;
 pub mod key;
 pub mod ordered;
 
 pub use directory::KeyDirectory;
-pub use hash::HashIndex;
 pub use key::IndexKey;
 pub use ordered::OrderedIndex;
 

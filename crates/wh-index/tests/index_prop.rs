@@ -1,12 +1,13 @@
-//! Model checks for the index structures: hash and ordered indexes must
-//! agree with a reference map under arbitrary insert/remove interleavings,
+//! Model checks for the index structures: the key directory and ordered
+//! indexes must agree with a reference map under arbitrary insert/remove
+//! interleavings,
 //! and range scans must agree with a sorted reference. Interleavings are
 //! generated with the deterministic [`SplitMix64`] generator.
 
 use std::collections::{BTreeMap, HashMap};
-use wh_index::{HashIndex, IndexKey, OrderedIndex};
+use wh_index::{IndexKey, KeyDirectory, OrderedIndex};
 use wh_storage::Rid;
-use wh_types::{SplitMix64, Value};
+use wh_types::{Column, DataType, Schema, SplitMix64, Value};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -86,19 +87,20 @@ fn ordered_index_matches_model() {
 }
 
 #[test]
-fn unique_hash_index_matches_model() {
+fn key_directory_matches_model() {
+    let schema = Schema::with_key(vec![Column::new("k", DataType::Int64)], vec![0]).unwrap();
     let mut rng = SplitMix64::seed_from_u64(0x1DE8_0002);
     for _ in 0..128 {
         let len = rng.range_inclusive_u64(1, 79) as usize;
         let keys: Vec<(i64, u32)> = (0..len)
             .map(|_| (rng.range_i64(0, 30), rng.next_u64() as u32))
             .collect();
-        let idx = HashIndex::unique(vec![0]);
+        let dir = KeyDirectory::for_schema(&schema).unwrap();
         let mut model: HashMap<i64, Rid> = HashMap::new();
         for (k, r) in keys {
             let rid = Rid::new(r % 1000, 0);
             let row = [Value::from(k)];
-            match idx.insert(&row, rid) {
+            match dir.register(&row, rid) {
                 Ok(()) => {
                     assert!(!model.contains_key(&k), "accepted duplicate key {k}");
                     model.insert(k, rid);
@@ -109,8 +111,9 @@ fn unique_hash_index_matches_model() {
                 Err(e) => panic!("unexpected: {e}"),
             }
         }
+        assert_eq!(dir.len(), model.len());
         for (k, rid) in &model {
-            assert_eq!(idx.get(&IndexKey(vec![Value::from(*k)])), Some(*rid));
+            assert_eq!(dir.find(&[Value::from(*k)]), Some(*rid));
         }
     }
 }

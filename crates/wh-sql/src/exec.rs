@@ -55,11 +55,13 @@ impl RowSource for Table {
             // A visitor failure travels out of the storage scan as
             // `ScanAborted`, with the real error stashed beside it.
             let mut stash: Option<SqlError> = None;
-            // lint: allow(epoch-discipline) — scan_pages latches each page internally and the visitor receives owned row copies; no RID or page memory outlives the latch
-            let res = heap.scan_pages(pages, |_, buf| {
-                visit(&mut state, self.codec().decode(buf)?).map_err(|e| {
-                    stash = Some(e);
-                    StorageError::ScanAborted
+            // lint: allow(epoch-discipline) — a plain `Table` has no reclamation domain: scan_batches copies each page out under its own latch and the visitor sees owned rows decoded from the copy; no RID or page memory outlives the batch
+            let res = heap.scan_batches(pages, &[], |batch| {
+                (0..batch.len()).try_for_each(|i| {
+                    visit(&mut state, self.codec().decode(batch.record(i))?).map_err(|e| {
+                        stash = Some(e);
+                        StorageError::ScanAborted
+                    })
                 })
             });
             match (res, stash) {

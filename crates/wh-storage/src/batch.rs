@@ -1,20 +1,21 @@
 //! Page-level batch accessor: column-strided gathers over copied records.
 //!
-//! The scalar scan path holds a page's read latch for the whole visit —
-//! decode, visibility test, and the visitor all run under it. The batch
-//! path instead copies the page's live records into a [`RecordBatch`] in
-//! one dense `memcpy` (the only work under the latch) and then, off-latch,
-//! *gathers* the version fields every record shares — the `(tupleVN_j,
-//! operation_j)` pairs of the 2VNL/nVNL layout — into column-strided `i64`
-//! arrays. The Table-1 visibility test then runs as tight loops over those
-//! arrays (see `wh_vnl::scan::BatchScanner`) instead of per-tuple byte
-//! dispatch, and only the selected records are decoded at all.
+//! The heap's page loop copies a page's live records into a
+//! [`RecordBatch`] in one dense `memcpy` (the only work under the latch)
+//! and then, off-latch, *gathers* the version fields every record shares —
+//! the `(tupleVN_j, operation_j)` pairs of the 2VNL/nVNL layout — into
+//! column-strided `i64` arrays. The Table-1 visibility test then runs as
+//! tight loops over those arrays (see `wh_vnl::scan::BatchScanner`), the
+//! maintenance-side walks read slot 0's stamp from the same arrays (see
+//! `wh_vnl::VnlTable::walk_stamps`), and only the records a consumer keeps
+//! are decoded at all.
 //!
 //! The batch is storage-schema-agnostic: callers describe each field to
 //! gather with a [`FieldSpec`] (byte offset, width, null-bitmap position),
 //! which the heap validates against the record width once per scan.
 
 use crate::error::{StorageError, StorageResult};
+use crate::page::Rid;
 
 /// Sentinel gathered for a NULL field. Version numbers and operation bytes
 /// are small non-negative values, so `i64::MIN` is unambiguous.
@@ -83,6 +84,11 @@ impl RecordBatch {
     /// The slot numbers of the copied records, in batch order.
     pub fn slots(&self) -> &[u16] {
         &self.slots
+    }
+
+    /// The RID record `i` was copied from.
+    pub fn rid(&self, i: usize) -> Rid {
+        Rid::new(self.page_no, self.slots[i])
     }
 
     /// The raw bytes of record `i`.
@@ -195,6 +201,7 @@ mod tests {
         assert_eq!(batch.len(), 3);
         assert_eq!(batch.page_no(), 7);
         assert_eq!(batch.slots(), &[0, 2, 3]);
+        assert_eq!(batch.rid(1), Rid::new(7, 2));
         assert_eq!(batch.field(0), &[5, 9, NULL_SENTINEL]);
         assert_eq!(batch.field(1), &[-1, NULL_SENTINEL, 3]);
         assert_eq!(batch.record(1)[1], 9);

@@ -513,71 +513,27 @@ impl HeapFile {
         self.delete_if_then(rid, |_| true, || ()).map(drop)
     }
 
-    /// Scan all live records, invoking `visit` for each `(rid, record)`.
+    /// Scan all live records, invoking `visit` for each `(rid, record)` —
+    /// [`Self::scan_batches`] over every page with nothing gathered.
     ///
-    /// The page latch is held only while visiting one page (copy-out
-    /// happens inside), so a concurrent writer can slip between pages —
-    /// exactly the read-uncommitted scan behaviour the paper's rewrite
-    /// approach is built for. Tuples modified in place mid-scan are seen
-    /// exactly once, in either their old or new image, never torn.
-    pub fn scan<F>(&self, visit: F) -> StorageResult<()>
+    /// A concurrent writer can slip between pages — exactly the
+    /// read-uncommitted scan behaviour the paper's rewrite approach is
+    /// built for. Tuples modified in place mid-scan are seen exactly once,
+    /// in either their old or new image, never torn.
+    pub fn scan<F>(&self, mut visit: F) -> StorageResult<()>
     where
         F: FnMut(Rid, &[u8]) -> StorageResult<()>,
     {
-        self.scan_pages(0..self.page_count(), visit)
-    }
-
-    /// Scan the live records of pages in `range` (clamped to the allocated
-    /// page count), invoking `visit` for each `(rid, record)`.
-    ///
-    /// This is the partition primitive behind [`Self::scan`] and the ranges
-    /// [`Self::scan_parallel`] hands out. I/O counters are accumulated locally
-    /// and merged into the shared [`IoStats`] once at the end of the range —
-    /// one atomic add per counter per partition instead of one per tuple —
-    /// so partitioned scans don't serialize on the stats cache line.
-    pub fn scan_pages<F>(&self, range: std::ops::Range<u32>, mut visit: F) -> StorageResult<()>
-    where
-        F: FnMut(Rid, &[u8]) -> StorageResult<()>,
-    {
-        // Clamp once up front (pages grow-only, so the bound stays valid),
-        // then pin each page *lazily* inside the loop: pinning the whole
-        // range at once would wedge a bounded buffer pool — a partition
-        // larger than pool capacity could never fault its tail in.
-        let end = range.end.min(self.pool.page_count());
-        let start = range.start.min(end);
-        let op = wh_obs::Timer::start();
-        let mut page_reads = 0u64;
-        let mut tuple_reads = 0u64;
-        let mut result = Ok(());
-        'pages: for page_no in start..end {
-            let page = match self.pool.fetch(page_no) {
-                Ok(page) => page,
-                Err(e) => {
-                    result = Err(e);
-                    break 'pages;
-                }
-            };
-            let guard = read_latch_timed(&page);
-            page_reads += 1;
-            for (slot, rec) in guard.iter() {
-                tuple_reads += 1;
-                if let Err(e) = visit(Rid::new(page_no, slot), rec) {
-                    result = Err(e);
-                    break 'pages;
-                }
-            }
-        }
-        self.stats.count_page_reads(page_reads);
-        self.stats.count_tuple_reads(tuple_reads);
-        wh_obs::histogram!("storage.heap.scan_partition_ns").record(op.elapsed_ns());
-        result
+        self.scan_batches(0..self.page_count(), &[], |batch| {
+            (0..batch.len()).try_for_each(|i| visit(batch.rid(i), batch.record(i)))
+        })
     }
 
     /// Split the heap into at most `threads` contiguous page ranges and run
     /// `part(partition, pages)` once per range, returning the outcomes in
     /// partition (= heap) order. `part` does the reading —
-    /// [`Self::scan_pages`] or [`Self::scan_batches`] over its range — so a
-    /// serial scan and a parallel one share a single loop: one range runs
+    /// [`Self::scan_batches`] over its range — so a serial scan and a
+    /// parallel one share a single loop: one range runs
     /// inline on the calling thread, more than one get a scoped worker each,
     /// whose `storage.scan.partition` span parents under the caller's
     /// ambient span.
@@ -612,13 +568,17 @@ impl HeapFile {
         })
     }
 
-    /// Batched scan of the pages in `range`: each page's live records are
-    /// copied out in one pass under the read latch, then the `specs`
-    /// fields are gathered into column-strided arrays **after the latch is
-    /// released**, and `visit` runs over the whole page batch. Compared to
-    /// [`Self::scan_pages`] — which holds the latch across every per-tuple
-    /// visit on the page — the latch hold shrinks to a dense copy, and the
-    /// visitor gets vectorizable columns instead of per-tuple dispatch.
+    /// The one page loop: for each page of `range` (clamped to the
+    /// allocated page count), the live records are copied out in one pass
+    /// under the read latch, then the `specs` fields are gathered into
+    /// column-strided arrays **after the latch is released**, and `visit`
+    /// runs over the whole page batch — the latch hold is a dense copy, and
+    /// no visitor or decoder ever runs under it.
+    ///
+    /// I/O counters are accumulated locally and merged into the shared
+    /// [`IoStats`] once at the end of the range — one atomic add per
+    /// counter per partition instead of one per tuple — so partitioned
+    /// scans don't serialize on the stats cache line.
     ///
     /// The batch buffer is reused across pages; `visit` must not retain
     /// references into it.
@@ -634,7 +594,10 @@ impl HeapFile {
         for spec in specs {
             spec.validate(self.record_len)?;
         }
-        // Lazy per-page pinning, as in [`Self::scan_pages`].
+        // Clamp once up front (pages grow-only, so the bound stays valid),
+        // then pin each page *lazily* inside the loop: pinning the whole
+        // range at once would wedge a bounded buffer pool — a partition
+        // larger than pool capacity could never fault its tail in.
         let end = range.end.min(self.pool.page_count());
         let start = range.start.min(end);
         let op = wh_obs::Timer::start();
@@ -667,16 +630,6 @@ impl HeapFile {
         self.stats.count_tuple_reads(tuple_reads);
         wh_obs::histogram!("storage.heap.scan_partition_ns").record(op.elapsed_ns());
         result
-    }
-
-    /// Collect all live `(rid, record)` pairs. Convenience over [`Self::scan`].
-    pub fn scan_all(&self) -> StorageResult<Vec<(Rid, Vec<u8>)>> {
-        let mut out = Vec::new();
-        self.scan(|rid, rec| {
-            out.push((rid, rec.to_vec()));
-            Ok(())
-        })?;
-        Ok(out)
     }
 }
 
@@ -771,8 +724,18 @@ mod tests {
         assert_eq!(seen, (0..100).collect::<Vec<_>>());
     }
 
+    /// `(rid, record)` visits over `pages` through the one page loop.
+    fn visit_range<F>(h: &HeapFile, pages: std::ops::Range<u32>, mut f: F) -> StorageResult<()>
+    where
+        F: FnMut(Rid, &[u8]) -> StorageResult<()>,
+    {
+        h.scan_batches(pages, &[], |b| {
+            (0..b.len()).try_for_each(|i| f(b.rid(i), b.record(i)))
+        })
+    }
+
     #[test]
-    fn scan_pages_partitions_cover_exactly_once() {
+    fn scan_batches_partitions_cover_exactly_once() {
         let h = file(512); // 8 records per page
         for i in 0..100u8 {
             h.insert(&[i; 512]).unwrap();
@@ -782,7 +745,7 @@ mod tests {
         for split in [0, 1, pages / 2, pages] {
             let mut seen = Vec::new();
             for range in [0..split, split..pages] {
-                h.scan_pages(range, |_, rec| {
+                visit_range(&h, range, |_, rec| {
                     seen.push(rec[0]);
                     Ok(())
                 })
@@ -792,7 +755,7 @@ mod tests {
             assert_eq!(seen, (0..100).collect::<Vec<_>>());
         }
         // Out-of-bounds ranges clamp instead of erroring.
-        h.scan_pages(pages..pages + 10, |_, _| panic!("no pages there"))
+        h.scan_batches(pages..pages + 10, &[], |_| panic!("no pages there"))
             .unwrap();
     }
 
@@ -806,15 +769,15 @@ mod tests {
         }
         let mut serial = Vec::new();
         h.scan(|rid, rec| {
-            serial.push((rid, rec[0], rec[1]));
+            serial.push((rid, rec.to_vec()));
             Ok(())
         })
         .unwrap();
         for threads in [1, 2, 4, 8, 64] {
             let parts = h.scan_parallel(threads, |_, pages| {
                 let mut seen = Vec::new();
-                h.scan_pages(pages, |rid, rec| {
-                    seen.push((rid, rec[0], rec[1]));
+                visit_range(&h, pages, |rid, rec| {
+                    seen.push((rid, rec.to_vec()));
                     Ok(())
                 })
                 .unwrap();
@@ -833,7 +796,7 @@ mod tests {
             h.insert(&[i; 512]).unwrap();
         }
         let outcomes = h.scan_parallel(4, |_, pages| {
-            h.scan_pages(pages, |_, rec| {
+            visit_range(&h, pages, |_, rec| {
                 if rec[0] == 40 {
                     Err(StorageError::NoSuchPage(999))
                 } else {
@@ -851,7 +814,8 @@ mod tests {
 
     #[test]
     fn scan_io_counters_batch_per_partition() {
-        // The batched counters must equal what per-tuple counting reported.
+        // One page read per page and one tuple read per live record,
+        // however the heap is partitioned.
         let stats = Arc::new(IoStats::new());
         let h = HeapFile::new(512, stats.clone()).unwrap();
         for i in 0..100u8 {
@@ -865,7 +829,7 @@ mod tests {
             h.page_count() as u64
         );
         assert_eq!(after_serial.tuple_reads - before.tuple_reads, 100);
-        for outcome in h.scan_parallel(4, |_, pages| h.scan_pages(pages, |_, _| Ok(()))) {
+        for outcome in h.scan_parallel(4, |_, pages| h.scan_batches(pages, &[], |_| Ok(()))) {
             outcome.unwrap();
         }
         let after_parallel = stats.snapshot();
@@ -934,8 +898,8 @@ mod tests {
         .unwrap();
         let mut batched = Vec::new();
         h.scan_batches(0..h.page_count(), &[first_byte_spec()], |batch| {
-            for (i, &slot) in batch.slots().iter().enumerate() {
-                batched.push((Rid::new(batch.page_no(), slot), batch.record(i)[0]));
+            for i in 0..batch.len() {
+                batched.push((batch.rid(i), batch.record(i)[0]));
                 assert_eq!(batch.field(0)[i], i64::from(batch.record(i)[0]));
             }
             Ok(())
@@ -944,32 +908,6 @@ mod tests {
         serial.sort();
         batched.sort();
         assert_eq!(batched, serial);
-    }
-
-    #[test]
-    fn scan_batches_over_partitions_matches_one_range() {
-        let h = file(256);
-        for i in 0..500u16 {
-            let mut rec = [0u8; 256];
-            rec[..2].copy_from_slice(&i.to_le_bytes());
-            h.insert(&rec).unwrap();
-        }
-        let collect = |pages: std::ops::Range<u32>| {
-            let mut seen = Vec::new();
-            h.scan_batches(pages, &[], |batch| {
-                for (i, &slot) in batch.slots().iter().enumerate() {
-                    seen.push((Rid::new(batch.page_no(), slot), batch.record(i).to_vec()));
-                }
-                Ok(())
-            })
-            .unwrap();
-            seen
-        };
-        let serial = collect(0..h.page_count());
-        for threads in [1, 2, 4, 8] {
-            let parts = h.scan_parallel(threads, |_, pages| collect(pages));
-            assert_eq!(parts.concat(), serial, "threads={threads}");
-        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! readers extra I/Os per tuple and writers an extra I/O to copy the old
 //! version out. Those are claims about *counts of page accesses*, so the
 //! substrate counts every logical page read and write at the point where a
-//! page latch is taken. Experiment E10 (`report_io`) reads these counters.
+//! page latch is taken. Experiment E10 (`examples/scheme_comparison.rs`) reads
+//! these counters.
 //!
 //! Every `IoStats` instance additionally forwards its counts into the
 //! process-global `wh-obs` registry (`storage.io.*`), so one

@@ -195,27 +195,6 @@ impl Table {
     pub fn release(&self, rid: Rid) -> StorageResult<()> {
         self.heap.release(rid)
     }
-
-    /// Visit every live row.
-    pub fn scan<F>(&self, mut visit: F) -> StorageResult<()>
-    where
-        F: FnMut(Rid, Row) -> StorageResult<()>,
-    {
-        self.heap.scan(|rid, buf| {
-            let row = self.codec.decode(buf)?;
-            visit(rid, row)
-        })
-    }
-
-    /// Collect all live rows with their RIDs.
-    pub fn scan_all(&self) -> StorageResult<Vec<(Rid, Row)>> {
-        let mut out = Vec::new();
-        self.scan(|rid, row| {
-            out.push((rid, row));
-            Ok(())
-        })?;
-        Ok(out)
-    }
 }
 
 impl std::fmt::Debug for Table {
@@ -269,21 +248,6 @@ mod tests {
         .unwrap();
         r[4] = Value::from(12_500);
         assert_eq!(t.read(rid).unwrap(), r);
-    }
-
-    #[test]
-    fn scan_all_returns_rows() {
-        let t = sample_table();
-        t.insert(&row("San Jose", 1)).unwrap();
-        t.insert(&row("Berkeley", 2)).unwrap();
-        let mut sales: Vec<i64> = t
-            .scan_all()
-            .unwrap()
-            .into_iter()
-            .map(|(_, r)| r[4].as_int().unwrap())
-            .collect();
-        sales.sort_unstable();
-        assert_eq!(sales, vec![1, 2]);
     }
 
     #[test]

@@ -69,25 +69,23 @@ pub fn collect(table: &VnlTable) -> VnlResult<GcReport> {
     // mid-pass may keep a stale entry for a reclaimed rid; readers already
     // tolerate those.
     let index_snap = table.indexes_snapshot();
+    // One victim test for the walk and for the under-latch re-verify.
+    let dead = |vn: VersionNo| vn <= horizon && vn <= snap.current_vn && vn <= ceiling;
     // Collect victims first; mutate after the scan.
     let mut victims = Vec::new();
     let mut occupied_slots: u64 = 0;
     // lint: allow(epoch-discipline) — the collector is the epoch's writer side: victims are re-verified under the page latch before unlinking, and pinning would stall its own grace advances
-    table.storage().scan(|rid, ext| {
+    table.walk_stamps(|t| {
         report.scanned += 1;
-        // Version-slot occupancy: how many older version slots (beyond the
-        // always-populated newest slot 0) actually hold a saved version
-        // (§5's space-in-use measure). Piggybacked on the GC scan so it
-        // costs no extra pass.
+        // Version-slot occupancy (§5's space-in-use measure), piggybacked
+        // on the GC walk so it costs no extra pass.
         if wh_obs::is_enabled() {
-            occupied_slots += (1..layout.slots())
-                .filter(|&j| layout.slot(&ext, j).is_some())
-                .count() as u64;
+            occupied_slots += t.older_occupied();
         }
-        if let Some((vn, Operation::Delete)) = layout.slot(&ext, 0) {
+        if t.op == Operation::Delete {
             report.deleted_found += 1;
-            if vn <= horizon && vn <= snap.current_vn && vn <= ceiling {
-                victims.push((rid, ext));
+            if dead(t.vn) {
+                victims.push((t.rid, t.decode()?));
             }
         }
         Ok(())
@@ -112,13 +110,7 @@ pub fn collect(table: &VnlTable) -> VnlResult<GcReport> {
         // this protection — they only pin an epoch.
         let retired = table.storage().retire_if_then(
             rid,
-            |row| {
-                matches!(
-                    layout.slot(row, 0),
-                    Some((vn, Operation::Delete))
-                        if vn <= horizon && vn <= snap.current_vn && vn <= ceiling
-                )
-            },
+            |row| matches!(layout.slot(row, 0), Some((vn, Operation::Delete)) if dead(vn)),
             || {
                 if let Some(dir) = table.key_dir() {
                     let _ = dir.unregister(&ext, rid);

@@ -57,23 +57,6 @@ pub enum PhysicalAction {
 }
 
 impl PhysicalAction {
-    /// Stable registry-metric suffix for this decision-table arm, used as
-    /// `vnl.maintenance.arm.<suffix>` so a single snapshot shows which
-    /// Tables 2–4 cells a workload actually exercises.
-    pub fn metric_suffix(&self) -> &'static str {
-        match self {
-            PhysicalAction::InsertTuple => "insert_tuple",
-            PhysicalAction::ResurrectTuple => "resurrect_tuple",
-            PhysicalAction::UpdateAfterOwnDelete => "update_after_own_delete",
-            PhysicalAction::UpdateSavingPre => "update_saving_pre",
-            PhysicalAction::UpdateInPlace => "update_in_place",
-            PhysicalAction::MarkDeleted => "mark_deleted",
-            PhysicalAction::RemoveOwnInsert => "remove_own_insert",
-            PhysicalAction::RestoreResurrected => "restore_resurrected",
-            PhysicalAction::MarkOwnUpdateDeleted => "mark_own_update_deleted",
-        }
-    }
-
     /// Cached `vnl.maintenance.arm.<suffix>` counter for this arm. Each
     /// variant resolves through its own `counter!` call site, so after the
     /// first hit this is a single static load — no registry lock.
@@ -141,6 +124,13 @@ enum UndoEntry {
     Shifted,
 }
 
+/// Lock one of the transaction's private mutexes. Poisoning is recovered:
+/// every update under them is a single insert, remove or flag store, so a
+/// thread that panicked mid-hold left consistent data behind.
+fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// The single active maintenance transaction on a [`VnlTable`].
 pub struct MaintenanceTxn<'t> {
     table: &'t VnlTable,
@@ -188,12 +178,7 @@ impl<'t> MaintenanceTxn<'t> {
 
     /// Drain the recorded `(action, key-values)` trace.
     pub fn take_trace(&self) -> Vec<(PhysicalAction, Row)> {
-        std::mem::take(
-            &mut *self
-                .trace
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        )
+        std::mem::take(&mut *locked(&self.trace))
     }
 
     fn record(&self, action: PhysicalAction, ext_row: &[Value]) {
@@ -204,19 +189,12 @@ impl<'t> MaintenanceTxn<'t> {
         // ordering: trace-toggle Relaxed — advisory trace toggle; no data is published through it
         if self.tracing.load(std::sync::atomic::Ordering::Relaxed) {
             let key = self.table.layout().ext_schema().key_of(ext_row);
-            self.trace
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push((action, key));
+            locked(&self.trace).push((action, key));
         }
     }
 
     fn check_open(&self) -> VnlResult<()> {
-        if *self
-            .finished
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
+        if *locked(&self.finished) {
             Err(VnlError::TxnFinished)
         } else {
             Ok(())
@@ -226,10 +204,7 @@ impl<'t> MaintenanceTxn<'t> {
     /// Save undo info for the first touch of an existing tuple, *before* its
     /// slots are pushed back.
     fn save_undo_existing(&self, rid: Rid, ext_row: &[Value]) {
-        let mut undo = self
-            .undo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut undo = locked(&self.undo);
         if undo.contains_key(&rid) {
             return;
         }
@@ -258,16 +233,8 @@ impl<'t> MaintenanceTxn<'t> {
         // Pin: the scan walks RIDs; a concurrent GC pass must not recycle
         // slots mid-walk.
         let _pin = self.table.epochs().pin();
-        let layout = self.table.layout();
-        let mut out = Vec::new();
-        self.table.storage().scan(|_, ext| {
-            let (_, op) = layout.slot(&ext, 0).expect("slot 0 populated"); // lint: allow(no-panic) — invariant documented in the expect message
-            if op != Operation::Delete {
-                out.push(layout.current_values(&ext));
-            }
-            Ok(())
-        })?;
-        Ok(out)
+        let cursor = self.visible_cursor(None, &Params::new())?;
+        Ok(cursor.into_iter().map(|(_, row)| row).collect())
     }
 
     /// Point-read the current version of the tuple keyed by `key_row`
@@ -332,10 +299,7 @@ impl<'t> MaintenanceTxn<'t> {
                     .expect("no conflict was found just above"); // lint: allow(no-panic) — invariant documented in the expect message
             }
             self.table.on_physical_insert(&ext, new_rid);
-            self.undo
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .insert(new_rid, UndoEntry::Fresh);
+            locked(&self.undo).insert(new_rid, UndoEntry::Fresh);
             self.record(PhysicalAction::InsertTuple, &ext);
             return Ok(());
         };
@@ -387,10 +351,7 @@ impl<'t> MaintenanceTxn<'t> {
                     // resurrecting write. Undo entry and key registration
                     // are stale; drop both and retry as a fresh insert.
                     Err(wh_storage::StorageError::NoSuchSlot { .. }) => {
-                        self.undo
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .remove(&rid);
+                        locked(&self.undo).remove(&rid);
                         if let Some(dir) = self.table.key_dir() {
                             let _ =
                                 dir.unregister(&self.table.base_to_ext_positions(&base_row), rid);
@@ -592,12 +553,7 @@ impl<'t> MaintenanceTxn<'t> {
             (false, Operation::Insert) => {
                 // Row 2, previous insert: the tuple was created (or
                 // resurrected) by this very transaction.
-                let undo_entry = self
-                    .undo
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .get(&rid)
-                    .cloned();
+                let undo_entry = locked(&self.undo).get(&rid).cloned();
                 match undo_entry {
                     Some(UndoEntry::Fresh) | None => {
                         // Net effect insert∘delete = nothing: physical delete.
@@ -608,10 +564,7 @@ impl<'t> MaintenanceTxn<'t> {
                         fail_point!("vnl.txn.delete.remove_own");
                         self.table.storage().delete(rid)?;
                         self.table.on_physical_delete(&ext, rid);
-                        self.undo
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .remove(&rid);
+                        locked(&self.undo).remove(&rid);
                         self.record(PhysicalAction::RemoveOwnInsert, &ext);
                         Ok(())
                     }
@@ -620,10 +573,7 @@ impl<'t> MaintenanceTxn<'t> {
                         // rather than destroying the still-needed pre-delete
                         // version.
                         self.restore_touched(rid, &entry)?;
-                        self.undo
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .remove(&rid);
+                        locked(&self.undo).remove(&rid);
                         self.record(PhysicalAction::RestoreResurrected, &ext);
                         Ok(())
                     }
@@ -698,34 +648,19 @@ impl<'t> MaintenanceTxn<'t> {
         let layout = self.table.layout();
         let ctx = EvalContext::new(layout.base_schema(), params);
         let mut matches = Vec::new();
-        let mut eval_err = None;
-        self.table.storage().scan(|rid, ext| {
-            if eval_err.is_some() {
+        self.table.walk_stamps(|t| {
+            if t.op == Operation::Delete {
                 return Ok(());
             }
-            let (_, op) = layout.slot(&ext, 0).expect("slot 0 populated"); // lint: allow(no-panic) — invariant documented in the expect message
-            if op == Operation::Delete {
-                return Ok(());
-            }
-            let current = layout.current_values(&ext);
-            let keep = match predicate {
-                Some(p) => match ctx.eval_predicate(p, &current) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eval_err = Some(e);
-                        false
-                    }
-                },
+            let current = layout.current_values(&t.decode()?);
+            if match predicate {
+                Some(p) => ctx.eval_predicate(p, &current)?,
                 None => true,
-            };
-            if keep {
-                matches.push((rid, current));
+            } {
+                matches.push((t.rid, current));
             }
             Ok(())
         })?;
-        if let Some(e) = eval_err {
-            return Err(e.into());
-        }
         Ok(matches)
     }
 
@@ -806,10 +741,7 @@ impl<'t> MaintenanceTxn<'t> {
         // open, so Drop rolls everything back and nothing — data or delta —
         // is published.
         let batch = self.capture_net_effect()?;
-        *self
-            .finished
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
+        *locked(&self.finished) = true;
         self.table
             .version()
             .publish_commit_with(self.vn, Some(batch))?;
@@ -844,35 +776,22 @@ impl<'t> MaintenanceTxn<'t> {
         // Pin: the capture scan walks RIDs; GC must not recycle slots
         // while the net effect is being assembled.
         let _pin = self.table.epochs().pin();
-        self.table.storage().scan(|_, ext| {
-            let Some((vn, op)) = layout.slot(&ext, 0) else {
-                return Ok(());
-            };
-            if vn != self.vn {
+        self.table.walk_stamps(|t| {
+            if t.vn != self.vn {
                 return Ok(());
             }
-            let (pre, post) = match op {
-                // Net insert (including resurrections): no prior version.
-                Operation::Insert => (None, Some(layout.current_values(&ext))),
-                // Slot 0 stashed the pre-update values; non-updatable
-                // columns are unchanged by construction.
-                Operation::Update => (
-                    Some(layout.pre_values(&ext, 0)),
-                    Some(layout.current_values(&ext)),
-                ),
-                // MarkDeleted leaves the current values as the pre-image.
-                Operation::Delete => (Some(layout.pre_values(&ext, 0)), None),
-            };
-            let keyed = pre
-                .as_ref()
-                .or(post.as_ref())
-                .expect("net effect has a side"); // lint: allow(no-panic) — every arm above fills pre or post
+            let ext = t.decode()?;
+            let current = layout.current_values(&ext);
+            // Slot 0 stashed the pre-image of an update or a delete (a
+            // delete leaves the current values as its pre-image); a net
+            // insert, resurrections included, has no prior version.
+            let pre = (t.op != Operation::Insert).then(|| layout.pre_values(&ext, 0));
             rows.push(crate::delta::DeltaRow {
                 table: table_name.clone(),
-                key: base.key_of(keyed),
-                op,
+                key: base.key_of(pre.as_ref().unwrap_or(&current)),
+                op: t.op,
                 pre,
-                post,
+                post: (t.op != Operation::Delete).then_some(current),
             });
             Ok(())
         })?;
@@ -903,10 +822,7 @@ impl<'t> MaintenanceTxn<'t> {
         let _ts =
             wh_obs::timed_span_under!("vnl.txn.abort", "vnl.maintenance.abort_ns", self.span_ctx);
         self.check_open()?;
-        *self
-            .finished
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
+        *locked(&self.finished) = true;
         self.rollback_changes()?;
         self.table.version().publish_abort()?;
         Ok(())
@@ -916,20 +832,14 @@ impl<'t> MaintenanceTxn<'t> {
     /// publishes once for all tables.
     pub(crate) fn commit_local(&self) -> VnlResult<()> {
         self.check_open()?;
-        *self
-            .finished
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
+        *locked(&self.finished) = true;
         Ok(())
     }
 
     /// Roll back and mark finished without publishing (warehouse abort).
     pub(crate) fn abort_local(&self) -> VnlResult<()> {
         self.check_open()?;
-        *self
-            .finished
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
+        *locked(&self.finished) = true;
         self.rollback_changes()?;
         Ok(())
     }
@@ -940,26 +850,18 @@ impl<'t> MaintenanceTxn<'t> {
             "vnl.maintenance.rollback_ns",
             self.span_ctx
         );
-        let layout = self.table.layout();
         // Pin: the rollback scan collects RIDs it later mutates; GC must
         // not recycle them in between.
         let _pin = self.table.epochs().pin();
         // Collect this txn's tuples first (stable iteration while mutating).
         let mut touched = Vec::new();
-        self.table.storage().scan(|rid, ext| {
-            if let Some((vn, _)) = layout.slot(&ext, 0) {
-                if vn == self.vn {
-                    touched.push(rid);
-                }
+        self.table.walk_stamps(|t| {
+            if t.vn == self.vn {
+                touched.push(t.rid);
             }
             Ok(())
         })?;
-        let undo = std::mem::take(
-            &mut *self
-                .undo
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
+        let undo = std::mem::take(&mut *locked(&self.undo));
         for rid in touched {
             // Per-tuple crash window: a fault mid-rollback leaves some
             // tuples restored and others still carrying maintenanceVN.
@@ -1045,23 +947,14 @@ impl std::fmt::Debug for MaintenanceTxn<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MaintenanceTxn")
             .field("vn", &self.vn)
-            .field(
-                "finished",
-                &*self
-                    .finished
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            )
+            .field("finished", &*locked(&self.finished))
             .finish()
     }
 }
 
 impl Drop for MaintenanceTxn<'_> {
     fn drop(&mut self) {
-        let mut finished = self
-            .finished
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut finished = locked(&self.finished);
         if !*finished {
             *finished = true;
             // Best-effort auto-abort so a dropped transaction cannot wedge

@@ -142,19 +142,23 @@ pub fn recover(table: &VnlTable) -> VnlResult<RecoveryReport> {
     // Pass 1 (read-only): find the crashed transaction's tuples and compute
     // the exactness horizon *before* touching anything.
     let mut pending = Vec::new();
-    for (rid, ext) in table.scan_raw()? {
-        report.scanned += 1;
-        let Some((vn0, op0)) = layout.slot(&ext, 0) else {
-            continue;
-        };
-        if vn0 <= v {
-            continue;
-        }
-        report.pending_found += 1;
-        report.exact_horizon = report
-            .exact_horizon
-            .max(prospective_horizon(&layout, &ext, v, op0));
-        pending.push((rid, ext, op0));
+    {
+        // Pinned for the walk only: pass 2 tolerates a RID that a
+        // concurrent GC pass reclaimed in between (`NoSuchSlot` below).
+        let _pin = table.epochs().pin();
+        table.walk_stamps(|t| {
+            report.scanned += 1;
+            if t.vn <= v {
+                return Ok(());
+            }
+            let ext = t.decode()?;
+            report.pending_found += 1;
+            report.exact_horizon = report
+                .exact_horizon
+                .max(prospective_horizon(&layout, &ext, v, t.op));
+            pending.push((t.rid, ext, t.op));
+            Ok(())
+        })?;
     }
 
     // Raise the session fence before the first mutation: sessions the

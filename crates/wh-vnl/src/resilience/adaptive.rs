@@ -68,13 +68,6 @@ impl AdaptiveN {
         self
     }
 
-    /// Override the grow/shrink rate thresholds (expirations per commit).
-    pub fn with_thresholds(mut self, grow_at: f64, shrink_at: f64) -> Self {
-        self.grow_at = grow_at;
-        self.shrink_at = shrink_at.min(grow_at);
-        self
-    }
-
     /// Align the expiration baseline with the table's current counter so
     /// pre-controller expirations don't count against the first window.
     fn primed(mut self, table: &VnlTable) -> Self {

@@ -30,7 +30,7 @@
 
 use crate::error::VnlResult;
 use crate::schema_ext::ExtLayout;
-use crate::version::VersionNo;
+use crate::version::{Operation, VersionNo};
 use std::collections::HashSet;
 use std::sync::Arc;
 use wh_sql::{FilterOp, ScanFilter};
@@ -50,11 +50,47 @@ pub enum Classified {
     Expired,
 }
 
-/// Gathered operation codes: the raw `Char(1)` byte widened to `i64`
-/// (NULL gathers as [`NULL_SENTINEL`], which matches none of these).
-const OP_I: i64 = b'i' as i64;
-const OP_U: i64 = b'u' as i64;
-const OP_D: i64 = b'd' as i64;
+/// Gathered operation codes: the raw `Char(1)` byte of
+/// [`Operation::code`] widened to `i64` (NULL gathers as
+/// [`NULL_SENTINEL`], which matches none of these).
+const OP_I: i64 = Operation::Insert.code().as_bytes()[0] as i64;
+const OP_U: i64 = Operation::Update.code().as_bytes()[0] as i64;
+const OP_D: i64 = Operation::Delete.code().as_bytes()[0] as i64;
+
+/// The gather spec of extended column `c`.
+fn field_spec(codec: &RowCodec, c: usize) -> FieldSpec {
+    let (offset, width) = codec.col_byte_range(c);
+    FieldSpec {
+        offset,
+        width,
+        null_byte: c / 8,
+        null_mask: 1 << (c % 8),
+    }
+}
+
+/// Where the version stamps live in an encoded record, as gather specs
+/// `[vn_0, op_0, vn_1, op_1, …]` — the one definition the reader kernel
+/// ([`BatchScanner`]) and the whole-relation walker
+/// ([`crate::VnlTable::walk_stamps`]) share.
+pub(crate) fn stamp_specs(layout: &ExtLayout, codec: &RowCodec) -> Vec<FieldSpec> {
+    (0..layout.slots())
+        .flat_map(|j| [layout.vn_col(j), layout.op_col(j)].map(|c| field_spec(codec, c)))
+        .collect()
+}
+
+/// Slot `j`'s `(tupleVN, operation)` of record `i`, read from a batch
+/// gathered with [`stamp_specs`]; `None` when the slot is empty — the
+/// byte-level twin of [`ExtLayout::slot`].
+pub(crate) fn stamp_at(batch: &RecordBatch, i: usize, j: usize) -> Option<(VersionNo, Operation)> {
+    let vn = batch.field(2 * j)[i];
+    let op = match batch.field(2 * j + 1)[i] {
+        OP_I => Operation::Insert,
+        OP_U => Operation::Update,
+        OP_D => Operation::Delete,
+        _ => return None,
+    };
+    (vn != NULL_SENTINEL).then_some((vn as VersionNo, op))
+}
 
 /// One column of the precompiled decode plan: where the bytes live and how
 /// to materialize them. Offsets are validated against the record width at
@@ -270,18 +306,7 @@ impl BatchScanner {
                 ty: codec.schema().columns()[ext_col].ty,
             }
         };
-        let spec_for = |c: usize| {
-            let (offset, width) = codec.col_byte_range(c);
-            FieldSpec {
-                offset,
-                width,
-                null_byte: c / 8,
-                null_mask: 1 << (c % 8),
-            }
-        };
-        let mut specs: Vec<FieldSpec> = (0..layout.slots())
-            .flat_map(|j| [layout.vn_col(j), layout.op_col(j)].map(spec_for))
-            .collect();
+        let mut specs = stamp_specs(layout, codec);
         // Filter columns gather after the version fields: the base image,
         // plus each slot's pre-update copy when the column is updatable
         // (the plan then picks the image matching the record's verdict).
@@ -289,13 +314,13 @@ impl BatchScanner {
             .iter()
             .map(|f| {
                 let base_idx = specs.len();
-                specs.push(spec_for(layout.base_col(f.column)));
+                specs.push(field_spec(codec, layout.base_col(f.column)));
                 let mut fields = vec![base_idx];
                 match layout.updatable().iter().position(|&u| u == f.column) {
                     Some(u_pos) => {
                         for j in 0..layout.slots() {
                             fields.push(specs.len());
-                            specs.push(spec_for(layout.pre_set(j)[u_pos]));
+                            specs.push(field_spec(codec, layout.pre_set(j)[u_pos]));
                         }
                     }
                     None => fields.extend(std::iter::repeat_n(base_idx, layout.slots())),
@@ -737,6 +762,79 @@ mod tests {
                 }
             }
             assert_agrees(&l, &ext, 0..30);
+        }
+    }
+
+    #[test]
+    fn walker_matches_value_level_slots_on_random_histories() {
+        // Real maintenance histories under n ∈ {2, 3, 4} — inserts, updates,
+        // deletes, resurrections, same-transaction combinations, aborts and
+        // GC holes. At every step the walker's byte-level `(rid, vn, op,
+        // occupancy)` must equal `ExtLayout::slot` on the decoded row, which
+        // is what per-tuple DML still decides by.
+        use crate::VnlTable;
+        let mut rng = SplitMix64::seed_from_u64(0x57A3_9ED5);
+        let key = |k: usize, sales: i64| -> Row {
+            vec![
+                Value::from(format!("city{k}")),
+                Value::from("CA"),
+                Value::from("pl"),
+                Value::from(Date::ymd(1996, 10, 1)),
+                Value::from(sales),
+            ]
+        };
+        // Returns the deepest older-slot occupancy seen, so the test can
+        // show the histories did fill the slots.
+        let check = |t: &VnlTable| -> u64 {
+            let l = t.layout();
+            let (mut seen, mut deepest) = (0u64, 0u64);
+            t.walk_stamps(|w| {
+                let ext = t.storage().read(w.rid).unwrap();
+                assert_eq!(w.decode().unwrap(), ext);
+                assert_eq!(Some((w.vn, w.op)), l.slot(&ext, 0), "slot 0 at {}", w.rid);
+                let older = (1..l.slots()).filter(|&j| l.slot(&ext, j).is_some());
+                assert_eq!(w.older_occupied(), older.count() as u64, "at {}", w.rid);
+                seen += 1;
+                deepest = deepest.max(w.older_occupied());
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(seen, t.storage().len(), "every live tuple, once");
+            deepest
+        };
+        for n in [2, 3, 4] {
+            let t = VnlTable::create(daily_sales_schema(), n).unwrap();
+            let mut live = [false; 10];
+            let mut deepest = 0;
+            for round in 0..40 {
+                let before = live;
+                let txn = t.begin_maintenance().unwrap();
+                for _ in 0..1 + rng.index(6) {
+                    let k = rng.index(live.len());
+                    let row = key(k, rng.range_i64(0, 100_000));
+                    if !live[k] {
+                        txn.insert(row).unwrap(); // fresh, or a resurrection
+                        live[k] = true;
+                    } else if rng.index(2) == 0 {
+                        txn.update_row(&row).unwrap();
+                    } else {
+                        txn.delete_row(&row).unwrap();
+                        live[k] = false;
+                    }
+                    deepest = deepest.max(check(&t)); // uncommitted stamps included
+                }
+                if rng.index(4) == 0 {
+                    txn.abort().unwrap();
+                    live = before;
+                } else {
+                    txn.commit().unwrap();
+                }
+                if round % 5 == 4 {
+                    crate::gc::collect(&t).unwrap();
+                }
+                deepest = deepest.max(check(&t));
+            }
+            assert_eq!(deepest, n as u64 - 2, "n={n}: every older slot got used");
         }
     }
 

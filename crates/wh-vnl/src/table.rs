@@ -4,16 +4,16 @@ use crate::error::{VnlError, VnlResult};
 use crate::maintenance::MaintenanceTxn;
 use crate::reader::ReaderSession;
 use crate::rewrite::QueryRewriter;
-use crate::scan::{BatchClasses, BatchScanner, Classified, StrPool};
+use crate::scan::{stamp_at, stamp_specs, BatchClasses, BatchScanner, Classified, StrPool};
 use crate::schema_ext::ExtLayout;
-use crate::version::{VersionNo, VersionState};
+use crate::version::{Operation, VersionNo, VersionState};
 use crate::visibility;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, RwLock};
 use wh_index::{IndexKey, KeyDirectory, OrderedIndex};
-use wh_storage::batch::RecordBatch;
+use wh_storage::batch::{FieldSpec, RecordBatch};
 use wh_storage::{IoStats, Rid, StorageError, Table};
 use wh_types::{Row, Schema, Value};
 
@@ -57,6 +57,9 @@ pub struct VnlTable {
     name: String,
     layout: ExtLayout,
     storage: Table,
+    /// Where the version stamps live in `storage`'s records
+    /// ([`stamp_specs`]), computed once for [`VnlTable::walk_stamps`].
+    stamp_specs: Vec<FieldSpec>,
     /// Physical unique-key directory over the extended rows (logical deletes
     /// keep their key registered — exactly why Table 2's conflict rows
     /// exist).
@@ -181,6 +184,7 @@ impl VnlTable {
         let rewriter = QueryRewriter::new(layout.clone());
         let table = VnlTable {
             name: name.into(),
+            stamp_specs: stamp_specs(&layout, storage.codec()),
             layout,
             storage,
             key_dir,
@@ -203,21 +207,19 @@ impl VnlTable {
     /// gauges — a no-op on a freshly created (empty) table, the directory
     /// recovery step on a reopened one.
     fn rebuild_key_dir(&self) -> VnlResult<()> {
-        if self.storage.is_empty() {
-            return Ok(());
-        }
-        for (rid, ext) in self.storage.scan_all()? {
+        self.walk_stamps(|t| {
+            let ext = t.decode()?;
             if let Some(dir) = &self.key_dir {
-                dir.register(&ext, rid).map_err(|_| {
-                    VnlError::Storage(wh_storage::StorageError::Corrupt(format!(
+                dir.register(&ext, t.rid).map_err(|_| {
+                    VnlError::Storage(StorageError::Corrupt(format!(
                         "duplicate key on reopen: {:?}",
                         self.layout.ext_schema().key_of(&ext)
                     )))
                 })?;
             }
-            self.on_physical_insert(&ext, rid);
-        }
-        Ok(())
+            self.on_physical_insert(&ext, t.rid);
+            Ok(())
+        })
     }
 
     /// The durable-reclamation ceiling consulted by [`crate::gc::collect`]:
@@ -263,11 +265,6 @@ impl VnlTable {
     /// Global version state.
     pub fn version(&self) -> &VersionState {
         self.version.as_ref()
-    }
-
-    /// The shared handle to the version state (for warehouse assembly).
-    pub fn version_arc(&self) -> &Arc<VersionState> {
-        &self.version
     }
 
     /// Shared logical-I/O counters.
@@ -621,7 +618,57 @@ impl VnlTable {
         // Pin: callers correlate the returned RIDs with later point reads;
         // hold the epoch so GC cannot recycle them mid-collection.
         let _pin = self.epochs.pin();
-        Ok(self.storage.scan_all()?)
+        let mut out = Vec::new();
+        self.walk_stamps(|t| {
+            out.push((t.rid, t.decode()?));
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// The one whole-relation walk (DESIGN §6) behind commit capture,
+    /// rollback, GC, recovery discovery, the maintenance cursor and every
+    /// other internal pass: the heap's page loop with the version stamps
+    /// gathered, handing `visit` each physical tuple's RID and slot-0
+    /// `(tupleVN, operation)`. A walk costs a page copy and two gathered
+    /// integers per tuple; `visit` decodes ([`Stamped::decode`]) only what
+    /// it keeps, never under a page latch.
+    ///
+    /// The walk does **not** pin an epoch: callers that follow the RIDs hold
+    /// their own pin across walk and use, and the GC pass — the epoch's
+    /// writer side — must not stall its own grace advances.
+    pub(crate) fn walk_stamps<F>(&self, mut visit: F) -> VnlResult<()>
+    where
+        F: FnMut(&Stamped<'_>) -> VnlResult<()>,
+    {
+        // A visitor failure travels out of the storage scan as
+        // `ScanAborted`, with the real error stashed beside it.
+        let mut failure: Option<VnlError> = None;
+        let heap = self.storage.heap();
+        let res = heap.scan_batches(0..heap.page_count(), &self.stamp_specs, |batch| {
+            (0..batch.len()).try_for_each(|i| {
+                let rid = batch.rid(i);
+                let Some((vn, op)) = stamp_at(batch, i, 0) else {
+                    return Err(StorageError::Corrupt(format!("{rid}: no slot-0 stamp")));
+                };
+                let tuple = Stamped {
+                    rid,
+                    vn,
+                    op,
+                    table: self,
+                    batch,
+                    i,
+                };
+                visit(&tuple).map_err(|e| {
+                    failure = Some(e);
+                    StorageError::ScanAborted
+                })
+            })
+        });
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(res?),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -661,8 +708,8 @@ impl VnlTable {
         // inserts cannot slip between backfill and registration. Pinned:
         // the index stores RIDs, so GC must not recycle them mid-backfill.
         let _pin = self.epochs.pin();
-        self.storage.scan(|rid, ext| {
-            sec.index.insert(&ext, rid);
+        self.walk_stamps(|t| {
+            sec.index.insert(&t.decode()?, t.rid);
             Ok(())
         })?;
         indexes.push(Arc::new(sec));
@@ -781,6 +828,37 @@ impl VnlTable {
     }
 }
 
+/// One physical tuple as [`VnlTable::walk_stamps`] sees it: its RID, slot
+/// 0's `(tupleVN, operation)`, and the copied-out record behind accessors.
+pub(crate) struct Stamped<'a> {
+    pub rid: Rid,
+    pub vn: VersionNo,
+    pub op: Operation,
+    table: &'a VnlTable,
+    batch: &'a RecordBatch,
+    i: usize,
+}
+
+impl Stamped<'_> {
+    /// How many older version slots (beyond the always-populated slot 0)
+    /// hold a saved version — §5's space-in-use measure.
+    pub fn older_occupied(&self) -> u64 {
+        let older = 1..self.table.layout.slots();
+        older
+            .filter(|&j| stamp_at(self.batch, self.i, j).is_some())
+            .count() as u64
+    }
+
+    /// Decode the full extended row from the copied-out record.
+    pub fn decode(&self) -> VnlResult<Row> {
+        Ok(self
+            .table
+            .storage
+            .codec()
+            .decode(self.batch.record(self.i))?)
+    }
+}
+
 /// Per-page batch telemetry: batch-size distribution and selection-bitmap
 /// density. Recorded once per *page* (never per row), so the E20
 /// observability-overhead gate is unaffected.
@@ -861,6 +939,32 @@ mod tests {
             t.load_initial(&[row("X", "p", 1, 1)]).unwrap_err(),
             VnlError::MaintenanceAlreadyActive
         );
+        txn.commit().unwrap();
+    }
+
+    #[test]
+    fn capture_walk_charges_one_read_per_page_and_per_tuple() {
+        // What a commit's whole-relation walk costs in logical I/O: every
+        // page once, every live tuple once, nothing written.
+        let t = VnlTable::create(daily_sales_schema(), 2).unwrap();
+        let rows: Vec<Row> = (0..300)
+            .map(|i| row(&format!("city{i}"), "golf equip", 14, i))
+            .collect();
+        t.load_initial(&rows).unwrap();
+        let pages = u64::from(t.storage().heap().page_count());
+        assert!(pages > 1, "a multi-page relation");
+        let txn = t.begin_maintenance().unwrap();
+        txn.update_row(&row("city7", "golf equip", 14, -1)).unwrap();
+        txn.delete_row(&row("city250", "golf equip", 14, 0))
+            .unwrap();
+        let before = t.io().snapshot();
+        let batch = txn.capture_net_effect().unwrap();
+        let after = t.io().snapshot();
+        assert_eq!(batch.rows.len(), 2);
+        assert_eq!(after.page_reads - before.page_reads, pages);
+        assert_eq!(after.tuple_reads - before.tuple_reads, 300);
+        assert_eq!(after.page_writes, before.page_writes);
+        assert_eq!(after.tuple_writes, before.tuple_writes);
         txn.commit().unwrap();
     }
 

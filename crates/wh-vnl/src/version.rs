@@ -50,7 +50,7 @@ pub enum Operation {
 
 impl Operation {
     /// The stored `CHAR(1)` code.
-    pub fn code(&self) -> &'static str {
+    pub const fn code(&self) -> &'static str {
         match self {
             Operation::Insert => "i",
             Operation::Update => "u",

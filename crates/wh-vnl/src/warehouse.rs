@@ -143,6 +143,7 @@ impl Warehouse {
             total.deleted_found += r.deleted_found;
             total.reclaimed += r.reclaimed;
             total.bytes_reclaimed += r.bytes_reclaimed;
+            total.released += r.released;
         }
         Ok(total)
     }
@@ -475,6 +476,9 @@ mod tests {
         txn.commit().unwrap();
         let report = w.collect_garbage().unwrap();
         assert_eq!(report.reclaimed, 2);
+        // No reader holds an epoch pin, so each table's pass releases the
+        // slot it retired: the warehouse total is the per-table sum.
+        assert_eq!(report.released, 2);
     }
 
     #[test]
