@@ -303,7 +303,9 @@ pub(crate) fn latch_order(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
 /// already held in the caller (the sink's own internal latching protects
 /// its access, not the caller's RID, which may be reclaimed and reused
 /// between probe and fetch — the PR-4 fence-bug shape). `*` matches any
-/// impl type.
+/// impl type. The scanner's decoders (`decode_planned` and the row view
+/// over it) are not sinks: they read a `RecordBatch`'s private copy of a
+/// record, never page memory or a RID.
 const SINKS: &[(&str, &str)] = &[
     ("HeapFile", "read"),
     ("HeapFile", "scan"),
@@ -312,8 +314,6 @@ const SINKS: &[(&str, &str)] = &[
     ("VnlTable", "find_physical"),
     ("VnlTable", "walk_stamps"),
     ("BatchScanner", "classify_batch"),
-    ("*", "decode_visible"),
-    ("*", "decode_planned"),
 ];
 
 fn is_sink(f: &crate::parser::FnInfo) -> bool {

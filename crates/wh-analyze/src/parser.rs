@@ -384,34 +384,50 @@ fn sig_arity(sig: &[Tok]) -> usize {
         }
     }
     let Some(start) = start else { return 0 };
+    // A comma separates parameters only at paren depth 1 outside `<…>`
+    // (`m: HashMap<K, V>`), and only after a parameter token — as in
+    // `callgraph::call_arity` — so rustfmt's trailing comma adds nothing.
     let mut depth = 0i32;
+    let mut angle = 0i32;
     let mut args = 0usize;
-    let mut saw_any = false;
+    let mut saw_arg = false;
     let mut first_arg: Vec<&Tok> = Vec::new();
+    let mut prev_arrow_dash = false;
     for t in &sig[start..] {
+        let after_dash = std::mem::replace(&mut prev_arrow_dash, t.is_punct('-'));
         match t.kind {
-            Kind::Punct if "([".contains(&t.text) => depth += 1,
+            Kind::LineComment | Kind::BlockComment => continue,
+            Kind::Punct if t.is_punct(',') && depth == 1 && angle == 0 => {
+                args += usize::from(saw_arg);
+                saw_arg = false;
+                continue;
+            }
             Kind::Punct if ")]".contains(&t.text) => {
                 depth -= 1;
                 if depth == 0 {
                     break;
                 }
             }
-            Kind::Punct if t.is_punct(',') && depth == 1 => args += 1,
-            Kind::LineComment | Kind::BlockComment => {}
-            _ if depth >= 1 => {
-                if args == 0 {
-                    first_arg.push(t);
+            Kind::Punct if "([".contains(&t.text) => {
+                depth += 1;
+                if depth == 1 {
+                    continue; // the parameter group's own `(`
                 }
-                saw_any = true;
             }
+            Kind::Punct if t.is_punct('<') => angle += 1,
+            // `->` in a fn-pointer or closure type closes no generic.
+            Kind::Punct if t.is_punct('>') && !after_dash => angle = (angle - 1).max(0),
             _ => {}
         }
+        if args == 0 {
+            first_arg.push(t);
+        }
+        saw_arg = true;
     }
-    if !saw_any {
+    let mut n = args + usize::from(saw_arg);
+    if n == 0 {
         return 0;
     }
-    let mut n = args + 1;
     // `self`, `&self`, `&mut self`, `mut self`, `self: Arc<Self>`.
     if first_arg
         .iter()
@@ -547,6 +563,33 @@ mod tests {
         assert_eq!(t.fns.len(), 1);
         assert_eq!(t.fns[0].name, "f");
         assert_eq!(t.fns[0].arity, 1);
+    }
+
+    #[test]
+    fn trailing_commas_add_no_parameter() {
+        let t = parse_src(
+            "crates/a/src/lib.rs",
+            "fn wide(\n    a: u8,\n    b: u8,\n) -> u8 {\n    a + b\n}\n\
+             impl T {\n    fn m(\n        &self,\n        x: u8,\n    ) {}\n}\n\
+             fn none() {}\nfn trailing_only(a: u8,) {}\n",
+        );
+        let arities: Vec<(&str, usize)> =
+            t.fns.iter().map(|f| (f.name.as_str(), f.arity)).collect();
+        assert_eq!(
+            arities,
+            vec![("wide", 2), ("m", 1), ("none", 0), ("trailing_only", 1)]
+        );
+    }
+
+    #[test]
+    fn commas_inside_generics_and_nested_groups_are_not_separators() {
+        let t = parse_src(
+            "crates/a/src/lib.rs",
+            "fn g(m: HashMap<K, Vec<(u8, u8)>>, f: Box<dyn Fn(u8, u8) -> u8>, t: (u8, u8)) {}\n\
+             fn h<K, V>(m: &HashMap<K, V>, cb: fn(u8) -> Result<u8, E>, n: &[u8],) {}\n",
+        );
+        assert_eq!(t.fns[0].arity, 3);
+        assert_eq!(t.fns[1].arity, 3);
     }
 
     #[test]

@@ -135,6 +135,13 @@ fn epoch_tree_flags_the_pr4_fence_bug_shape() {
                 53,
                 "epoch-discipline"
             ),
+            // The same call behind a callee whose signature has a generic
+            // comma and a trailing one: found only if the call resolves.
+            (
+                "crates/epochcase/src/lib.rs".to_string(),
+                73,
+                "epoch-discipline"
+            ),
         ]
     );
 }

@@ -57,3 +57,18 @@ pub fn sweep_pinned(table: &VnlTable, epochs: &EpochRegistry) -> Result<(), Erro
     let _pin = epochs.pin();
     table.walk_stamps(note_row) // fine: the walk and what follows its RIDs share the pin
 }
+
+// A private callee whose rustfmt'd signature carries a comma inside a
+// generic and a trailing comma: its arity is 2, so `update`'s call
+// resolves to it and the walk inside is reachable from a public entry.
+pub fn update(table: &VnlTable, seen: &HashMap<u32, u32>) -> Result<(), Error> {
+    cursor(table, seen)
+}
+
+fn cursor(
+    table: &VnlTable,
+    seen: &HashMap<u32, u32>,
+) -> Result<(), Error> {
+    let _ = seen;
+    table.walk_stamps(note_row) // line 73: epoch-discipline (through a trailing-comma signature)
+}

@@ -1,24 +1,83 @@
 //! Scalar expression evaluation with SQL three-valued logic.
+//!
+//! An [`Expr`] is evaluated in two steps: [`EvalContext`] *binds* it once
+//! per statement — column names resolve to schema indices, parameters to
+//! their values, aggregate call sites (in a grouped context) to slots — and
+//! the resulting [`Bound`] tree is evaluated per row over any [`RowView`].
+//! Nothing on the per-row path looks a name up.
 
-use crate::ast::{BinOp, Expr};
+use crate::ast::{AggFunc, BinOp, Expr};
 use crate::error::{SqlError, SqlResult};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use wh_types::{Schema, Value};
+use wh_types::{Row, Schema, Value};
 
 /// Named parameter bindings (`:sessionVN` → value). The paper's rewrites
 /// leave `:sessionVN` / `:maintenanceVN` placeholders in the SQL; execution
 /// supplies them here.
 pub type Params = HashMap<String, Value>;
 
+/// A borrowed view of one row, addressed by schema column index: what the
+/// executor reads a scanned row through, so a source can hand over a row
+/// without materializing it. A 2VNL session views the gathered page record
+/// in place; in-memory sources view their `[Value]`s.
+///
+/// `int` and `raw` are the typed fast paths and are only asked of columns
+/// whose schema type fits them; `None` from either means NULL.
+pub trait RowView {
+    /// Column `col` as an owned value.
+    fn value(&self, col: usize) -> SqlResult<Value>;
+    /// Column `col` of an integer column (`UInt8`, `Int32`, `Int64`).
+    fn int(&self, col: usize) -> Option<i64>;
+    /// Column `col` of a fixed-width `Char` column, as its stored bytes.
+    /// Two non-NULL images from one source are equal iff the strings are.
+    fn raw(&self, col: usize) -> Option<&[u8]>;
+    /// The whole row, owned.
+    fn to_row(&self) -> SqlResult<Row>;
+}
+
+impl RowView for [Value] {
+    fn value(&self, col: usize) -> SqlResult<Value> {
+        Ok(self[col].clone())
+    }
+
+    fn int(&self, col: usize) -> Option<i64> {
+        self[col].as_int()
+    }
+
+    fn raw(&self, col: usize) -> Option<&[u8]> {
+        self[col].as_str().map(str::as_bytes)
+    }
+
+    fn to_row(&self) -> SqlResult<Row> {
+        Ok(self.to_vec())
+    }
+}
+
+/// Owned rows view as their slice (so `&Row` coerces to `&dyn RowView`).
+impl RowView for Row {
+    fn value(&self, col: usize) -> SqlResult<Value> {
+        self.as_slice().value(col)
+    }
+
+    fn int(&self, col: usize) -> Option<i64> {
+        self.as_slice().int(col)
+    }
+
+    fn raw(&self, col: usize) -> Option<&[u8]> {
+        self.as_slice().raw(col)
+    }
+
+    fn to_row(&self) -> SqlResult<Row> {
+        Ok(self.clone())
+    }
+}
+
 /// Evaluation context: resolves column names against a schema and parameters
 /// against a binding map.
 pub struct EvalContext<'a> {
-    /// Column-name → index, built once per statement. The executor calls
-    /// `eval` per row, and `Schema::column_index` is a linear scan with
-    /// string compares over the (extended, in 2VNL) column list — hot
-    /// enough to show up in scan profiles. The map borrows the names from
-    /// the schema, so building it allocates nothing per column.
+    /// Column-name → index, built once per statement. The map borrows the
+    /// names from the schema, so building it allocates nothing per column.
     cols: HashMap<&'a str, usize>,
     params: &'a Params,
 }
@@ -39,36 +98,171 @@ impl<'a> EvalContext<'a> {
     /// executor evaluates them over groups; encountering one is
     /// [`SqlError::MisplacedAggregate`].
     pub fn eval(&self, expr: &Expr, row: &[Value]) -> SqlResult<Value> {
+        self.bind(expr).eval(row)
+    }
+
+    /// Evaluate a predicate: true only when the expression is exactly TRUE
+    /// (NULL/unknown filters the row out, per SQL semantics).
+    pub fn eval_predicate(&self, expr: &Expr, row: &[Value]) -> SqlResult<bool> {
+        self.bind(expr).eval_predicate(row)
+    }
+
+    /// Schema index of column `name`.
+    pub(crate) fn column(&self, name: &str) -> Option<usize> {
+        self.cols.get(name).copied()
+    }
+
+    /// Bind `expr` for per-row evaluation; an aggregate inside it fails
+    /// when evaluated.
+    pub(crate) fn bind(&self, expr: &Expr) -> Bound {
+        self.bind_grouped(expr, &[], 0)
+    }
+
+    /// Bind `expr` over a finished group: aggregate call site `aggs[i]`
+    /// reads column `base + i` of the row it is evaluated against (the
+    /// executor appends the group's aggregate values to its representative
+    /// row).
+    pub(crate) fn bind_grouped(
+        &self,
+        expr: &Expr,
+        aggs: &[(AggFunc, Option<Expr>)],
+        base: usize,
+    ) -> Bound {
+        let bind = |e: &Expr| Box::new(self.bind_grouped(e, aggs, base));
         match expr {
-            Expr::Column(name) => {
-                let idx = *self
-                    .cols
-                    .get(name.as_str())
-                    .ok_or_else(|| SqlError::NoSuchColumn(name.clone()))?;
-                Ok(row[idx].clone())
+            // Resolution failures are raised only when evaluated: a
+            // statement that never reaches them (an empty scan, an untaken
+            // CASE arm) stays valid.
+            Expr::Column(name) => match self.column(name) {
+                Some(i) => Bound::Col(i),
+                None => Bound::Fail(SqlError::NoSuchColumn(name.clone())),
+            },
+            Expr::Literal(v) => Bound::Lit(v.clone()),
+            Expr::Param(name) => match self.params.get(name) {
+                Some(v) => Bound::Lit(v.clone()),
+                None => Bound::Fail(SqlError::UnboundParam(name.clone())),
+            },
+            Expr::Aggregate { func, arg } => {
+                let site = aggs
+                    .iter()
+                    .position(|(f, a)| f == func && a.as_ref() == arg.as_deref());
+                match site {
+                    Some(i) => Bound::Col(base + i),
+                    None => Bound::Fail(SqlError::MisplacedAggregate),
+                }
             }
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Param(name) => self
-                .params
-                .get(name)
-                .cloned()
-                .ok_or_else(|| SqlError::UnboundParam(name.clone())),
-            Expr::Binary { op, left, right } => {
-                let l = self.eval(left, row)?;
+            Expr::Binary { op, left, right } => Bound::Binary {
+                op: *op,
+                left: bind(left),
+                right: bind(right),
+            },
+            Expr::Not(e) => Bound::Not(bind(e)),
+            Expr::Neg(e) => Bound::Neg(bind(e)),
+            Expr::IsNull { expr, negated } => Bound::IsNull {
+                expr: bind(expr),
+                negated: *negated,
+            },
+            Expr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => Bound::Between {
+                expr: bind(expr),
+                low: bind(low),
+                high: bind(high),
+                negated: *negated,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Bound::InList {
+                expr: bind(expr),
+                list: list
+                    .iter()
+                    .map(|e| self.bind_grouped(e, aggs, base))
+                    .collect(),
+                negated: *negated,
+            },
+            Expr::Case {
+                branches,
+                else_expr,
+            } => Bound::Case {
+                branches: branches
+                    .iter()
+                    .map(|(c, v)| {
+                        (
+                            self.bind_grouped(c, aggs, base),
+                            self.bind_grouped(v, aggs, base),
+                        )
+                    })
+                    .collect(),
+                else_expr: else_expr.as_deref().map(bind),
+            },
+        }
+    }
+}
+
+/// An expression bound to one schema and one set of parameters
+/// ([`EvalContext::bind`]): the shape of [`Expr`] with columns as indices.
+#[derive(Debug, Clone)]
+pub(crate) enum Bound {
+    Col(usize),
+    Lit(Value),
+    /// An unknown column, unbound parameter or misplaced aggregate.
+    Fail(SqlError),
+    Binary {
+        op: BinOp,
+        left: Box<Bound>,
+        right: Box<Bound>,
+    },
+    Not(Box<Bound>),
+    Neg(Box<Bound>),
+    IsNull {
+        expr: Box<Bound>,
+        negated: bool,
+    },
+    Between {
+        expr: Box<Bound>,
+        low: Box<Bound>,
+        high: Box<Bound>,
+        negated: bool,
+    },
+    InList {
+        expr: Box<Bound>,
+        list: Vec<Bound>,
+        negated: bool,
+    },
+    Case {
+        branches: Vec<(Bound, Bound)>,
+        else_expr: Option<Box<Bound>>,
+    },
+}
+
+impl Bound {
+    /// Evaluate against `row`.
+    pub(crate) fn eval<V: RowView + ?Sized>(&self, row: &V) -> SqlResult<Value> {
+        match self {
+            Bound::Col(i) => row.value(*i),
+            Bound::Lit(v) => Ok(v.clone()),
+            Bound::Fail(e) => Err(e.clone()),
+            Bound::Binary { op, left, right } => {
+                let l = left.eval(row)?;
                 // Short-circuit AND/OR with three-valued logic.
                 match op {
                     BinOp::And => {
-                        return self.eval_and(&l, right, row);
+                        return eval_and(&l, right, row);
                     }
                     BinOp::Or => {
-                        return self.eval_or(&l, right, row);
+                        return eval_or(&l, right, row);
                     }
                     _ => {}
                 }
-                let r = self.eval(right, row)?;
-                self.apply_binop(*op, &l, &r)
+                let r = right.eval(row)?;
+                apply_binop(*op, &l, &r)
             }
-            Expr::Not(e) => match self.eval(e, row)? {
+            Bound::Not(e) => match e.eval(row)? {
                 Value::Null => Ok(Value::Null),
                 Value::Bool(b) => Ok(Value::Bool(!b)),
                 other => Err(SqlError::Type(wh_types::TypeError::Mismatch {
@@ -77,7 +271,7 @@ impl<'a> EvalContext<'a> {
                     right: "BOOL".into(),
                 })),
             },
-            Expr::Neg(e) => match self.eval(e, row)? {
+            Bound::Neg(e) => match e.eval(row)? {
                 Value::Null => Ok(Value::Null),
                 Value::Int(i) => Ok(Value::Int(-i)),
                 Value::Float(x) => Ok(Value::Float(-x)),
@@ -87,19 +281,19 @@ impl<'a> EvalContext<'a> {
                     right: "numeric".into(),
                 })),
             },
-            Expr::IsNull { expr, negated } => {
-                let v = self.eval(expr, row)?;
+            Bound::IsNull { expr, negated } => {
+                let v = expr.eval(row)?;
                 Ok(Value::Bool(v.is_null() != *negated))
             }
-            Expr::Between {
+            Bound::Between {
                 expr,
                 low,
                 high,
                 negated,
             } => {
-                let v = self.eval(expr, row)?;
-                let lo = self.eval(low, row)?;
-                let hi = self.eval(high, row)?;
+                let v = expr.eval(row)?;
+                let lo = low.eval(row)?;
+                let hi = high.eval(row)?;
                 let ge_lo = v.sql_cmp(&lo)?.map(|o| o != Ordering::Less);
                 let le_hi = v.sql_cmp(&hi)?.map(|o| o != Ordering::Greater);
                 Ok(match (ge_lo, le_hi) {
@@ -109,15 +303,15 @@ impl<'a> EvalContext<'a> {
                     _ => Value::Null,
                 })
             }
-            Expr::InList {
+            Bound::InList {
                 expr,
                 list,
                 negated,
             } => {
-                let v = self.eval(expr, row)?;
+                let v = expr.eval(row)?;
                 let mut saw_unknown = false;
                 for candidate in list {
-                    let c = self.eval(candidate, row)?;
+                    let c = candidate.eval(row)?;
                     match v.sql_cmp(&c)? {
                         Some(Ordering::Equal) => return Ok(Value::Bool(!*negated)),
                         None => saw_unknown = true,
@@ -130,78 +324,77 @@ impl<'a> EvalContext<'a> {
                     Value::Bool(*negated)
                 })
             }
-            Expr::Case {
+            Bound::Case {
                 branches,
                 else_expr,
             } => {
                 for (cond, val) in branches {
-                    if self.eval(cond, row)? == Value::Bool(true) {
-                        return self.eval(val, row);
+                    if cond.eval(row)? == Value::Bool(true) {
+                        return val.eval(row);
                     }
                 }
                 match else_expr {
-                    Some(e) => self.eval(e, row),
+                    Some(e) => e.eval(row),
                     None => Ok(Value::Null),
                 }
             }
-            Expr::Aggregate { .. } => Err(SqlError::MisplacedAggregate),
         }
     }
 
-    fn eval_and(&self, left: &Value, right: &Expr, row: &[Value]) -> SqlResult<Value> {
-        // FALSE AND x = FALSE without evaluating x (short circuit).
-        if *left == Value::Bool(false) {
-            return Ok(Value::Bool(false));
-        }
-        let r = self.eval(right, row)?;
-        match (truth(left)?, truth(&r)?) {
-            (Some(true), Some(true)) => Ok(Value::Bool(true)),
-            (Some(false), _) | (_, Some(false)) => Ok(Value::Bool(false)),
-            _ => Ok(Value::Null),
-        }
+    /// Evaluate as a predicate: true only when the expression is exactly
+    /// TRUE (NULL/unknown filters the row out, per SQL semantics).
+    pub(crate) fn eval_predicate<V: RowView + ?Sized>(&self, row: &V) -> SqlResult<bool> {
+        Ok(self.eval(row)? == Value::Bool(true))
     }
+}
 
-    fn eval_or(&self, left: &Value, right: &Expr, row: &[Value]) -> SqlResult<Value> {
-        if *left == Value::Bool(true) {
-            return Ok(Value::Bool(true));
-        }
-        let r = self.eval(right, row)?;
-        match (truth(left)?, truth(&r)?) {
-            (Some(false), Some(false)) => Ok(Value::Bool(false)),
-            (Some(true), _) | (_, Some(true)) => Ok(Value::Bool(true)),
-            _ => Ok(Value::Null),
-        }
+fn eval_and<V: RowView + ?Sized>(left: &Value, right: &Bound, row: &V) -> SqlResult<Value> {
+    // FALSE AND x = FALSE without evaluating x (short circuit).
+    if *left == Value::Bool(false) {
+        return Ok(Value::Bool(false));
     }
-
-    fn apply_binop(&self, op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> {
-        match op {
-            BinOp::Add => Ok(l.add(r)?),
-            BinOp::Sub => Ok(l.sub(r)?),
-            BinOp::Mul => Ok(l.mul(r)?),
-            BinOp::Div => Ok(l.div(r)?),
-            BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-                let cmp = l.sql_cmp(r)?;
-                Ok(match cmp {
-                    None => Value::Null,
-                    Some(ord) => Value::Bool(match op {
-                        BinOp::Eq => ord == Ordering::Equal,
-                        BinOp::NotEq => ord != Ordering::Equal,
-                        BinOp::Lt => ord == Ordering::Less,
-                        BinOp::LtEq => ord != Ordering::Greater,
-                        BinOp::Gt => ord == Ordering::Greater,
-                        BinOp::GtEq => ord != Ordering::Less,
-                        _ => unreachable!(), // lint: allow(no-panic) — unreachable by construction (see message)
-                    }),
-                })
-            }
-            BinOp::And | BinOp::Or => unreachable!("handled by short-circuit paths"), // lint: allow(no-panic) — unreachable by construction (see message)
-        }
+    let r = right.eval(row)?;
+    match (truth(left)?, truth(&r)?) {
+        (Some(true), Some(true)) => Ok(Value::Bool(true)),
+        (Some(false), _) | (_, Some(false)) => Ok(Value::Bool(false)),
+        _ => Ok(Value::Null),
     }
+}
 
-    /// Evaluate a predicate: true only when the expression is exactly TRUE
-    /// (NULL/unknown filters the row out, per SQL semantics).
-    pub fn eval_predicate(&self, expr: &Expr, row: &[Value]) -> SqlResult<bool> {
-        Ok(self.eval(expr, row)? == Value::Bool(true))
+fn eval_or<V: RowView + ?Sized>(left: &Value, right: &Bound, row: &V) -> SqlResult<Value> {
+    if *left == Value::Bool(true) {
+        return Ok(Value::Bool(true));
+    }
+    let r = right.eval(row)?;
+    match (truth(left)?, truth(&r)?) {
+        (Some(false), Some(false)) => Ok(Value::Bool(false)),
+        (Some(true), _) | (_, Some(true)) => Ok(Value::Bool(true)),
+        _ => Ok(Value::Null),
+    }
+}
+
+fn apply_binop(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> {
+    match op {
+        BinOp::Add => Ok(l.add(r)?),
+        BinOp::Sub => Ok(l.sub(r)?),
+        BinOp::Mul => Ok(l.mul(r)?),
+        BinOp::Div => Ok(l.div(r)?),
+        BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
+            let cmp = l.sql_cmp(r)?;
+            Ok(match cmp {
+                None => Value::Null,
+                Some(ord) => Value::Bool(match op {
+                    BinOp::Eq => ord == Ordering::Equal,
+                    BinOp::NotEq => ord != Ordering::Equal,
+                    BinOp::Lt => ord == Ordering::Less,
+                    BinOp::LtEq => ord != Ordering::Greater,
+                    BinOp::Gt => ord == Ordering::Greater,
+                    BinOp::GtEq => ord != Ordering::Less,
+                    _ => unreachable!(), // lint: allow(no-panic) — unreachable by construction (see message)
+                }),
+            })
+        }
+        BinOp::And | BinOp::Or => unreachable!("handled by short-circuit paths"), // lint: allow(no-panic) — unreachable by construction (see message)
     }
 }
 

@@ -50,7 +50,7 @@ pub use ast::{
     OrderKey, SelectItem, SelectStmt, Statement, UpdateStmt,
 };
 pub use error::{SqlError, SqlResult};
-pub use eval::{EvalContext, Params};
+pub use eval::{EvalContext, Params, RowView};
 pub use exec::{execute_select, QueryResult, RowSource};
 pub use parser::{parse_expression, parse_statement};
-pub use pushdown::{extract_scan_filters, FilterOp, ScanFilter};
+pub use pushdown::{extract_scan_filters, FilterLiteral, FilterOp, ScanFilter};

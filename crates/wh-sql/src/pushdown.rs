@@ -1,27 +1,31 @@
 //! WHERE-clause pushdown analysis for batch scan kernels.
 //!
 //! The batched reader pipeline (see `wh_vnl::scan::BatchScanner`) classifies
-//! whole pages over *gathered* `i64` column images before any row is
-//! decoded. A WHERE conjunct of the shape `column <cmp> literal` over a
-//! fixed-width integer-image column can be evaluated on those same gathered
-//! images — rows that fail it are never decoded and never reach the
-//! executor. This module is the planning half: split a predicate into the
-//! pushable conjuncts and the residual expression the executor still has to
-//! evaluate per row.
+//! whole pages before any row is decoded. A WHERE conjunct of the shape
+//! `column <cmp> literal` over a fixed-width column can be decided on the
+//! column's *stored image* in that same pass — rows that fail it are never
+//! decoded and never reach the executor. This module is the planning half:
+//! split a predicate into the pushable conjuncts and the residual
+//! expression the executor still has to evaluate per row.
 //!
 //! Eligibility is deliberately narrow:
 //!
 //! * Only top-level `AND` conjuncts split — anything under `OR`/`NOT`
 //!   stays residual.
-//! * The column must be `UInt8`, `Int32`, or `Date`. All three gather into
-//!   `i64` losslessly and order-preserving (`Date` packs as decimal
-//!   `yyyymmdd`, which is monotone in the calendar order), and none of them
-//!   can collide with the gather layer's `i64::MIN` NULL sentinel. `Int64`
-//!   is excluded exactly because a stored `i64::MIN` would be
-//!   indistinguishable from NULL in the gathered image.
-//! * The other side must be a literal of matching type (`Int` for the
-//!   integer columns, `Date` for date columns). Parameters are not pushable
-//!   — they are bound after planning.
+//! * `UInt8`, `Int32`, `Int64` and `Date` columns compare against a literal
+//!   of matching type (`Int`, or `Date`) on the gathered `i64` image, which
+//!   all four widen to losslessly and order-preservingly (`Date` packs as
+//!   decimal `yyyymmdd`, monotone in the calendar). A gathered NULL is the
+//!   sentinel `i64::MIN`; an `Int64` column can also *store* `i64::MIN`,
+//!   so the kernel settles a sentinel image by the record's own null bit
+//!   rather than by the image alone — one NULL channel, the bitmap.
+//! * `=`/`<>` between a `Char(n)` column and a string literal compares the
+//!   stored, space-padded bytes with the literal padded the same way. The
+//!   codec trims trailing spaces on decode, so that byte test agrees with
+//!   the executor's string test only when the literal fits in `n` bytes and
+//!   has no trailing space of its own; any other `Char` conjunct (and every
+//!   ordering on `Char`) stays residual.
+//! * Parameters are not pushable — they are bound after planning.
 //!
 //! Three-valued logic is preserved: a pushed conjunct keeps a row iff the
 //! column is non-NULL and the comparison holds, which is exactly "the
@@ -70,15 +74,23 @@ impl FilterOp {
     }
 }
 
-/// One pushable conjunct: `schema column <op> literal`, with the literal
-/// already translated to the column's gathered `i64` image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The literal of a pushed conjunct, already in the column's stored-image
+/// domain.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FilterLiteral {
+    /// Gathered `i64` image (`Date` → packed `yyyymmdd`).
+    Int(i64),
+    /// A `Char(n)` literal space-padded to `n` bytes; the op is `=`/`<>`.
+    Padded(Box<[u8]>),
+}
+
+/// One pushable conjunct: `schema column <op> literal`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanFilter {
     /// Base-schema column index.
     pub column: usize,
     pub op: FilterOp,
-    /// Literal in the gathered `i64` domain (`Date` → packed `yyyymmdd`).
-    pub literal: i64,
+    pub literal: FilterLiteral,
 }
 
 /// Split `pred` into pushable scan filters and the residual predicate the
@@ -134,13 +146,24 @@ fn as_filter(e: &Expr, schema: &Schema) -> Option<ScanFilter> {
     }
 }
 
-/// Resolve the column and translate the literal into the gathered domain;
-/// `None` when the column/literal pair is not eligible.
+/// Resolve the column and translate the literal into the stored-image
+/// domain; `None` when the column/literal pair is not eligible.
 fn bind(name: &str, op: FilterOp, lit: &Value, schema: &Schema) -> Option<ScanFilter> {
     let column = schema.column_index(name).ok()?;
     let literal = match (schema.columns()[column].ty, lit) {
-        (DataType::UInt8 | DataType::Int32, Value::Int(v)) => *v,
-        (DataType::Date, Value::Date(d)) => i64::from(d.to_packed()),
+        (DataType::UInt8 | DataType::Int32 | DataType::Int64, Value::Int(v)) => {
+            FilterLiteral::Int(*v)
+        }
+        (DataType::Date, Value::Date(d)) => FilterLiteral::Int(i64::from(d.to_packed())),
+        (DataType::Char(n), Value::Str(s))
+            if matches!(op, FilterOp::Eq | FilterOp::NotEq)
+                && s.len() <= n
+                && !s.ends_with(' ') =>
+        {
+            let mut padded = vec![b' '; n];
+            padded[..s.len()].copy_from_slice(s.as_bytes());
+            FilterLiteral::Padded(padded.into())
+        }
         _ => return None,
     };
     Some(ScanFilter {
@@ -178,7 +201,7 @@ mod tests {
             vec![ScanFilter {
                 column: 2,
                 op: FilterOp::GtEq,
-                literal: 5000
+                literal: FilterLiteral::Int(5000)
             }]
         );
         assert!(residual.is_none());
@@ -192,7 +215,7 @@ mod tests {
             vec![ScanFilter {
                 column: 2,
                 op: FilterOp::Gt,
-                literal: 5000
+                literal: FilterLiteral::Int(5000)
             }]
         );
         assert!(residual.is_none());
@@ -200,12 +223,12 @@ mod tests {
 
     #[test]
     fn and_splits_mixed_conjuncts() {
-        let (filters, residual) = extract("sales >= 5000 AND city = 'SF' AND sales < 9000");
+        let (filters, residual) = extract("sales >= 5000 AND city < 'SF' AND sales < 9000");
         assert_eq!(filters.len(), 2);
         assert_eq!(filters[0].op, FilterOp::GtEq);
         assert_eq!(filters[1].op, FilterOp::Lt);
-        // The Char conjunct stays residual.
-        assert_eq!(residual, Some(parse_expression("city = 'SF'").unwrap()));
+        // An ordering on Char stays residual.
+        assert_eq!(residual, Some(parse_expression("city < 'SF'").unwrap()));
     }
 
     #[test]
@@ -218,13 +241,81 @@ mod tests {
     }
 
     #[test]
-    fn int64_and_params_stay_residual() {
-        // Int64 would collide with the gather NULL sentinel at i64::MIN.
-        let (filters, residual) = extract("big = 7");
+    fn int64_pushes_and_params_stay_residual() {
+        // Int64 pushes: the kernel settles a gathered i64::MIN by the null
+        // bit, so a stored i64::MIN is not mistaken for NULL.
+        let (filters, residual) = extract("big = 7 AND big > -9223372036854775807");
+        assert_eq!(
+            filters,
+            vec![
+                ScanFilter {
+                    column: 3,
+                    op: FilterOp::Eq,
+                    literal: FilterLiteral::Int(7)
+                },
+                ScanFilter {
+                    column: 3,
+                    op: FilterOp::Gt,
+                    literal: FilterLiteral::Int(-i64::MAX)
+                }
+            ]
+        );
+        assert!(residual.is_none());
+        let (filters, residual) = extract("sales >= :cutoff AND big <= :cap");
         assert!(filters.is_empty());
-        assert!(residual.is_some());
-        let (filters, _) = extract("sales >= :cutoff");
-        assert!(filters.is_empty());
+        assert_eq!(
+            residual,
+            Some(parse_expression("sales >= :cutoff AND big <= :cap").unwrap())
+        );
+    }
+
+    #[test]
+    fn char_equality_pushes_as_padded_bytes() {
+        let padded = |s: &str| FilterLiteral::Padded(format!("{s:<8}").into_bytes().into());
+        let (filters, residual) = extract("city = 'SF' AND 'golf eq' <> city AND city = ''");
+        assert_eq!(
+            filters,
+            vec![
+                ScanFilter {
+                    column: 0,
+                    op: FilterOp::Eq,
+                    literal: padded("SF")
+                },
+                ScanFilter {
+                    column: 0,
+                    op: FilterOp::NotEq,
+                    literal: padded("golf eq")
+                },
+                ScanFilter {
+                    column: 0,
+                    op: FilterOp::Eq,
+                    literal: padded("")
+                }
+            ]
+        );
+        assert!(residual.is_none());
+        // Exactly the column width still fits.
+        let (filters, _) = extract("city = 'abcdefgh'");
+        assert_eq!(filters[0].literal, padded("abcdefgh"));
+    }
+
+    #[test]
+    fn char_literals_the_padded_test_would_misjudge_stay_residual() {
+        // A trailing space: the executor compares 'SF ' with the trimmed
+        // stored 'SF' (unequal), the padded bytes would call them equal.
+        // An overlong literal: no stored value can equal it. An ordering:
+        // padding and byte order disagree with string order.
+        for pred in [
+            "city = 'SF '",
+            "city <> ' '",
+            "city = 'abcdefghi'",
+            "city < 'SF'",
+            "city >= 'SF'",
+        ] {
+            let (filters, residual) = extract(pred);
+            assert!(filters.is_empty(), "{pred} pushed");
+            assert_eq!(residual, Some(parse_expression(pred).unwrap()), "{pred}");
+        }
     }
 
     #[test]
@@ -238,11 +329,11 @@ mod tests {
 
     #[test]
     fn residual_preserves_and_semantics() {
-        let (filters, residual) = extract("city = 'SF' AND day IS NULL");
+        let (filters, residual) = extract("city < 'SF' AND day IS NULL");
         assert!(filters.is_empty());
         assert_eq!(
             residual,
-            Some(parse_expression("city = 'SF' AND day IS NULL").unwrap())
+            Some(parse_expression("city < 'SF' AND day IS NULL").unwrap())
         );
     }
 }

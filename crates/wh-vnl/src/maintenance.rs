@@ -648,6 +648,7 @@ impl<'t> MaintenanceTxn<'t> {
         let layout = self.table.layout();
         let ctx = EvalContext::new(layout.base_schema(), params);
         let mut matches = Vec::new();
+        // lint: allow(epoch-discipline) — the cursor keeps only live tuples whose slot 0 is not a delete; GC reclaims only committed deletes and only this single maintenance writer deletes or inserts, so no kept RID is reclaimed or reused before update_where/delete_where applies it
         self.table.walk_stamps(|t| {
             if t.op == Operation::Delete {
                 return Ok(());

@@ -8,7 +8,7 @@ use crate::version::VersionNo;
 use std::sync::Mutex;
 use std::time::Duration;
 use wh_sql::{
-    execute_select, parse_statement, Params, QueryResult, RowSource, SelectStmt, SqlError,
+    execute_select, parse_statement, Params, QueryResult, RowSource, RowView, SelectStmt, SqlError,
     SqlResult, Statement,
 };
 use wh_types::{Row, Schema, Value};
@@ -324,9 +324,9 @@ impl<'t> ReaderSession<'t> {
 
     /// Like [`ReaderSession::query`] with a pre-parsed statement. The
     /// executor streams straight off the scan — pushable WHERE conjuncts
-    /// run inside the page classify kernel, before decode, and the rest is
-    /// applied per row as it is delivered, never against a materialized
-    /// snapshot.
+    /// run inside the page classify kernel, before any column is read, and
+    /// the rest is applied per row on its in-place view, never against a
+    /// materialized snapshot.
     pub fn query_stmt(&self, select: &SelectStmt) -> VnlResult<QueryResult> {
         self.run_select(select, 1)
     }
@@ -440,8 +440,10 @@ impl Drop for ReaderSession<'_> {
 }
 
 /// Streaming row source over one session's consistent view: the SQL
-/// executor folds rows straight off [`VnlTable::scan_partitioned`] — no
-/// intermediate snapshot.
+/// executor folds each visible record straight off the classified page of
+/// [`VnlTable::scan_partitioned`], viewed in place
+/// ([`crate::scan::BatchRow`]) — no row is decoded unless the statement
+/// needs its values.
 ///
 /// The executor speaks [`SqlError`], but the scan can fail with
 /// session-level errors (expiration, storage faults) that must surface as
@@ -499,10 +501,10 @@ impl RowSource for SessionSource<'_> {
     fn fold<S: Default + Send>(
         &self,
         threads: usize,
-        visit: &(dyn Fn(&mut S, Row) -> SqlResult<()> + Sync),
+        visit: &(dyn Fn(&mut S, &dyn RowView) -> SqlResult<()> + Sync),
     ) -> SqlResult<Vec<S>> {
         let deliver = |_, state: &mut S, batch: &_, classes: &_, pool: &mut _| {
-            self.scanner.visit_selected(batch, classes, pool, |row| {
+            self.scanner.view_selected(batch, classes, pool, |row| {
                 visit(state, row).map_err(VnlError::Sql)
             })
         };

@@ -350,11 +350,11 @@ impl RowSource for MemSource<'_> {
     fn fold<S: Default + Send>(
         &self,
         _threads: usize,
-        visit: &(dyn Fn(&mut S, Row) -> wh_sql::SqlResult<()> + Sync),
+        visit: &(dyn Fn(&mut S, &dyn wh_sql::RowView) -> wh_sql::SqlResult<()> + Sync),
     ) -> wh_sql::SqlResult<Vec<S>> {
         let mut state = S::default();
         for row in self.rows {
-            visit(&mut state, row.clone())?;
+            visit(&mut state, row)?;
         }
         Ok(vec![state])
     }

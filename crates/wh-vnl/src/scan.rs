@@ -31,9 +31,10 @@
 use crate::error::VnlResult;
 use crate::schema_ext::ExtLayout;
 use crate::version::{Operation, VersionNo};
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
-use wh_sql::{FilterOp, ScanFilter};
+use wh_sql::{FilterLiteral, FilterOp, RowView, ScanFilter, SqlResult};
 use wh_storage::batch::{FieldSpec, RecordBatch, NULL_SENTINEL};
 use wh_types::{DataType, Date, Row, RowCodec, TypeError, TypeResult, Value};
 
@@ -204,17 +205,67 @@ impl ColPool {
 }
 
 /// A compiled [`ScanFilter`] — one pushed-down `column <op> literal`,
-/// evaluated on the gathered `i64` image of the column's *version-visible*
-/// value before any row decode: gathered-field index of that image per
-/// verdict — `fields[0]` for `Current`, `fields[1 + j]` for `Pre(j)` (all the
-/// same index when the column is not updatable). `wh_sql::pushdown` decides
-/// which WHERE conjuncts are eligible (the column must gather losslessly and
-/// never collide with [`NULL_SENTINEL`]).
+/// decided on the column's *version-visible* stored image before any row
+/// decode. Images are indexed by verdict — `0` for `Current`, `1 + j` for
+/// `Pre(j)` (all the same image when the column is not updatable).
+/// `wh_sql::pushdown` decides which WHERE conjuncts are eligible.
 #[derive(Debug, Clone)]
-struct FilterPlan {
-    fields: Vec<usize>,
-    op: FilterOp,
-    literal: i64,
+enum FilterPlan {
+    /// An integer or date column: the gathered field holding each image.
+    /// A gathered [`NULL_SENTINEL`] is settled by that field's null bit —
+    /// an `Int64` column can store `i64::MIN` itself.
+    Int {
+        fields: Vec<usize>,
+        op: FilterOp,
+        literal: i64,
+    },
+    /// `=` (`eq`) or `<>` on a `Char` column: each image's padded bytes,
+    /// compared in the record with the literal padded to the same width.
+    Padded {
+        images: Vec<ColPlan>,
+        eq: bool,
+        literal: Box<[u8]>,
+    },
+}
+
+impl FilterPlan {
+    /// Whether record `i` of `batch`, read through `image`, is non-NULL and
+    /// satisfies the filter. `fields` are the batch's gathered columns for
+    /// `specs`.
+    fn passes(
+        &self,
+        specs: &[FieldSpec],
+        fields: &[&[i64]],
+        batch: &RecordBatch,
+        i: usize,
+        image: usize,
+    ) -> bool {
+        match self {
+            FilterPlan::Int {
+                fields: at,
+                op,
+                literal,
+            } => {
+                let f = at[image];
+                let v = fields[f][i];
+                let present = v != NULL_SENTINEL || {
+                    let spec = &specs[f];
+                    batch.record(i)[spec.null_byte] & spec.null_mask == 0
+                };
+                present && op.eval(v, *literal)
+            }
+            FilterPlan::Padded {
+                images,
+                eq,
+                literal,
+            } => {
+                let p = &images[image];
+                let rec = batch.record(i);
+                rec[p.null_byte] & p.null_mask == 0
+                    && (rec[p.offset..p.offset + literal.len()] == **literal) == *eq
+            }
+        }
+    }
 }
 
 /// Batched Table 1 evaluator over gathered version columns, plus a
@@ -307,29 +358,49 @@ impl BatchScanner {
             }
         };
         let mut specs = stamp_specs(layout, codec);
-        // Filter columns gather after the version fields: the base image,
-        // plus each slot's pre-update copy when the column is updatable
-        // (the plan then picks the image matching the record's verdict).
+        // A filter column's image per verdict: the base column, then each
+        // slot's pre-update copy when the column is updatable (the plan
+        // then picks the image matching the record's verdict).
+        let images = |col: usize| -> Vec<usize> {
+            let base = layout.base_col(col);
+            let mut cols = vec![base];
+            match layout.updatable().iter().position(|&u| u == col) {
+                Some(u_pos) => cols.extend((0..layout.slots()).map(|j| layout.pre_set(j)[u_pos])),
+                None => cols.extend(std::iter::repeat_n(base, layout.slots())),
+            }
+            cols
+        };
         let filters = filters
             .iter()
-            .map(|f| {
-                let base_idx = specs.len();
-                specs.push(field_spec(codec, layout.base_col(f.column)));
-                let mut fields = vec![base_idx];
-                match layout.updatable().iter().position(|&u| u == f.column) {
-                    Some(u_pos) => {
-                        for j in 0..layout.slots() {
-                            fields.push(specs.len());
-                            specs.push(field_spec(codec, layout.pre_set(j)[u_pos]));
-                        }
+            .map(|f| match &f.literal {
+                // Integer images gather after the version fields, each
+                // distinct column once.
+                FilterLiteral::Int(literal) => {
+                    let cols = images(f.column);
+                    let base_idx = specs.len();
+                    specs.push(field_spec(codec, cols[0]));
+                    let fields = cols
+                        .iter()
+                        .map(|&c| {
+                            if c == cols[0] {
+                                base_idx
+                            } else {
+                                specs.push(field_spec(codec, c));
+                                specs.len() - 1
+                            }
+                        })
+                        .collect();
+                    FilterPlan::Int {
+                        fields,
+                        op: f.op,
+                        literal: *literal,
                     }
-                    None => fields.extend(std::iter::repeat_n(base_idx, layout.slots())),
                 }
-                FilterPlan {
-                    fields,
-                    op: f.op,
-                    literal: f.literal,
-                }
+                FilterLiteral::Padded(bytes) => FilterPlan::Padded {
+                    images: images(f.column).into_iter().map(plan_for).collect(),
+                    eq: f.op == FilterOp::Eq,
+                    literal: bytes.clone(),
+                },
             })
             .collect();
         let current_plan = cols
@@ -443,10 +514,10 @@ impl BatchScanner {
                         Classified::Pre(j) => 1 + j,
                         _ => 0,
                     };
-                    let pass = self.filters.iter().all(|f| {
-                        let v = fields[f.fields[image]][i];
-                        v != NULL_SENTINEL && f.op.eval(v, f.literal)
-                    });
+                    let pass = self
+                        .filters
+                        .iter()
+                        .all(|f| f.passes(&self.specs, &fields, batch, i, image));
                     if pass {
                         code
                     } else {
@@ -474,11 +545,33 @@ impl BatchScanner {
         }
     }
 
+    /// The decode plan for a verdict; `None` for an invisible one.
+    fn plan(&self, which: Classified) -> Option<&[Option<ColPlan>]> {
+        match which {
+            Classified::Current => Some(&self.current_plan),
+            Classified::Pre(j) => Some(&self.pre_plans[j]),
+            Classified::Ignore | Classified::Expired => None,
+        }
+    }
+
+    /// Record `i` of `batch`, checked to have the width every plan offset
+    /// was validated against: what makes the plans' unchecked reads sound.
+    fn checked_record<'a>(&self, batch: &'a RecordBatch, i: usize) -> TypeResult<&'a [u8]> {
+        let rec = batch.record(i);
+        if rec.len() != self.record_len {
+            return Err(TypeError::Codec(format!(
+                "record of {} bytes under a {}-byte plan",
+                rec.len(),
+                self.record_len
+            )));
+        }
+        Ok(rec)
+    }
+
     /// Decode record `i` of `batch` through the precompiled plan for its
-    /// verdict (`Current` or `Pre(j)`). Column bytes are read without
-    /// bounds checks — the plan was validated against the record width at
-    /// build — but value-level checks (UTF-8, date validity) stay. String
-    /// columns are interned through `pool` (from [`BatchScanner::new_pool`]).
+    /// verdict (`Current` or `Pre(j)`; anything else is an error). Value-level
+    /// checks (UTF-8, date validity) stay; string columns are interned
+    /// through `pool` (from [`BatchScanner::new_pool`]).
     pub fn decode_visible(
         &self,
         batch: &RecordBatch,
@@ -486,22 +579,10 @@ impl BatchScanner {
         which: Classified,
         pool: &mut StrPool,
     ) -> TypeResult<Row> {
-        let plan = match which {
-            Classified::Current => &self.current_plan,
-            Classified::Pre(j) => &self.pre_plans[j],
-            Classified::Ignore | Classified::Expired => {
-                unreachable!("decode_visible called on an invisible record") // lint: allow(no-panic) — unreachable by construction (see message)
-            }
-        };
-        let rec = batch.record(i);
-        debug_assert_eq!(rec.len(), self.record_len);
-        plan.iter()
-            .zip(pool.cols.iter_mut())
-            .map(|(col, pool)| match col {
-                None => Ok(Value::Null),
-                Some(p) => decode_planned(p, rec, pool),
-            })
-            .collect()
+        let plan = self
+            .plan(which)
+            .ok_or_else(|| TypeError::Codec(format!("record {i} is not visible")))?;
+        decode_row(plan, self.checked_record(batch, i)?, pool)
     }
 
     /// Row delivery over a classified batch: decode each selected record,
@@ -514,20 +595,133 @@ impl BatchScanner {
         mut visit: impl FnMut(Row) -> VnlResult<()>,
     ) -> VnlResult<()> {
         for (i, &code) in classes.codes().iter().enumerate() {
-            if matches!(code, Classified::Current | Classified::Pre(_)) {
-                visit(self.decode_visible(batch, i, code, pool)?)?;
+            if let Some(plan) = self.plan(code) {
+                visit(decode_row(plan, self.checked_record(batch, i)?, pool)?)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The executor's delivery over a classified batch: each selected
+    /// record, in batch order, as a borrowed [`BatchRow`] — nothing is
+    /// decoded unless `visit` asks.
+    pub(crate) fn view_selected(
+        &self,
+        batch: &RecordBatch,
+        classes: &BatchClasses,
+        pool: &mut StrPool,
+        mut visit: impl FnMut(&BatchRow<'_, '_>) -> VnlResult<()>,
+    ) -> VnlResult<()> {
+        let pool = RefCell::new(pool);
+        for (i, &code) in classes.codes().iter().enumerate() {
+            if let Some(plan) = self.plan(code) {
+                let rec = self.checked_record(batch, i)?;
+                visit(&BatchRow {
+                    rec,
+                    plan,
+                    pool: &pool,
+                })?;
             }
         }
         Ok(())
     }
 }
 
+/// One visible record of a classified batch, viewed in place through the
+/// decode plan for its verdict (so a `Pre(j)` row reads slot `j`'s
+/// pre-update copies): the executor's [`RowView`] of a session row.
+/// Integer and `Char` images are read straight from the record; only
+/// `value`/`to_row` build `Value`s, interning strings through the
+/// partition's pool. Built only by [`BatchScanner::view_selected`], from a
+/// record whose width [`BatchScanner::checked_record`] checked — what the
+/// plan's unchecked reads rely on.
+pub(crate) struct BatchRow<'a, 'p> {
+    rec: &'a [u8],
+    plan: &'a [Option<ColPlan>],
+    pool: &'a RefCell<&'p mut StrPool>,
+}
+
+impl RowView for BatchRow<'_, '_> {
+    fn value(&self, col: usize) -> SqlResult<Value> {
+        match &self.plan[col] {
+            None => Ok(Value::Null),
+            Some(p) => Ok(decode_planned(
+                p,
+                self.rec,
+                &mut self.pool.borrow_mut().cols[col],
+            )?),
+        }
+    }
+
+    fn int(&self, col: usize) -> Option<i64> {
+        let p = self.plan[col].as_ref()?;
+        // safety: `BatchScanner::checked_record` checked that `rec` has the
+        // record width every ColPlan offset was validated against, so the
+        // null byte and the field's `width` bytes at `offset` are in bounds;
+        // the field is read unaligned.
+        unsafe {
+            if self.rec.get_unchecked(p.null_byte) & p.null_mask != 0 {
+                return None;
+            }
+            let ptr = self.rec.as_ptr().add(p.offset);
+            match p.ty {
+                DataType::UInt8 => Some(i64::from(*ptr)),
+                DataType::Int32 => Some(i64::from(i32::from_le_bytes(std::ptr::read_unaligned(
+                    ptr.cast::<[u8; 4]>(),
+                )))),
+                DataType::Int64 => Some(i64::from_le_bytes(std::ptr::read_unaligned(
+                    ptr.cast::<[u8; 8]>(),
+                ))),
+                _ => None,
+            }
+        }
+    }
+
+    fn raw(&self, col: usize) -> Option<&[u8]> {
+        let p = self.plan[col].as_ref()?;
+        let DataType::Char(len) = p.ty else {
+            return None;
+        };
+        // safety: as in `int` — the width check in
+        // `BatchScanner::checked_record` puts the null byte and the `len`
+        // padded bytes at `offset` inside `rec`.
+        unsafe {
+            if self.rec.get_unchecked(p.null_byte) & p.null_mask != 0 {
+                return None;
+            }
+            Some(self.rec.get_unchecked(p.offset..p.offset + len))
+        }
+    }
+
+    fn to_row(&self) -> SqlResult<Row> {
+        Ok(decode_row(
+            self.plan,
+            self.rec,
+            &mut self.pool.borrow_mut(),
+        )?)
+    }
+}
+
+/// Decode a whole record through `plan` (unplanned columns are NULL). The
+/// caller checked `rec`'s width ([`BatchScanner::checked_record`]).
+fn decode_row(plan: &[Option<ColPlan>], rec: &[u8], pool: &mut StrPool) -> TypeResult<Row> {
+    plan.iter()
+        .zip(pool.cols.iter_mut())
+        .map(|(col, pool)| match col {
+            None => Ok(Value::Null),
+            Some(p) => decode_planned(p, rec, pool),
+        })
+        .collect()
+}
+
 /// Decode one planned column from a record image. The caller guarantees
-/// `rec.len()` equals the record width the plan was built against.
+/// `rec.len()` equals the record width the plan was built against (see
+/// [`BatchScanner::checked_record`]).
 fn decode_planned(p: &ColPlan, rec: &[u8], pool: &mut ColPool) -> TypeResult<Value> {
-    // safety: ColPlan offsets were checked against the record width when
-    // the plan was built (`debug_assert` in `build`, and `col_byte_range`
-    // derives them from the same codec that produced the record), so every
+    // safety: ColPlan offsets fit the record width the plan was built for
+    // (`col_byte_range` derives them from the codec, `debug_assert` in
+    // `build`), and every caller passes a record that
+    // `BatchScanner::checked_record` checked has that width — so every
     // read below is in bounds.
     unsafe {
         if rec.get_unchecked(p.null_byte) & p.null_mask != 0 {
@@ -726,7 +920,9 @@ mod tests {
         // slot stack (descending VNs, newest first, oldest may be an insert)
         // and check every sessionVN around it.
         let mut rng = SplitMix64::seed_from_u64(0xB17E_5CA1);
-        for _ in 0..200 {
+        // Miri interprets every gather and decode: fewer histories there.
+        let cases = if cfg!(miri) { 12 } else { 200 };
+        for _ in 0..cases {
             let n = 2 + rng.index(3);
             let l = layout(n);
             let mut ext = vec![Value::Null; l.ext_schema().arity()];
@@ -806,7 +1002,8 @@ mod tests {
             let t = VnlTable::create(daily_sales_schema(), n).unwrap();
             let mut live = [false; 10];
             let mut deepest = 0;
-            for round in 0..40 {
+            // Miri: enough rounds to fill every slot, not the full sweep.
+            for round in 0..if cfg!(miri) { 12 } else { 40 } {
                 let before = live;
                 let txn = t.begin_maintenance().unwrap();
                 for _ in 0..1 + rng.index(6) {
@@ -965,7 +1162,7 @@ mod tests {
         let filter = ScanFilter {
             column: 4,
             op: FilterOp::GtEq,
-            literal: 9_000,
+            literal: FilterLiteral::Int(9_000),
         };
         let scanner = BatchScanner::new_sparse_filtered(&l, &c, &[0, 4], &[filter]);
         let rows = vec![
@@ -1068,7 +1265,7 @@ mod tests {
         let filter = ScanFilter {
             column: 3,
             op: FilterOp::LtEq,
-            literal: i64::from(Date::ymd(1996, 10, 14).to_packed()),
+            literal: FilterLiteral::Int(i64::from(Date::ymd(1996, 10, 14).to_packed())),
         };
         let scanner = BatchScanner::new_sparse_filtered(&l, &c, &[0, 3], &[filter]);
         let on_cutoff = row2(
@@ -1106,7 +1303,7 @@ mod tests {
         let filter = ScanFilter {
             column: 4,
             op: FilterOp::GtEq,
-            literal: i64::MAX,
+            literal: FilterLiteral::Int(i64::MAX),
         };
         let scanner = BatchScanner::new_sparse_filtered(&l, &c, &[4], &[filter]);
         // sessionVN 3 needs a version older than the recorded vn 5 allows
@@ -1123,6 +1320,262 @@ mod tests {
         let (code, row) = batch_verdict(&scanner, &c.encode(&expired).unwrap(), 3);
         assert_eq!(code, Classified::Expired);
         assert!(row.is_none());
+    }
+
+    /// `(k Int32, tiny UInt8, big Int64 updatable, tag Char(4) updatable)`
+    /// under 2VNL.
+    fn typed_layout() -> ExtLayout {
+        use wh_types::{Column, Schema};
+        let schema = Schema::with_key_names(
+            vec![
+                Column::new("k", DataType::Int32),
+                Column::new("tiny", DataType::UInt8),
+                Column::updatable("big", DataType::Int64),
+                Column::updatable("tag", DataType::Char(4)),
+            ],
+            &["k"],
+        )
+        .unwrap();
+        ExtLayout::new(schema, 2).unwrap()
+    }
+
+    /// An extended `typed_layout` row: slot 0 `(vn, op)`, current
+    /// `(big, tag)`, and slot 0's pre-update `(big, tag)`.
+    fn typed_row(
+        l: &ExtLayout,
+        k: i64,
+        vn: i64,
+        op: &str,
+        cur: [Value; 2],
+        pre: [Value; 2],
+    ) -> Row {
+        let mut ext = vec![Value::Null; l.ext_schema().arity()];
+        ext[l.base_col(0)] = Value::from(k);
+        ext[l.base_col(1)] = Value::from(200 + k);
+        ext[l.vn_col(0)] = Value::from(vn);
+        ext[l.op_col(0)] = Value::from(op);
+        let [big, tag] = cur;
+        ext[l.base_col(2)] = big;
+        ext[l.base_col(3)] = tag;
+        let [pre_big, pre_tag] = pre;
+        ext[l.pre_set(0)[0]] = pre_big;
+        ext[l.pre_set(0)[1]] = pre_tag;
+        ext
+    }
+
+    /// The verdicts of `rows` in one batch at `session_vn`.
+    fn classify_rows(
+        scanner: &BatchScanner,
+        c: &RowCodec,
+        rows: &[Row],
+        vn: VersionNo,
+    ) -> Vec<Classified> {
+        use std::sync::Arc;
+        use wh_storage::{HeapFile, IoStats};
+        let heap = HeapFile::new(c.encoded_len(), Arc::new(IoStats::new())).unwrap();
+        for r in rows {
+            heap.insert(&c.encode(r).unwrap()).unwrap();
+        }
+        let mut classes = BatchClasses::default();
+        let mut codes = Vec::new();
+        heap.scan_batches(0..1, scanner.specs(), |batch| {
+            scanner.classify_batch(batch, vn, &mut classes);
+            codes = classes.codes().to_vec();
+            Ok(())
+        })
+        .unwrap();
+        codes
+    }
+
+    #[test]
+    fn pushed_int64_filter_reads_a_stored_min_as_a_value_not_null() {
+        // The gathered image of a stored i64::MIN is the NULL sentinel; the
+        // null bit, not the image, says which it is. `big <= 0` keeps a
+        // stored i64::MIN — current or pre-update — and drops a NULL.
+        let l = typed_layout();
+        let c = codec(&l);
+        let filter = ScanFilter {
+            column: 2,
+            op: FilterOp::LtEq,
+            literal: FilterLiteral::Int(0),
+        };
+        let scanner = BatchScanner::new_sparse_filtered(&l, &c, &[0], &[filter]);
+        let tag = || Value::from("t");
+        let min = || Value::from(i64::MIN);
+        let rows = vec![
+            typed_row(&l, 0, 3, "i", [min(), tag()], [Value::Null, Value::Null]),
+            typed_row(
+                &l,
+                1,
+                3,
+                "i",
+                [Value::Null, tag()],
+                [Value::Null, Value::Null],
+            ),
+            // Pre(0) at sessionVN 3: the pre-image is i64::MIN, the current
+            // value 5 would fail.
+            typed_row(&l, 2, 4, "u", [Value::from(5), tag()], [min(), tag()]),
+            // Pre(0): the current i64::MIN would pass, the pre-image is NULL.
+            typed_row(&l, 3, 4, "u", [min(), tag()], [Value::Null, tag()]),
+            typed_row(
+                &l,
+                4,
+                3,
+                "i",
+                [Value::from(1), tag()],
+                [Value::Null, Value::Null],
+            ),
+        ];
+        assert_eq!(
+            classify_rows(&scanner, &c, &rows, 3),
+            [
+                Classified::Current,
+                Classified::Ignore,
+                Classified::Pre(0),
+                Classified::Ignore,
+                Classified::Ignore,
+            ]
+        );
+    }
+
+    #[test]
+    fn pushed_char_filter_compares_padded_version_visible_bytes() {
+        // `tag = 'ab'` and `tag <> 'ab'` on padded bytes: a prefix ('a') and
+        // an extension ('abc') of the literal are different strings, NULL
+        // passes neither, and a Pre(0) row is judged by its pre-image.
+        let l = typed_layout();
+        let c = codec(&l);
+        let padded = |op| ScanFilter {
+            column: 3,
+            op,
+            literal: FilterLiteral::Padded((*b"ab  ").into()),
+        };
+        let big = || Value::from(1);
+        let rows = vec![
+            typed_row(
+                &l,
+                0,
+                3,
+                "i",
+                [big(), Value::from("ab")],
+                [Value::Null, Value::Null],
+            ),
+            typed_row(
+                &l,
+                1,
+                3,
+                "i",
+                [big(), Value::from("a")],
+                [Value::Null, Value::Null],
+            ),
+            typed_row(
+                &l,
+                2,
+                3,
+                "i",
+                [big(), Value::from("abc")],
+                [Value::Null, Value::Null],
+            ),
+            typed_row(
+                &l,
+                3,
+                3,
+                "i",
+                [big(), Value::Null],
+                [Value::Null, Value::Null],
+            ),
+            // Pre(0): current 'ab' would pass `=`, the pre-image 'abcd' fails.
+            typed_row(
+                &l,
+                4,
+                4,
+                "u",
+                [big(), Value::from("ab")],
+                [big(), Value::from("abcd")],
+            ),
+        ];
+        let eq = BatchScanner::new_sparse_filtered(&l, &c, &[0], &[padded(FilterOp::Eq)]);
+        let ne = BatchScanner::new_sparse_filtered(&l, &c, &[0], &[padded(FilterOp::NotEq)]);
+        use Classified::{Current, Ignore, Pre};
+        assert_eq!(
+            classify_rows(&eq, &c, &rows, 3),
+            [Current, Ignore, Ignore, Ignore, Ignore]
+        );
+        assert_eq!(
+            classify_rows(&ne, &c, &rows, 3),
+            [Ignore, Current, Current, Ignore, Pre(0)]
+        );
+    }
+
+    #[test]
+    fn row_view_reads_typed_images_in_place() {
+        // The executor's view of a selected record: `int`/`raw` read the
+        // version-visible bytes unaligned and in place, and agree with the
+        // decoded row — NULLs included, pre-images for a Pre(0) verdict.
+        let l = typed_layout();
+        let c = codec(&l);
+        let scanner = BatchScanner::new(&l, &c, None);
+        let rows = vec![
+            typed_row(
+                &l,
+                7,
+                3,
+                "i",
+                [Value::from(i64::MIN), Value::from("ab")],
+                [Value::Null, Value::Null],
+            ),
+            typed_row(
+                &l,
+                -8,
+                3,
+                "i",
+                [Value::Null, Value::Null],
+                [Value::Null, Value::Null],
+            ),
+            typed_row(
+                &l,
+                9,
+                4,
+                "u",
+                [Value::from(5), Value::from("wxyz")],
+                [Value::from(-6), Value::from("")],
+            ),
+        ];
+        use std::sync::Arc;
+        use wh_storage::{HeapFile, IoStats};
+        let heap = HeapFile::new(c.encoded_len(), Arc::new(IoStats::new())).unwrap();
+        for r in &rows {
+            heap.insert(&c.encode(r).unwrap()).unwrap();
+        }
+        let mut classes = BatchClasses::default();
+        let mut pool = scanner.new_pool();
+        let mut seen = Vec::new();
+        heap.scan_batches(0..1, scanner.specs(), |batch| {
+            scanner.classify_batch(batch, 3, &mut classes);
+            scanner
+                .view_selected(batch, &classes, &mut pool, |row| {
+                    let decoded = row.to_row().unwrap();
+                    for (col, want) in decoded.iter().enumerate().take(3) {
+                        assert_eq!(row.int(col), want.as_int(), "col {col}");
+                        assert_eq!(row.value(col).unwrap(), *want);
+                    }
+                    let raw = row.raw(3).map(|b| String::from_utf8(b.to_vec()).unwrap());
+                    seen.push((row.int(0), row.int(1), row.int(2), raw));
+                    Ok(())
+                })
+                .unwrap();
+            Ok(())
+        })
+        .unwrap();
+        let padded = |s: &str| Some(s.to_string());
+        assert_eq!(
+            seen,
+            [
+                (Some(7), Some(207), Some(i64::MIN), padded("ab  ")),
+                (Some(-8), Some(192), None, None),
+                (Some(9), Some(209), Some(-6), padded("    ")),
+            ]
+        );
     }
 
     #[test]

@@ -207,6 +207,7 @@ impl VnlTable {
     /// gauges — a no-op on a freshly created (empty) table, the directory
     /// recovery step on a reopened one.
     fn rebuild_key_dir(&self) -> VnlResult<()> {
+        // lint: allow(epoch-discipline) — runs inside from_parts, before the table is shared: no GC pass or reader can reclaim or reuse a RID until it returns
         self.walk_stamps(|t| {
             let ext = t.decode()?;
             if let Some(dir) = &self.key_dir {

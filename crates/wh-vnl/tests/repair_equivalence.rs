@@ -24,8 +24,8 @@
 use std::collections::BTreeMap;
 
 use wh_sql::{
-    execute_select, parse_statement, Params, QueryResult, RowSource, SelectStmt, SqlResult,
-    Statement,
+    execute_select, parse_statement, Params, QueryResult, RowSource, RowView, SelectStmt,
+    SqlResult, Statement,
 };
 use wh_types::{Column, DataType, Row, Schema, SplitMix64, Value};
 use wh_vnl::{MaintenanceTxn, RepairEngine, VersionNo, VnlTable};
@@ -187,11 +187,11 @@ impl RowSource for KeyOrdered {
     fn fold<S: Default + Send>(
         &self,
         _threads: usize,
-        visit: &(dyn Fn(&mut S, Row) -> SqlResult<()> + Sync),
+        visit: &(dyn Fn(&mut S, &dyn RowView) -> SqlResult<()> + Sync),
     ) -> SqlResult<Vec<S>> {
         let mut state = S::default();
         for row in &self.rows {
-            visit(&mut state, row.clone())?;
+            visit(&mut state, row)?;
         }
         Ok(vec![state])
     }
