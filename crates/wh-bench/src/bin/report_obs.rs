@@ -11,16 +11,16 @@
 //!   decision-table arm counters, maintenance phase timings, GC reclaim
 //!   latencies, latch waits, and the per-scheme `cc.*` lock-wait
 //!   histograms from a short §6 mixed run.
-//! * **Ring fill** — the same load interleaves serial and parallel scans
-//!   with maintenance, so the per-thread trace rings hold multi-thread
+//! * **Ring fill** — the same load interleaves serial scans and
+//!   partitioned queries with maintenance, so the per-thread trace rings hold multi-thread
 //!   traces; the report counts events and recent traces.
 //! * **Introspection server** — `/metrics`, `/health`, `/snapshot` and
 //!   `/traces/<id>` scraped over plain HTTP/1.0.
 //! * **Flight recorder** — a provoked recovery must leave a dump on disk.
 //!
 //! It also measures the numbers the CI overhead gate rides on: seven
-//! independent hot-loop probes (full scan, projected scan, parallel scan,
-//! point lookups, an aggregate query, a maintenance update round, a raw
+//! independent hot-loop probes (full scan, projected scan, partitioned
+//! `SELECT *`, point lookups, an aggregate query, a maintenance update round, a raw
 //! heap scan). Build once with default features and once with
 //! `--no-default-features` (all instrumentation compiled out), run both,
 //! and compare the geometric mean of the probe ratios:
@@ -185,15 +185,11 @@ fn overhead_probes(table: &VnlTable, cfg: &Config) -> Vec<(&'static str, f64)> {
 
     // The partitioned path: the coordinator's span is propagated into
     // every worker (storage.scan.partition spans).
-    let scan_parallel = best_ms(cfg.scan_repeats, || {
-        let n = AtomicU64::new(0);
-        session
-            .scan_parallel(4, |_, _| {
-                n.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            })
-            .expect("parallel scan");
-        assert_eq!(n.load(Ordering::Relaxed) as usize, rows);
+    let query_parallel = best_ms(cfg.scan_repeats, || {
+        let res = session
+            .query_parallel("SELECT * FROM DailySales", 4)
+            .expect("parallel query");
+        assert_eq!(res.rows.len(), rows);
     });
 
     // Point reads: the first day of one product line in every city.
@@ -262,7 +258,7 @@ fn overhead_probes(table: &VnlTable, cfg: &Config) -> Vec<(&'static str, f64)> {
     vec![
         ("probe_scan_ms", scan),
         ("probe_scan_projected_ms", projected),
-        ("probe_scan_parallel_ms", scan_parallel),
+        ("probe_query_parallel_ms", query_parallel),
         ("probe_lookup_ms", lookup),
         ("probe_sql_agg_ms", sql),
         ("probe_update_txn_ms", update),
@@ -273,7 +269,7 @@ fn overhead_probes(table: &VnlTable, cfg: &Config) -> Vec<(&'static str, f64)> {
 /// The concurrency phase: readers scanning in sessions (restarting on
 /// expiration) while maintenance commits `rounds` of updates plus a
 /// delete/re-insert churn that leaves logically-deleted tuples for the GC
-/// collector sweeping alongside. Each session ends in a parallel scan, so
+/// collector sweeping alongside. Each session ends in a partitioned query, so
 /// the trace rings fill with interleaved multi-thread traces under the
 /// same load the registry is snapshotted after. Returns (reads_ok,
 /// sessions, commits).
@@ -347,11 +343,11 @@ fn reader_maintenance_phase(table: &std::sync::Arc<VnlTable>, cfg: &Config) -> (
                         for _ in 0..3 {
                             session.scan_with(|_| Ok(()))?;
                         }
-                        session.scan_parallel(4, |_, _| Ok(()))
+                        session.query_parallel("SELECT * FROM DailySales", 4)
                     });
                     sessions.fetch_add(u64::from(stats.attempts), Ordering::Relaxed);
                     match res {
-                        Ok(()) => {
+                        Ok(_) => {
                             reads_ok.fetch_add(4, Ordering::Relaxed);
                         }
                         Err(e) => panic!("reader error: {e}"),

@@ -85,9 +85,13 @@ impl OrderedIndex {
     }
 
     /// All RIDs with keys in `[lo, hi]` (inclusive bounds; pass `None` for
-    /// unbounded ends), in key order.
+    /// unbounded ends), in key order. An inverted range (`lo > hi`) is
+    /// empty.
     pub fn range(&self, lo: Option<&IndexKey>, hi: Option<&IndexKey>) -> Vec<Rid> {
         wh_obs::counter!("index.ordered.range_lookups").inc();
+        if lo.zip(hi).is_some_and(|(lo, hi)| lo > hi) {
+            return Vec::new();
+        }
         let map = self
             .map
             .read()
@@ -140,6 +144,13 @@ mod tests {
         assert_eq!(idx.range(None, Some(&key(1))), vec![rid(0), rid(1)]);
         assert_eq!(idx.range(Some(&key(8)), None), vec![rid(8), rid(9)]);
         assert_eq!(idx.range(None, None).len(), 10);
+    }
+
+    #[test]
+    fn inverted_range_is_empty() {
+        let idx = populated();
+        assert_eq!(idx.range(Some(&key(5)), Some(&key(2))), Vec::<Rid>::new());
+        assert_eq!(idx.range(Some(&key(4)), Some(&key(4))), vec![rid(4)]);
     }
 
     #[test]

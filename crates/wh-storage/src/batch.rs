@@ -37,8 +37,8 @@ pub struct FieldSpec {
 
 impl FieldSpec {
     /// Check the spec stays inside a record of `record_len` bytes and has
-    /// a gatherable width. Run once per scan, so the per-record loops can
-    /// use unchecked indexing.
+    /// a gatherable width. Run once per scan, so a spec that does not fit
+    /// fails the scan up front rather than [`FieldSpec::read`] per record.
     pub fn validate(&self, record_len: usize) -> StorageResult<()> {
         let ok = matches!(self.width, 1 | 4 | 8)
             && self
@@ -50,6 +50,27 @@ impl FieldSpec {
             Ok(())
         } else {
             Err(StorageError::RecordTooLarge(self.offset + self.width))
+        }
+    }
+
+    /// The field's value in `record`, widened to `i64`: width 1
+    /// zero-extends (`u8`), width 4 sign-extends (`i32` LE), width 8 loads
+    /// an `i64` LE; a set null bit reads as [`NULL_SENTINEL`]. The one
+    /// definition of a gathered field — [`RecordBatch::gather`] is this
+    /// per record, and single-record readers call it directly. Panics if
+    /// the spec does not fit `record` (see [`FieldSpec::validate`]).
+    #[inline(always)]
+    pub fn read(&self, record: &[u8]) -> i64 {
+        if record[self.null_byte] & self.null_mask != 0 {
+            return NULL_SENTINEL;
+        }
+        // The slices have the arrays' lengths, so the conversions cannot
+        // fail and compile to plain loads.
+        let at = self.offset;
+        match self.width {
+            1 => i64::from(record[at]),
+            4 => i32::from_le_bytes(record[at..at + 4].try_into().unwrap_or_default()).into(),
+            _ => i64::from_le_bytes(record[at..at + 8].try_into().unwrap_or_default()),
         }
     }
 }
@@ -126,42 +147,17 @@ impl RecordBatch {
         self.bytes.extend_from_slice(data);
     }
 
-    /// Gather the requested fields into column-strided arrays. Runs
-    /// *after* the page latch is released: it touches only the copied
-    /// bytes. `specs` must have been validated against `record_len`.
+    /// Gather the requested fields into column-strided arrays
+    /// ([`FieldSpec::read`] per record). Runs *after* the page latch is
+    /// released: it touches only the copied bytes. `specs` must have been
+    /// validated against `record_len`.
     pub(crate) fn gather(&mut self, specs: &[FieldSpec]) {
-        let n = self.slots.len();
+        let rl = self.record_len;
         self.fields.resize_with(specs.len(), Vec::new);
-        for (f, spec) in specs.iter().enumerate() {
-            let col = &mut self.fields[f];
+        for (spec, col) in specs.iter().zip(&mut self.fields) {
+            debug_assert!(spec.validate(rl).is_ok());
             col.clear();
-            col.reserve(n);
-            let rl = self.record_len;
-            let bytes = &self.bytes[..];
-            debug_assert!(bytes.len() == n * rl);
-            debug_assert!(spec.offset + spec.width <= rl && spec.null_byte < rl);
-            for i in 0..n {
-                let base = i * rl;
-                // safety: `begin`/`push_*` maintain `bytes.len() == n * rl`,
-                // and `FieldSpec::validate` proved `null_byte < rl` and
-                // `offset + width <= rl`, so every index below is in
-                // bounds for record `i`.
-                let v = unsafe {
-                    if bytes.get_unchecked(base + spec.null_byte) & spec.null_mask != 0 {
-                        NULL_SENTINEL
-                    } else {
-                        let p = bytes.as_ptr().add(base + spec.offset);
-                        match spec.width {
-                            1 => i64::from(*p),
-                            4 => i64::from(i32::from_le_bytes(std::ptr::read_unaligned(
-                                p as *const [u8; 4],
-                            ))),
-                            _ => i64::from_le_bytes(std::ptr::read_unaligned(p as *const [u8; 8])),
-                        }
-                    }
-                };
-                col.push(v);
-            }
+            col.extend(self.bytes.chunks_exact(rl).map(|rec| spec.read(rec)));
         }
     }
 }
@@ -216,6 +212,34 @@ mod tests {
         batch.push_record(4, &r);
         batch.gather(&[spec(1, 4, 3)]);
         assert_eq!(batch.field(0), &[-7]);
+    }
+
+    #[test]
+    fn read_widens_each_width_at_unaligned_offsets() {
+        // Bitmap byte, then u8 at 1, i32 at 2, i64 at 6, i64 at 14 — none
+        // of the multi-byte fields sits on its natural alignment.
+        let mut rec = vec![0b1000u8, 0xF0];
+        rec.extend_from_slice(&(-7i32).to_le_bytes());
+        rec.extend_from_slice(&(-(1i64 << 40)).to_le_bytes());
+        rec.extend_from_slice(&i64::MAX.to_le_bytes());
+        let (byte, word, long, null) =
+            (spec(1, 1, 0), spec(2, 4, 1), spec(6, 8, 2), spec(14, 8, 3));
+        for s in [byte, word, long, null] {
+            s.validate(rec.len()).unwrap();
+        }
+        assert_eq!(byte.read(&rec), 0xF0, "u8 zero-extends");
+        assert_eq!(word.read(&rec), -7, "i32 sign-extends");
+        assert_eq!(long.read(&rec), -(1i64 << 40));
+        assert_eq!(null.read(&rec), NULL_SENTINEL, "a set null bit wins");
+        // The gather is `read` per record.
+        let mut batch = RecordBatch::default();
+        batch.begin(0, rec.len(), 1);
+        batch.push_record(0, &rec);
+        batch.gather(&[byte, word, long, null]);
+        assert_eq!(
+            (0..4).map(|f| batch.field(f)[0]).collect::<Vec<_>>(),
+            [0xF0, -7, -(1i64 << 40), NULL_SENTINEL]
+        );
     }
 
     #[test]

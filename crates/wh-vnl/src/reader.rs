@@ -167,15 +167,14 @@ impl<'t> ReaderSession<'t> {
     }
 
     /// The scan driver behind every row-visiting entry point: one partition
-    /// on the calling thread, `cols` projected (`None` = the full base row).
-    fn scan_rows<F>(&self, span: u32, cols: Option<&[usize]>, mut visit: F) -> VnlResult<()>
+    /// on the calling thread, each row decoded through `scanner`'s plan.
+    fn scan_rows<F>(&self, span: u32, scanner: &BatchScanner, mut visit: F) -> VnlResult<()>
     where
         F: FnMut(Row) -> VnlResult<()>,
     {
-        let scanner = BatchScanner::new(self.table.layout(), self.table.storage().codec(), cols);
         self.observed(span, || {
             self.table
-                .scan_serial(&scanner, self.session_vn, |batch, classes, pool| {
+                .scan_serial(scanner, self.session_vn, |batch, classes, pool| {
                     scanner.visit_selected(batch, classes, pool, &mut visit)
                 })
         })
@@ -201,7 +200,8 @@ impl<'t> ReaderSession<'t> {
     where
         F: FnMut(Row) -> VnlResult<()>,
     {
-        self.scan_rows(wh_obs::trace_name!("vnl.read.scan"), None, visit)
+        let span = wh_obs::trace_name!("vnl.read.scan");
+        self.scan_rows(span, self.table.rows(), visit)
     }
 
     /// [`ReaderSession::scan_with`] with projection pushdown: rows carry
@@ -212,40 +212,19 @@ impl<'t> ReaderSession<'t> {
         F: FnMut(Row) -> VnlResult<()>,
     {
         let span = wh_obs::trace_name!("vnl.read.scan_projected");
-        self.scan_rows(span, Some(cols), visit)
-    }
-
-    /// Partitioned scan: the heap is split into at most `threads` contiguous
-    /// page ranges, and `visit(partition, row)` runs on the partitions'
-    /// threads. Exactly the rows of [`ReaderSession::scan`] are delivered
-    /// (same Table 1 semantics at this session's version, including
-    /// per-tuple expiration), but interleaving across partitions is
-    /// nondeterministic — within one partition, rows arrive in heap order.
-    pub fn scan_parallel<F>(&self, threads: usize, visit: F) -> VnlResult<()>
-    where
-        F: Fn(usize, Row) -> VnlResult<()> + Sync,
-    {
-        let scanner = BatchScanner::new(self.table.layout(), self.table.storage().codec(), None);
-        let deliver = |p, (): &mut (), batch: &_, classes: &_, pool: &mut _| {
-            scanner.visit_selected(batch, classes, pool, |row| visit(p, row))
-        };
-        self.observed(wh_obs::trace_name!("vnl.read.scan_parallel"), || {
-            self.table
-                .scan_partitioned(&scanner, self.session_vn, threads, deliver)
-        })
-        .map(drop)
+        let codec = self.table.storage().codec();
+        let scanner = BatchScanner::new(self.table.layout(), codec, Some(cols));
+        self.scan_rows(span, &scanner, visit)
     }
 
     /// Count the rows visible to this session without decoding any of them:
     /// the scan with a popcount of each page's selection bitmap in place of
     /// row delivery. Expiration detection is identical to a full scan.
     pub fn count(&self) -> VnlResult<u64> {
-        let codec = self.table.storage().codec();
-        let scanner = BatchScanner::new_sparse(self.table.layout(), codec, &[]);
         let mut count = 0u64;
         self.observed(wh_obs::trace_name!("vnl.read.count"), || {
             self.table
-                .scan_serial(&scanner, self.session_vn, |_, classes, _| {
+                .scan_serial(self.table.rows(), self.session_vn, |_, classes, _| {
                     count += classes.selected() as u64;
                     Ok(())
                 })
@@ -287,26 +266,14 @@ impl<'t> ReaderSession<'t> {
         self.resolve_rids(rids)
     }
 
-    /// Fetch + version-extract a set of RIDs, with per-tuple expiration
-    /// detection (Table 1 applies at the index leaf exactly as in a scan).
+    /// Fetch and classify a set of RIDs with the scan kernel, with
+    /// per-tuple expiration detection (Table 1 applies at the index leaf
+    /// exactly as in a scan). A tuple GC reclaimed between index probe and
+    /// fetch is skipped.
     fn resolve_rids(&self, rids: Vec<wh_storage::Rid>) -> VnlResult<Vec<Row>> {
-        let layout = self.table.layout();
         let mut out = Vec::with_capacity(rids.len());
         for rid in rids {
-            let ext = match self.table.storage().read(rid) {
-                Ok(e) => e,
-                // The tuple may have been GC'd between index probe and fetch.
-                Err(wh_storage::StorageError::NoSuchSlot { .. }) => continue,
-                Err(e) => return Err(e.into()),
-            };
-            match crate::visibility::extract(layout, &ext, self.session_vn) {
-                crate::visibility::Visible::Row(r) => out.push(r),
-                crate::visibility::Visible::Ignore => {}
-                crate::visibility::Visible::Expired => {
-                    self.table.note_expiration();
-                    return Err(self.table.expired_error(self.session_vn));
-                }
-            }
+            out.extend(self.table.read_visible(rid, self.session_vn)?);
         }
         // Re-check the recovery fence after the resolves: a crash recovery
         // concurrent with this lookup may have reconstructed the slots the

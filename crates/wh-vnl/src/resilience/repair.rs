@@ -41,9 +41,9 @@
 
 use crate::delta::DeltaBatch;
 use crate::error::{VnlError, VnlResult};
+use crate::scan::Classified;
 use crate::table::VnlTable;
 use crate::version::{Operation, VersionNo};
-use crate::visibility::{self, Visible};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use wh_index::IndexKey;
@@ -157,15 +157,18 @@ impl<'t> RepairEngine<'t> {
         }
         let mut map: BTreeMap<IndexKey, Row> = BTreeMap::new();
         let mut reconstructed: u64 = 0;
-        for (_rid, ext) in self.table.scan_raw()? {
-            match visibility::extract(self.table.layout(), &ext, session_vn) {
-                Visible::Row(row) => {
-                    map.insert(IndexKey(base.key_of(&row)), row);
-                }
-                Visible::Ignore => {}
-                Visible::Expired => {
+        let mut raced = false;
+        let rows = self.table.rows();
+        let mut pool = rows.new_pool();
+        // Pinned like every walk that is not GC's own.
+        let _pin = self.table.epochs().pin();
+        self.table.walk_stamps(|t| {
+            match rows.classify_record(t.record(), session_vn)? {
+                Classified::Ignore => {}
+                Classified::Expired => {
                     // Key attributes are never updatable, so the overwritten
                     // tuple's current values still carry its key.
+                    let ext = t.decode()?;
                     let key = IndexKey(base.key_of(&self.table.layout().current_values(&ext)));
                     match first_pre.get(&key) {
                         Some(Some(pre)) => {
@@ -178,12 +181,20 @@ impl<'t> RepairEngine<'t> {
                         // Overwritten by a commit outside the fetched
                         // window (it raced this repair): not provably
                         // reconstructible.
-                        None => return decline(),
+                        None => raced = true,
                     }
                 }
+                visible => {
+                    let row = rows.decode_visible(t.record(), visible, &mut pool)?;
+                    map.insert(IndexKey(base.key_of(&row)), row);
+                }
             }
+            Ok(())
+        })?;
+        if raced {
+            return decline();
         }
-        // Tuples GC physically reclaimed leave no extended row to extract;
+        // Tuples GC physically reclaimed leave no record to classify;
         // their value at `session_vn` is the window's first pre-image.
         for (key, pre) in first_pre {
             if let Some(pre) = pre {

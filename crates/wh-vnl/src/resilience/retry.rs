@@ -13,7 +13,7 @@
 //! versions — a silent wrong answer. Every retried operation therefore
 //! buffers its output per attempt and discards the buffer with the failed
 //! attempt; only a fully consistent result ever reaches the caller (see
-//! [`RetryPolicy::scan_with`]).
+//! [`RetryPolicy::scan_repaired`]).
 
 use crate::error::{VnlError, VnlResult};
 use crate::reader::ReaderSession;
@@ -245,28 +245,6 @@ impl RetryPolicy {
         self.run(table, |s| s.scan())
     }
 
-    /// Retried streaming scan with the cursor-restart protocol made
-    /// concrete: rows are buffered per attempt and `visit` only ever sees
-    /// the rows of the one attempt that completed — never a partial prefix
-    /// from an expired cursor.
-    pub fn scan_with<F>(&self, table: &VnlTable, mut visit: F) -> VnlResult<()>
-    where
-        F: FnMut(Row) -> VnlResult<()>,
-    {
-        let rows = self.run(table, |s| {
-            let mut buf = Vec::new();
-            s.scan_with(|row| {
-                buf.push(row);
-                Ok(())
-            })?;
-            Ok(buf)
-        })?;
-        for row in rows {
-            visit(row)?;
-        }
-        Ok(())
-    }
-
     /// Retried [`ReaderSession::query`]: parses once, re-executes the
     /// statement per attempt against a fresh session.
     pub fn query(&self, table: &VnlTable, sql: &str) -> VnlResult<QueryResult> {
@@ -277,11 +255,6 @@ impl RetryPolicy {
             )));
         };
         self.run(table, |s| s.query_stmt(&select))
-    }
-
-    /// Retried [`ReaderSession::read_by_key`].
-    pub fn read_by_key(&self, table: &VnlTable, key_row: &[Value]) -> VnlResult<Option<Row>> {
-        self.run(table, |s| s.read_by_key(key_row))
     }
 
     /// Repair-first retried scan. An expired attempt is answered from the

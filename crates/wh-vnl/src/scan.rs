@@ -1,32 +1,30 @@
-//! The production scanner: Table 1 evaluated on encoded records, a page
-//! at a time.
+//! The production scanner: Table 1 evaluated on encoded records — a page
+//! at a time for scans, one record at a time for point reads, index
+//! lookups and repair's rebuild.
 //!
-//! [`crate::visibility::extract`] is the reference implementation of Table 1
-//! (§3.2) and its nVNL generalization (§5), but it requires a fully decoded
-//! extended row. On the reader hot path that is wasteful twice over: most
-//! tuples in a scan resolve to *current* visibility (no maintenance touched
-//! them since the session began), yet every tuple pays full-row decode —
-//! including the `n − 1` pre-update sets the session will never look at —
-//! and a query usually projects a handful of columns anyway.
+//! [`crate::visibility::extract`] states Table 1 (§3.2) and its nVNL
+//! generalization (§5) over a fully decoded extended row; it is the oracle
+//! the tests hold this module to. Decoding every tuple would be wasteful
+//! twice over: most tuples resolve to *current* visibility, yet full-row
+//! decode pays for the `n − 1` pre-update sets the session will never
+//! look at — and a query usually projects a handful of columns anyway.
 //!
 //! The extended row codec stores every column at a fixed byte offset
 //! (`wh_types::RowCodec::col_byte_range`), so the `(tupleVN_j,
-//! operation_j)` pairs can be read straight out of the encoded record: 4
-//! little-endian bytes for the version number, 1 byte for the operation
-//! code, and one null-bitmap bit per column for slot occupancy.
-//! [`BatchScanner`] consumes whole-page [`RecordBatch`]es (see
-//! `wh_storage::batch`) whose pairs have been gathered into column-strided
-//! `i64` arrays, evaluates Table 1 over those arrays without data-dependent
-//! branching in the slot walk, writes the verdicts into a selection bitmap,
-//! and decodes *only* the selected records through a precompiled per-column
-//! plan — invisible tuples are skipped before any decoding happens, and
-//! visible ones decode exactly the projected columns (pre-update columns
-//! are substituted per Table 1's note when the session reads a pre-update
-//! version).
+//! operation_j)` pairs are read straight out of the encoded record and
+//! widened to `i64` by `FieldSpec::read`. One decision function,
+//! [`classify_stamps`], evaluates Table 1 over them:
+//! [`BatchScanner::classify_batch`] runs it over a page's pairs gathered
+//! into column-strided arrays (`wh_storage::batch`), then applies pushed
+//! filters into a selection bitmap; [`BatchScanner::classify_record`] runs
+//! it over one record's. Only visible records are decoded, through a
+//! precompiled per-column plan that reads exactly the projected columns
+//! (pre-update columns are substituted per Table 1's note for a
+//! pre-update verdict).
 //!
-//! The classifier mirrors `extract` case by case; the
-//! `batch_path_matches_reference` tests below lock the two together on the
-//! paper's fixtures (Figure 4, Figure 7) and on randomized histories.
+//! The `batch_path_matches_reference` tests lock `classify_record`,
+//! `classify_batch` and `extract` together on the paper's fixtures
+//! (Figure 4, Figure 7) and on randomized histories.
 
 use crate::error::VnlResult;
 use crate::schema_ext::ExtLayout;
@@ -36,6 +34,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use wh_sql::{FilterLiteral, FilterOp, RowView, ScanFilter, SqlResult};
 use wh_storage::batch::{FieldSpec, RecordBatch, NULL_SENTINEL};
+use wh_storage::{StorageError, StorageResult};
 use wh_types::{DataType, Date, Row, RowCodec, TypeError, TypeResult, Value};
 
 /// Outcome of the byte-level Table 1 test for one encoded record.
@@ -69,28 +68,72 @@ fn field_spec(codec: &RowCodec, c: usize) -> FieldSpec {
     }
 }
 
-/// Where the version stamps live in an encoded record, as gather specs
-/// `[vn_0, op_0, vn_1, op_1, …]` — the one definition the reader kernel
-/// ([`BatchScanner`]) and the whole-relation walker
-/// ([`crate::VnlTable::walk_stamps`]) share.
-pub(crate) fn stamp_specs(layout: &ExtLayout, codec: &RowCodec) -> Vec<FieldSpec> {
-    (0..layout.slots())
-        .flat_map(|j| [layout.vn_col(j), layout.op_col(j)].map(|c| field_spec(codec, c)))
-        .collect()
-}
-
-/// Slot `j`'s `(tupleVN, operation)` of record `i`, read from a batch
-/// gathered with [`stamp_specs`]; `None` when the slot is empty — the
-/// byte-level twin of [`ExtLayout::slot`].
-pub(crate) fn stamp_at(batch: &RecordBatch, i: usize, j: usize) -> Option<(VersionNo, Operation)> {
-    let vn = batch.field(2 * j)[i];
-    let op = match batch.field(2 * j + 1)[i] {
+/// A gathered `(vn, op)` pair as a stamp; `None` when the slot is empty —
+/// the byte-level twin of [`ExtLayout::slot`].
+fn stamp(vn: i64, op: i64) -> Option<(VersionNo, Operation)> {
+    let op = match op {
         OP_I => Operation::Insert,
         OP_U => Operation::Update,
         OP_D => Operation::Delete,
         _ => return None,
     };
     (vn != NULL_SENTINEL).then_some((vn as VersionNo, op))
+}
+
+/// Slot `j`'s `(tupleVN, operation)` of record `i`, read from a batch
+/// gathered with a scanner's [`BatchScanner::specs`]; `None` when the slot
+/// is empty.
+pub(crate) fn stamp_at(batch: &RecordBatch, i: usize, j: usize) -> Option<(VersionNo, Operation)> {
+    stamp(batch.field(2 * j)[i], batch.field(2 * j + 1)[i])
+}
+
+/// Table 1 / §5 for one tuple whose slot 0 is stamped, `slot(j)` reading
+/// slot `j`'s `(vn_j, op_j)` — the one production definition of the rule,
+/// behind [`BatchScanner::classify_batch`] and
+/// [`BatchScanner::classify_record`]. The slot walk is mask/select
+/// arithmetic only: a `contiguous` mask reproduces `extract`'s
+/// stop-at-first-empty rule, and running accumulators carry `j*`, its
+/// operation code and the oldest recorded VN.
+#[inline(always)]
+fn classify_stamps(
+    n_slots: usize,
+    session_vn: i64,
+    slot: impl Fn(usize) -> (i64, i64),
+) -> Classified {
+    let (vn1, op1) = slot(0);
+    if session_vn >= vn1 {
+        // Case 1: at or past the newest modification.
+        return if op1 == OP_D {
+            Classified::Ignore
+        } else {
+            Classified::Current
+        };
+    }
+    // Case 2/3: walk the older slots branch-free.
+    let mut contiguous = true;
+    let mut oldest = 0usize;
+    let mut vn_oldest = vn1;
+    let mut j_star = 0usize;
+    let mut op_star = op1;
+    for j in 1..n_slots {
+        let (vn_j, op_j) = slot(j);
+        let valid = vn_j != NULL_SENTINEL && (op_j == OP_I || op_j == OP_U || op_j == OP_D);
+        let recorded = contiguous & valid;
+        contiguous = recorded;
+        oldest = if recorded { j } else { oldest };
+        vn_oldest = if recorded { vn_j } else { vn_oldest };
+        let newer = recorded & (vn_j > session_vn);
+        j_star = if newer { j } else { j_star };
+        op_star = if newer { op_j } else { op_star };
+    }
+    let slots_full = oldest == n_slots - 1;
+    if slots_full && j_star == oldest && session_vn + 1 < vn_oldest {
+        Classified::Expired
+    } else if op_star == OP_I {
+        Classified::Ignore
+    } else {
+        Classified::Pre(j_star)
+    }
 }
 
 /// One column of the precompiled decode plan: where the bytes live and how
@@ -151,7 +194,9 @@ const STR_POOL_CAP: usize = 1 << 12;
 /// pages almost every string decode is a pool hit — an `Arc` refcount bump
 /// instead of an allocation + copy. The pool is deliberately per-scan (not
 /// global): no cross-scan synchronization, and dropping the scan drops the
-/// pool.
+/// pool. The default (empty) pool interns nothing — each string decodes to
+/// a fresh `Arc<str>` — which is what a point read wants: one record has no
+/// run to amortize a pool over.
 #[derive(Debug, Default)]
 pub struct StrPool {
     cols: Vec<ColPool>,
@@ -182,11 +227,7 @@ impl ColPool {
                 return Ok(Arc::clone(last));
             }
         }
-        let trimmed = match raw.iter().rposition(|&b| b != b' ') {
-            Some(end) => &raw[..=end],
-            None => &raw[..0],
-        };
-        let s = std::str::from_utf8(trimmed).map_err(|e| TypeError::Codec(e.to_string()))?;
+        let s = padded_str(raw)?;
         let interned = match self.set.get(s) {
             Some(hit) => Arc::clone(hit),
             None => {
@@ -202,6 +243,16 @@ impl ColPool {
         self.last = Some(Arc::clone(&interned));
         Ok(interned)
     }
+}
+
+/// The string stored in raw `Char` slot bytes, space-padded to the column
+/// width as `RowCodec` encodes them.
+fn padded_str(raw: &[u8]) -> TypeResult<&str> {
+    let trimmed = match raw.iter().rposition(|&b| b != b' ') {
+        Some(end) => &raw[..=end],
+        None => &raw[..0],
+    };
+    std::str::from_utf8(trimmed).map_err(|e| TypeError::Codec(e.to_string()))
 }
 
 /// A compiled [`ScanFilter`] — one pushed-down `column <op> literal`,
@@ -282,7 +333,7 @@ pub struct BatchScanner {
     /// Gather specs handed to the heap: `[vn_0, op_0, vn_1, op_1, …]`.
     specs: Vec<FieldSpec>,
     /// Decode plan per output column, current version; `None` emits NULL
-    /// (sparse projection — see [`BatchScanner::new_sparse`]).
+    /// (sparse projection — see [`BatchScanner::new_sparse_filtered`]).
     current_plan: Vec<Option<ColPlan>>,
     /// Same, per pre-update slot `j`.
     pre_plans: Vec<Vec<Option<ColPlan>>>,
@@ -314,20 +365,16 @@ impl BatchScanner {
 
     /// Build a scanner that emits **full base-arity** rows but only decodes
     /// the columns in `needed` — every other column comes back as
-    /// `Value::Null`. This is the SQL executor's projection pushdown: the
-    /// row shape stays schema-compatible (expressions address columns by
-    /// index) while unreferenced columns skip decoding entirely.
-    pub fn new_sparse(layout: &ExtLayout, codec: &RowCodec, needed: &[usize]) -> Self {
-        Self::new_sparse_filtered(layout, codec, needed, &[])
-    }
-
-    /// [`BatchScanner::new_sparse`] with pushed-down predicate filters:
-    /// records whose version-visible filter columns fail any filter are
-    /// demoted to [`Classified::Ignore`] during classification, before any
-    /// decode. Expiration detection is unaffected — an expired tuple still
-    /// reports [`Classified::Expired`] whether or not a filter would have
-    /// dropped it: expiration is a visibility fact, decided before any
-    /// predicate is looked at.
+    /// `Value::Null` — with pushed-down predicate filters. This is the SQL
+    /// executor's projection pushdown: the row shape stays
+    /// schema-compatible (expressions address columns by index) while
+    /// unreferenced columns skip decoding entirely. Records whose
+    /// version-visible filter columns fail any filter are demoted to
+    /// [`Classified::Ignore`] during classification, before any decode.
+    /// Expiration detection is unaffected — an expired tuple still reports
+    /// [`Classified::Expired`] whether or not a filter would have dropped
+    /// it: expiration is a visibility fact, decided before any predicate is
+    /// looked at.
     pub fn new_sparse_filtered(
         layout: &ExtLayout,
         codec: &RowCodec,
@@ -357,7 +404,11 @@ impl BatchScanner {
                 ty: codec.schema().columns()[ext_col].ty,
             }
         };
-        let mut specs = stamp_specs(layout, codec);
+        // Where the version stamps live, `[vn_0, op_0, vn_1, op_1, …]`: the
+        // one definition every stamp reader indexes (fields `2j`, `2j + 1`).
+        let mut specs: Vec<FieldSpec> = (0..layout.slots())
+            .flat_map(|j| [layout.vn_col(j), layout.op_col(j)].map(|c| field_spec(codec, c)))
+            .collect();
         // A filter column's image per verdict: the base column, then each
         // slot's pre-update copy when the column is updatable (the plan
         // then picks the image matching the record's verdict).
@@ -434,13 +485,9 @@ impl BatchScanner {
         &self.specs
     }
 
-    /// Classify every record of `batch` — Table 1 / §5 evaluated over the
-    /// gathered version columns into `out`. The slot walk is evaluated
-    /// with mask/select arithmetic only (no data-dependent branches): a
-    /// `contiguous` mask reproduces `extract`'s stop-at-first-empty rule,
-    /// and running accumulators carry `j*`, its operation code, and
-    /// the oldest recorded VN so no gathered array is indexed by a
-    /// data-dependent subscript.
+    /// Classify every record of `batch` — Table 1 / §5
+    /// ([`classify_stamps`]) over the gathered version columns, then the
+    /// pushed-down filters — into `out`.
     pub fn classify_batch(
         &self,
         batch: &RecordBatch,
@@ -464,45 +511,10 @@ impl BatchScanner {
         // conflate the field axis with the row axis.
         #[allow(clippy::needless_range_loop)]
         for i in 0..n {
-            let vn1 = fields[0][i];
-            let op1 = fields[1][i];
-            debug_assert!(vn1 != NULL_SENTINEL, "slot 0 is populated for live tuples");
-            let code = if session_vn >= vn1 {
-                // Case 1: at or past the newest modification.
-                if op1 == OP_D {
-                    Classified::Ignore
-                } else {
-                    Classified::Current
-                }
-            } else {
-                // Case 2/3: walk the older slots branch-free.
-                let mut contiguous = true;
-                let mut oldest = 0usize;
-                let mut vn_oldest = vn1;
-                let mut j_star = 0usize;
-                let mut op_star = op1;
-                for j in 1..self.n_slots {
-                    let vn_j = fields[2 * j][i];
-                    let op_j = fields[2 * j + 1][i];
-                    let valid =
-                        vn_j != NULL_SENTINEL && (op_j == OP_I || op_j == OP_U || op_j == OP_D);
-                    let recorded = contiguous & valid;
-                    contiguous = recorded;
-                    oldest = if recorded { j } else { oldest };
-                    vn_oldest = if recorded { vn_j } else { vn_oldest };
-                    let newer = recorded & (vn_j > session_vn);
-                    j_star = if newer { j } else { j_star };
-                    op_star = if newer { op_j } else { op_star };
-                }
-                let slots_full = oldest == self.n_slots - 1;
-                if slots_full && j_star == oldest && session_vn + 1 < vn_oldest {
-                    Classified::Expired
-                } else if op_star == OP_I {
-                    Classified::Ignore
-                } else {
-                    Classified::Pre(j_star)
-                }
-            };
+            debug_assert_ne!(fields[0][i], NULL_SENTINEL, "slot 0 is stamped");
+            let code = classify_stamps(self.n_slots, session_vn, |j| {
+                (fields[2 * j][i], fields[2 * j + 1][i])
+            });
             // Pushed-down predicate filters: a *visible* record whose
             // version-visible filter image fails any filter (or is NULL —
             // the SQL conjunct would be unknown, not TRUE) is demoted to
@@ -534,6 +546,23 @@ impl BatchScanner {
         }
     }
 
+    /// Classify one encoded record — the point-read twin of
+    /// [`BatchScanner::classify_batch`]: [`classify_stamps`] over the
+    /// stamps read straight from `rec` ([`FieldSpec::read`]), with no
+    /// pushed filter applied. A record of the wrong width, or one without a
+    /// slot-0 stamp, is [`StorageError::Corrupt`].
+    pub fn classify_record(&self, rec: &[u8], session_vn: VersionNo) -> StorageResult<Classified> {
+        let rec = self
+            .checked_record(rec)
+            .map_err(|e| StorageError::Corrupt(e.to_string()))?;
+        let slot = |j: usize| (self.specs[2 * j].read(rec), self.specs[2 * j + 1].read(rec));
+        let (vn0, op0) = slot(0);
+        if stamp(vn0, op0).is_none() {
+            return Err(StorageError::Corrupt("no slot-0 stamp".into()));
+        }
+        Ok(classify_stamps(self.n_slots, session_vn as i64, slot))
+    }
+
     /// A fresh interning pool sized to this scanner's output arity. One
     /// pool per scan, reused across batches, so pooled strings survive
     /// page boundaries and the hit rate climbs as the scan proceeds.
@@ -554,10 +583,9 @@ impl BatchScanner {
         }
     }
 
-    /// Record `i` of `batch`, checked to have the width every plan offset
-    /// was validated against: what makes the plans' unchecked reads sound.
-    fn checked_record<'a>(&self, batch: &'a RecordBatch, i: usize) -> TypeResult<&'a [u8]> {
-        let rec = batch.record(i);
+    /// `rec`, checked to have the width every plan offset was validated
+    /// against: what makes the plans' unchecked reads sound.
+    fn checked_record<'a>(&self, rec: &'a [u8]) -> TypeResult<&'a [u8]> {
         if rec.len() != self.record_len {
             return Err(TypeError::Codec(format!(
                 "record of {} bytes under a {}-byte plan",
@@ -568,21 +596,20 @@ impl BatchScanner {
         Ok(rec)
     }
 
-    /// Decode record `i` of `batch` through the precompiled plan for its
+    /// Decode the encoded record `rec` through the precompiled plan for its
     /// verdict (`Current` or `Pre(j)`; anything else is an error). Value-level
     /// checks (UTF-8, date validity) stay; string columns are interned
     /// through `pool` (from [`BatchScanner::new_pool`]).
     pub fn decode_visible(
         &self,
-        batch: &RecordBatch,
-        i: usize,
+        rec: &[u8],
         which: Classified,
         pool: &mut StrPool,
     ) -> TypeResult<Row> {
-        let plan = self
-            .plan(which)
-            .ok_or_else(|| TypeError::Codec(format!("record {i} is not visible")))?;
-        decode_row(plan, self.checked_record(batch, i)?, pool)
+        let plan = self.plan(which).ok_or_else(|| {
+            TypeError::Codec(format!("a record classified {which:?} is not visible"))
+        })?;
+        decode_row(plan, self.checked_record(rec)?, pool)
     }
 
     /// Row delivery over a classified batch: decode each selected record,
@@ -595,8 +622,8 @@ impl BatchScanner {
         mut visit: impl FnMut(Row) -> VnlResult<()>,
     ) -> VnlResult<()> {
         for (i, &code) in classes.codes().iter().enumerate() {
-            if let Some(plan) = self.plan(code) {
-                visit(decode_row(plan, self.checked_record(batch, i)?, pool)?)?;
+            if classes.is_selected(i) {
+                visit(self.decode_visible(batch.record(i), code, pool)?)?;
             }
         }
         Ok(())
@@ -615,7 +642,7 @@ impl BatchScanner {
         let pool = RefCell::new(pool);
         for (i, &code) in classes.codes().iter().enumerate() {
             if let Some(plan) = self.plan(code) {
-                let rec = self.checked_record(batch, i)?;
+                let rec = self.checked_record(batch.record(i))?;
                 visit(&BatchRow {
                     rec,
                     plan,
@@ -648,7 +675,7 @@ impl RowView for BatchRow<'_, '_> {
             Some(p) => Ok(decode_planned(
                 p,
                 self.rec,
-                &mut self.pool.borrow_mut().cols[col],
+                self.pool.borrow_mut().cols.get_mut(col),
             )?),
         }
     }
@@ -705,19 +732,22 @@ impl RowView for BatchRow<'_, '_> {
 /// Decode a whole record through `plan` (unplanned columns are NULL). The
 /// caller checked `rec`'s width ([`BatchScanner::checked_record`]).
 fn decode_row(plan: &[Option<ColPlan>], rec: &[u8], pool: &mut StrPool) -> TypeResult<Row> {
-    plan.iter()
-        .zip(pool.cols.iter_mut())
-        .map(|(col, pool)| match col {
-            None => Ok(Value::Null),
-            Some(p) => decode_planned(p, rec, pool),
-        })
-        .collect()
+    // Sized up front: a collect of `Result`s would grow it.
+    let mut row = Vec::with_capacity(plan.len());
+    for (c, col) in plan.iter().enumerate() {
+        row.push(match col {
+            None => Value::Null,
+            Some(p) => decode_planned(p, rec, pool.cols.get_mut(c))?,
+        });
+    }
+    Ok(row)
 }
 
-/// Decode one planned column from a record image. The caller guarantees
-/// `rec.len()` equals the record width the plan was built against (see
+/// Decode one planned column from a record image, interning a string
+/// through `pool` when there is one. The caller guarantees `rec.len()`
+/// equals the record width the plan was built against (see
 /// [`BatchScanner::checked_record`]).
-fn decode_planned(p: &ColPlan, rec: &[u8], pool: &mut ColPool) -> TypeResult<Value> {
+fn decode_planned(p: &ColPlan, rec: &[u8], pool: Option<&mut ColPool>) -> TypeResult<Value> {
     // safety: ColPlan offsets fit the record width the plan was built for
     // (`col_byte_range` derives them from the codec, `debug_assert` in
     // `build`), and every caller passes a record that
@@ -741,7 +771,10 @@ fn decode_planned(p: &ColPlan, rec: &[u8], pool: &mut ColPool) -> TypeResult<Val
             ))),
             DataType::Char(len) => {
                 let raw = std::slice::from_raw_parts(ptr, len);
-                Value::Str(pool.intern(raw)?)
+                Value::Str(match pool {
+                    Some(pool) => pool.intern(raw)?,
+                    None => Arc::from(padded_str(raw)?),
+                })
             }
             DataType::Date => {
                 let packed = u32::from_le_bytes(std::ptr::read_unaligned(ptr as *const [u8; 4]));
@@ -795,9 +828,11 @@ mod tests {
             );
             assert_eq!(classes.selected(), usize::from(classes.is_selected(0)));
             let mut pool = scanner.new_pool();
-            let row = classes
-                .is_selected(0)
-                .then(|| scanner.decode_visible(batch, 0, code, &mut pool).unwrap());
+            let row = classes.is_selected(0).then(|| {
+                scanner
+                    .decode_visible(batch.record(0), code, &mut pool)
+                    .unwrap()
+            });
             verdict = Some((code, row));
             Ok(())
         })
@@ -805,15 +840,22 @@ mod tests {
         verdict.unwrap()
     }
 
-    /// Assert the batch path agrees with the reference `extract` for one
-    /// extended row across a range of session versions.
+    /// Assert the record path and the batch path agree with each other and
+    /// with the reference `extract` for one extended row across a range of
+    /// session versions.
     fn assert_agrees(l: &ExtLayout, ext: &Row, vns: impl Iterator<Item = VersionNo>) {
         let c = codec(l);
         let batched = BatchScanner::new(l, &c, None);
         let buf = c.encode(ext).unwrap();
+        let mut pool = batched.new_pool();
         for vn in vns {
             let reference = extract(l, ext, vn);
             let (code, row) = batch_verdict(&batched, &buf, vn);
+            let single = batched.classify_record(&buf, vn).unwrap();
+            assert_eq!(single, code, "record path vs batch path at sessionVN {vn}");
+            let single_row = matches!(single, Classified::Current | Classified::Pre(_))
+                .then(|| batched.decode_visible(&buf, single, &mut pool).unwrap());
+            assert_eq!(single_row, row, "record-path row at sessionVN {vn}");
             match (&reference, code) {
                 (Visible::Ignore, Classified::Ignore) => {}
                 (Visible::Expired, Classified::Expired) => {}
@@ -1036,6 +1078,26 @@ mod tests {
     }
 
     #[test]
+    fn record_path_reports_a_bad_width_or_a_missing_stamp_as_corrupt() {
+        let l = layout(2);
+        let c = codec(&l);
+        let scanner = BatchScanner::new(&l, &c, None);
+        let live = row2(3, "i", "X", "p", 1, Value::from(1), Value::Null);
+        let buf = c.encode(&live).unwrap();
+        assert_eq!(scanner.classify_record(&buf, 3), Ok(Classified::Current));
+        let corrupt = |r| matches!(r, Err(StorageError::Corrupt(_)));
+        assert!(corrupt(scanner.classify_record(&buf[1..], 3)), "short");
+        let mut unstamped = live.clone();
+        unstamped[l.vn_col(0)] = Value::Null;
+        let buf = c.encode(&unstamped).unwrap();
+        assert!(corrupt(scanner.classify_record(&buf, 3)), "no slot-0 VN");
+        let mut unstamped = live;
+        unstamped[l.op_col(0)] = Value::Null;
+        let buf = c.encode(&unstamped).unwrap();
+        assert!(corrupt(scanner.classify_record(&buf, 3)), "no slot-0 op");
+    }
+
+    #[test]
     fn projection_decodes_only_requested_columns() {
         let l = layout(2);
         let c = codec(&l);
@@ -1137,7 +1199,7 @@ mod tests {
                 .filter(|&i| classes.is_selected(i))
                 .map(|i| {
                     batched
-                        .decode_visible(batch, i, classes.codes()[i], &mut pool)
+                        .decode_visible(batch.record(i), classes.codes()[i], &mut pool)
                         .unwrap()
                 })
                 .collect();
@@ -1243,7 +1305,7 @@ mod tests {
                 .filter(|&i| classes.is_selected(i))
                 .map(|i| {
                     scanner
-                        .decode_visible(batch, i, classes.codes()[i], &mut pool)
+                        .decode_visible(batch.record(i), classes.codes()[i], &mut pool)
                         .unwrap()
                 })
                 .collect();
@@ -1584,7 +1646,7 @@ mod tests {
         let c = codec(&l);
         // Need only city (0) and total_sales (4): full-arity rows with
         // NULLs in the unneeded positions.
-        let sparse = BatchScanner::new_sparse(&l, &c, &[0, 4]);
+        let sparse = BatchScanner::new_sparse_filtered(&l, &c, &[0, 4], &[]);
         let current = row2(
             4,
             "u",

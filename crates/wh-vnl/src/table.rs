@@ -4,16 +4,15 @@ use crate::error::{VnlError, VnlResult};
 use crate::maintenance::MaintenanceTxn;
 use crate::reader::ReaderSession;
 use crate::rewrite::QueryRewriter;
-use crate::scan::{stamp_at, stamp_specs, BatchClasses, BatchScanner, Classified, StrPool};
+use crate::scan::{stamp_at, BatchClasses, BatchScanner, Classified, StrPool};
 use crate::schema_ext::ExtLayout;
 use crate::version::{Operation, VersionNo, VersionState};
-use crate::visibility;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, RwLock};
 use wh_index::{IndexKey, KeyDirectory, OrderedIndex};
-use wh_storage::batch::{FieldSpec, RecordBatch};
+use wh_storage::batch::RecordBatch;
 use wh_storage::{IoStats, Rid, StorageError, Table};
 use wh_types::{Row, Schema, Value};
 
@@ -57,9 +56,9 @@ pub struct VnlTable {
     name: String,
     layout: ExtLayout,
     storage: Table,
-    /// Where the version stamps live in `storage`'s records
-    /// ([`stamp_specs`]), computed once for [`VnlTable::walk_stamps`].
-    stamp_specs: Vec<FieldSpec>,
+    /// The full-row scanner with no filter, built once; its specs are
+    /// exactly the version stamps [`VnlTable::walk_stamps`] gathers.
+    rows: BatchScanner,
     /// Physical unique-key directory over the extended rows (logical deletes
     /// keep their key registered — exactly why Table 2's conflict rows
     /// exist).
@@ -184,7 +183,7 @@ impl VnlTable {
         let rewriter = QueryRewriter::new(layout.clone());
         let table = VnlTable {
             name: name.into(),
-            stamp_specs: stamp_specs(&layout, storage.codec()),
+            rows: BatchScanner::new(&layout, storage.codec(), None),
             layout,
             storage,
             key_dir,
@@ -475,32 +474,42 @@ impl VnlTable {
         // The pin spans probe → fetch: GC may retire the tuple between the
         // two, but cannot release (reuse) its slot while we hold the epoch.
         let _pin = self.epochs.pin();
-        let Some(rid) = self.find_physical(&self.base_to_ext_positions(key_row)) else {
-            self.fence_check(session_vn)?;
-            return Ok(None);
+        let resolved = match self.find_physical(&self.base_to_ext_positions(key_row)) {
+            Some(rid) => self.read_visible(rid, session_vn)?,
+            None => None,
         };
-        let ext = match self.storage.read(rid) {
-            Ok(e) => e,
-            // Reclaimed by GC between probe and read: logically absent (GC
-            // only removes tuples invisible to every active session).
-            Err(wh_storage::StorageError::NoSuchSlot { .. }) => {
-                self.fence_check(session_vn)?;
-                return Ok(None);
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let resolved = match visibility::extract(&self.layout, &ext, session_vn) {
-            visibility::Visible::Row(r) => Some(r),
-            visibility::Visible::Ignore => None,
-            visibility::Visible::Expired => {
-                self.note_expiration();
-                return Err(self.expired_error(session_vn));
-            }
-        };
-        // Checked on `Ignore` too: a recovery may have physically removed
+        // Checked when absent too: a recovery may have physically removed
         // a tuple whose pre-values this session should still see.
         self.fence_check(session_vn)?;
         Ok(resolved)
+    }
+
+    /// The tuple at `rid` as `session_vn` sees it, classified by the scan
+    /// kernel on its encoded record and decoded only if visible; `Ok(None)`
+    /// when absent or reclaimed by GC since the caller's probe. An expired
+    /// tuple is counted and raised. The caller pins across probe and fetch
+    /// and runs [`VnlTable::fence_check`] when its read completes.
+    pub(crate) fn read_visible(&self, rid: Rid, session_vn: VersionNo) -> VnlResult<Option<Row>> {
+        let rec = match self.storage.heap().read(rid) {
+            Ok(rec) => rec,
+            Err(StorageError::NoSuchSlot { .. }) => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        // One record: the empty pool decodes its strings without interning.
+        let mut pool = StrPool::default();
+        match self.rows.classify_record(&rec, session_vn)? {
+            Classified::Ignore => Ok(None),
+            Classified::Expired => {
+                self.note_expiration();
+                Err(self.expired_error(session_vn))
+            }
+            visible => Ok(Some(self.rows.decode_visible(&rec, visible, &mut pool)?)),
+        }
+    }
+
+    /// The cached full-row scanner with no filter.
+    pub(crate) fn rows(&self) -> &BatchScanner {
+        &self.rows
     }
 
     /// One partition of a scan — the only scan loop there is. Under its own
@@ -646,7 +655,7 @@ impl VnlTable {
         // `ScanAborted`, with the real error stashed beside it.
         let mut failure: Option<VnlError> = None;
         let heap = self.storage.heap();
-        let res = heap.scan_batches(0..heap.page_count(), &self.stamp_specs, |batch| {
+        let res = heap.scan_batches(0..heap.page_count(), self.rows.specs(), |batch| {
             (0..batch.len()).try_for_each(|i| {
                 let rid = batch.rid(i);
                 let Some((vn, op)) = stamp_at(batch, i, 0) else {
@@ -850,13 +859,14 @@ impl Stamped<'_> {
             .count() as u64
     }
 
+    /// The copied-out encoded record.
+    pub fn record(&self) -> &[u8] {
+        self.batch.record(self.i)
+    }
+
     /// Decode the full extended row from the copied-out record.
     pub fn decode(&self) -> VnlResult<Row> {
-        Ok(self
-            .table
-            .storage
-            .codec()
-            .decode(self.batch.record(self.i))?)
+        Ok(self.table.storage.codec().decode(self.record())?)
     }
 }
 

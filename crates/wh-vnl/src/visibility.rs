@@ -16,6 +16,11 @@
 //!
 //! When the oldest slot is empty the tuple's full history is present
 //! (tuples are born by insert), so case 3 can only fire on a full tuple.
+//!
+//! [`extract`] states the rule over a decoded extended row and is the
+//! **oracle**: every production read decides Table 1 with the scan kernel
+//! on encoded records (`crate::scan`), which the tests hold to this
+//! function; only the crash matrix and `report_examples` call it.
 
 use crate::schema_ext::ExtLayout;
 use crate::version::{Operation, VersionNo};

@@ -4,6 +4,7 @@
 //! and must reject updatable attributes.
 
 use wh_sql::Params;
+use wh_storage::StorageError;
 use wh_types::schema::daily_sales_schema;
 use wh_types::{Date, Row, Value};
 use wh_vnl::{gc, VnlError, VnlTable};
@@ -97,6 +98,65 @@ fn range_lookup_on_date() {
     assert_eq!(day13[0][0], Value::from("Novato"));
     let all = s.lookup_range("by_date", None, None).unwrap();
     assert_eq!(all.len(), 4);
+    s.finish();
+}
+
+#[test]
+fn inverted_range_lookup_is_empty() {
+    let t = seeded();
+    t.create_index("by_date", &["date"]).unwrap();
+    let s = t.begin_session();
+    let (d13, d14) = (
+        [Value::from(Date::ymd(1996, 10, 13))],
+        [Value::from(Date::ymd(1996, 10, 14))],
+    );
+    assert_eq!(
+        s.lookup_range("by_date", Some(&d14), Some(&d13)).unwrap(),
+        Vec::<Row>::new()
+    );
+    assert_eq!(
+        s.lookup_range("by_date", Some(&d13), Some(&d14))
+            .unwrap()
+            .len(),
+        4
+    );
+    s.finish();
+}
+
+#[test]
+fn a_corrupt_slot_0_stamp_fails_point_reads_with_a_storage_error() {
+    // A live tuple whose newest version number is NULL has no Table 1
+    // answer: a key read and an index lookup that reach it report the
+    // heap as corrupt instead of guessing.
+    let t = seeded();
+    t.create_index("by_city", &["city"]).unwrap();
+    let l = t.layout();
+    let (rid, mut ext) = t
+        .scan_raw()
+        .unwrap()
+        .into_iter()
+        .find(|(_, ext)| ext[l.base_col(0)] == Value::from("Novato"))
+        .unwrap();
+    ext[l.vn_col(0)] = Value::Null;
+    let record = t.storage().codec().encode(&ext).unwrap();
+    t.storage().heap().update_in_place(rid, &record).unwrap();
+    let s = t.begin_session();
+    let corrupt = |e: VnlError| matches!(e, VnlError::Storage(StorageError::Corrupt(_)));
+    let novato = row("Novato", "rollerblades", 13, 0);
+    assert!(corrupt(s.read_by_key(&novato).unwrap_err()));
+    assert!(corrupt(
+        s.lookup_eq("by_city", &[Value::from("Novato")])
+            .unwrap_err()
+    ));
+    // The tuples around it still read.
+    let berkeley = row("Berkeley", "racquetball", 14, 0);
+    assert!(s.read_by_key(&berkeley).unwrap().is_some());
+    assert_eq!(
+        s.lookup_eq("by_city", &[Value::from("Berkeley")])
+            .unwrap()
+            .len(),
+        1
+    );
     s.finish();
 }
 

@@ -3,10 +3,11 @@
 //! the same rows, counts, SQL answers, and expiration behavior, and all of
 //! them equal what the reference `visibility::extract` says about the raw
 //! heap — under random histories and under concurrent maintenance and GC.
+//! Point reads and index lookups classify with the same kernel, and are
+//! held to the same oracle tuple by tuple.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use wh_sql::Params;
 use wh_types::rng::SplitMix64;
 use wh_types::{Column, DataType, Row, Schema, Value};
@@ -32,21 +33,10 @@ fn ints(vals: &[i64]) -> Row {
     vals.iter().copied().map(Value::from).collect()
 }
 
-/// Sort rows into a canonical order so unordered-collection comparisons
-/// are well-defined.
-fn canon(mut rows: Vec<Row>) -> Vec<Row> {
-    rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-    rows
-}
-
-/// Collect a partitioned scan's rows (any interleaving) into one Vec.
+/// A partitioned `SELECT *`'s rows: the partitions' rows concatenated in
+/// partition order, which is heap order.
 fn collect_parallel(s: &ReaderSession<'_>, threads: usize) -> Result<Vec<Row>, VnlError> {
-    let rows = Mutex::new(Vec::new());
-    s.scan_parallel(threads, |_, row| {
-        rows.lock().unwrap().push(row);
-        Ok(())
-    })?;
-    Ok(rows.into_inner().unwrap())
+    Ok(s.query_parallel("SELECT * FROM kv", threads)?.rows)
 }
 
 fn collect_with(s: &ReaderSession<'_>) -> Result<Vec<Row>, VnlError> {
@@ -113,10 +103,9 @@ fn assert_session_matches(s: &ReaderSession<'_>, want: Option<&[Row]>, ctx: &str
         want.len(),
         "classify-only count diverged: {ctx}"
     );
-    let want_canon = canon(want.to_vec());
     for threads in [1, 2, 4, 7] {
         let got = collect_parallel(s, threads).unwrap();
-        assert_eq!(canon(got), want_canon, "{ctx} threads={threads}");
+        assert_eq!(got, want, "{ctx} threads={threads}");
     }
     // Projection pushdown: v-only, and reordered (v, k).
     assert_eq!(
@@ -179,6 +168,69 @@ fn assert_session_matches(s: &ReaderSession<'_>, want: Option<&[Row]>, ctx: &str
 /// partitions.
 const KEYS: i64 = 900;
 
+/// Point reads against the oracle, tuple by tuple: `read_by_key` and
+/// `lookup_eq` for every key ever inserted (`0..KEYS`) plus one never
+/// inserted (`KEYS`), and `lookup_range` with both bounds, one and none,
+/// must each answer what `extract` says about the keys' raw tuples — a
+/// row, absent, or expired. The detector is per tuple, so in an expired
+/// session a key whose tuple still holds the needed version answers.
+fn assert_point_reads_match(t: &VnlTable, s: &ReaderSession<'_>, ctx: &str) {
+    let l = t.layout();
+    // Key → the session's view of its one physical tuple: `None` when the
+    // tuple is expired, `Some(None)` when it is absent.
+    let raw: BTreeMap<i64, Option<Option<Row>>> = t
+        .scan_raw()
+        .unwrap()
+        .into_iter()
+        .map(|(_, ext)| {
+            let view = match extract(l, &ext, s.session_vn()) {
+                Visible::Row(r) => Some(Some(r)),
+                Visible::Ignore => Some(None),
+                Visible::Expired => None,
+            };
+            (ext[l.base_col(0)].as_int().unwrap(), view)
+        })
+        .collect();
+    let expired = |e: VnlError| matches!(e, VnlError::SessionExpired { .. });
+    for k in 0..=KEYS {
+        let ctx = format!("{ctx} k={k}");
+        match raw.get(&k).cloned().unwrap_or(Some(None)) {
+            None => {
+                assert!(expired(s.read_by_key(&kv(k, 0)).unwrap_err()), "{ctx}");
+                let got = s.lookup_eq("by_k", &[Value::from(k)]);
+                assert!(expired(got.unwrap_err()), "{ctx}");
+            }
+            Some(want) => {
+                assert_eq!(s.read_by_key(&kv(k, 0)).unwrap(), want, "{ctx}");
+                let got = s.lookup_eq("by_k", &[Value::from(k)]).unwrap();
+                assert_eq!(got, Vec::from_iter(want), "{ctx}");
+            }
+        }
+    }
+    let third = KEYS / 3;
+    for (lo, hi) in [
+        (Some(third), Some(2 * third)),
+        (Some(2 * third), None),
+        (None, Some(third)),
+        (None, None),
+    ] {
+        let ctx = format!("{ctx} range {lo:?}..={hi:?}");
+        let bound = |k: Option<i64>| k.map(|k| vec![Value::from(k)]);
+        let got = s.lookup_range("by_k", bound(lo).as_deref(), bound(hi).as_deref());
+        let span = lo.unwrap_or(i64::MIN)..=hi.unwrap_or(i64::MAX);
+        // In key order; any expired tuple in the range expires the lookup.
+        let want: Option<Vec<Row>> = raw
+            .range(span)
+            .map(|(_, view)| view.clone())
+            .collect::<Option<Vec<_>>>()
+            .map(|rows| rows.into_iter().flatten().collect());
+        match want {
+            None => assert!(expired(got.unwrap_err()), "{ctx}"),
+            Some(want) => assert_eq!(got.unwrap(), want, "{ctx}"),
+        }
+    }
+}
+
 /// Drive `generations` random maintenance transactions over an nVNL table,
 /// pinning a session at every version along the way, then hold every
 /// session — live or expired — to the oracle.
@@ -188,6 +240,7 @@ fn random_history_agrees(seed: u64, n: usize, generations: usize) {
     t.load_initial(&(0..KEYS).map(|k| kv(k, 0)).collect::<Vec<_>>())
         .unwrap();
     assert!(t.storage().heap().page_count() >= 4);
+    t.create_index("by_k", &["k"]).unwrap();
 
     let mut sessions = vec![t.begin_session()];
     for g in 1..=generations {
@@ -208,7 +261,9 @@ fn random_history_agrees(seed: u64, n: usize, generations: usize) {
     for s in sessions {
         let vn = s.session_vn();
         let want = oracle(&t, vn);
-        assert_session_matches(&s, want.as_deref(), &format!("seed={seed} n={n} vn={vn}"));
+        let ctx = format!("seed={seed} n={n} vn={vn}");
+        assert_session_matches(&s, want.as_deref(), &ctx);
+        assert_point_reads_match(&t, &s, &ctx);
     }
 }
 
@@ -307,17 +362,13 @@ fn visitor_errors_propagate_at_every_partition_count() {
         .unwrap();
     let s = t.begin_session();
     let boom = || VnlError::NoSuchIndex("boom".into());
+    // Only the last partition's last row fails; the error still wins.
+    let last = format!("SELECT k + 'x' FROM kv WHERE k = {}", KEYS - 1);
     for threads in [1, 2, 4] {
-        let err = s
-            .scan_parallel(threads, |_, row| {
-                if row[0] == Value::from(KEYS - 1) {
-                    Err(boom())
-                } else {
-                    Ok(())
-                }
-            })
-            .unwrap_err();
-        assert_eq!(err, boom(), "threads={threads}");
+        assert!(
+            matches!(s.query_parallel(&last, threads), Err(VnlError::Sql(_))),
+            "threads={threads}"
+        );
     }
     assert_eq!(s.scan_with(|_| Err(boom())).unwrap_err(), boom());
     // An executor-side error (a type error in a projection) too.
@@ -387,13 +438,8 @@ fn parallel_scans_stay_consistent_under_maintenance_and_gc() {
             scope.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     let s = t.begin_session();
-                    let rows = Mutex::new(Vec::new());
-                    match s.scan_parallel(4, |_, row| {
-                        rows.lock().unwrap().push(row);
-                        Ok(())
-                    }) {
-                        Ok(()) => {
-                            let rows = rows.into_inner().unwrap();
+                    match collect_parallel(&s, 4) {
+                        Ok(rows) => {
                             // Table 1 invariants: a consistent snapshot.
                             assert_eq!(rows.len() as i64, keys, "snapshot lost rows");
                             let gens: BTreeSet<String> =

@@ -34,7 +34,7 @@ fn sales_row(city: &str, line: &str, day: u8, sales: i64) -> Vec<Value> {
     ]
 }
 
-/// Sized to span several heap pages: `scan_parallel` only spawns worker
+/// Sized to span several heap pages: a partitioned read only spawns worker
 /// threads (and their partition spans) when the heap has more pages than
 /// workers.
 fn build_table(cities: usize) -> VnlTable {
@@ -49,7 +49,7 @@ fn build_table(cities: usize) -> VnlTable {
     table
 }
 
-/// Readers hammering `scan_parallel` while the main thread runs
+/// Readers hammering `query_parallel` while the main thread runs
 /// maintenance rounds — the exact shape that exercises cross-thread span
 /// parenting (issuing thread captures the context, worker threads open
 /// partition spans under it).
@@ -69,18 +69,14 @@ fn concurrent_workload(table: &VnlTable, cities: usize) {
                         break;
                     }
                     let session = table.begin_session();
-                    let rows = std::sync::atomic::AtomicUsize::new(0);
-                    let scanned = session.scan_parallel(4, |_, _row| {
-                        rows.fetch_add(1, Ordering::Relaxed);
-                        Ok(())
-                    });
+                    let scanned = session.query_parallel("SELECT * FROM DailySales", 4);
                     session.finish();
                     match scanned {
                         // Expiration is the §4.1 outcome this workload is
                         // *supposed* to provoke: n=2 versions, maintenance
                         // committing under the scan.
-                        Ok(()) | Err(VnlError::SessionExpired { .. }) => {}
-                        Err(e) => panic!("scan_parallel: {e:?}"),
+                        Ok(_) | Err(VnlError::SessionExpired { .. }) => {}
+                        Err(e) => panic!("query_parallel: {e:?}"),
                     }
                 }
             });
@@ -148,8 +144,18 @@ fn span_nesting_is_well_formed_under_parallel_scan_and_maintenance() {
                         "span {} ({}) crosses traces: parent {} is on trace {}",
                         e.span_id, e.name, e.parent_id, parent.0
                     );
-                    if e.name == "storage.scan.partition" && parent.2 == "vnl.read.scan_parallel" {
-                        saw_cross_thread_partition = true;
+                    // The executor's stage span may sit between the read
+                    // and its partitions: look for the read among the
+                    // ancestors.
+                    if e.name == "storage.scan.partition" {
+                        let mut up = Some(parent);
+                        while let Some(&(_, grand, name)) = up {
+                            if name == "vnl.read.query" {
+                                saw_cross_thread_partition = true;
+                                break;
+                            }
+                            up = open.get(&grand);
+                        }
                     }
                 } else if e.name == "vnl.session" {
                     session_traces.insert(e.trace_id);
@@ -193,7 +199,7 @@ fn span_nesting_is_well_formed_under_parallel_scan_and_maintenance() {
 
     assert!(
         saw_cross_thread_partition,
-        "no storage.scan.partition span was parented under vnl.read.scan_parallel — \
+        "no storage.scan.partition span had vnl.read.query as an ancestor — \
          cross-thread context propagation is broken"
     );
     assert!(
