@@ -4,7 +4,8 @@
 //! A checkpoint is *fuzzy*: the version snapshot `V` is captured at
 //! checkpoint **begin**, then dirty pages flush while readers and the
 //! maintenance writer keep running, and only at the **end** is this record
-//! written — temp file, fsync, atomic rename — making the checkpoint real.
+//! written — temp file, fsync, atomic rename, directory fsync — making the
+//! checkpoint real.
 //! Any maintenance activity that lands on disk mid-flush carries
 //! `tupleVN > V` and is uniformly rolled back by the §7 recovery pass, so
 //! the record needs no page LSNs, no dirty-page table, no log anchors: just
@@ -18,7 +19,7 @@
 //! relation: the mirror itself is *not* persisted as a table, it is
 //! reconstructed from these fields on recovery.
 
-use crate::disk::fnv1a_64;
+use crate::disk::checksum;
 use crate::error::{StorageError, StorageResult};
 use std::path::{Path, PathBuf};
 use wh_types::fail_point;
@@ -26,8 +27,9 @@ use wh_types::fail_point;
 /// `"2VNLCKPT"` as a little-endian u64.
 const MAGIC: u64 = u64::from_le_bytes(*b"2VNLCKPT");
 
-/// On-disk record format version.
-const FORMAT: u32 = 1;
+/// On-disk record format version. Version 1 carried a byte-serial FNV-1a
+/// checksum; a version-1 directory is refused as unknown.
+const FORMAT: u32 = 2;
 
 /// Encoded size: 48 payload bytes + 8 checksum.
 const LEN: usize = 56;
@@ -77,14 +79,17 @@ impl CheckpointMeta {
         buf[32..40].copy_from_slice(&self.gc_horizon.to_le_bytes());
         buf[40..44].copy_from_slice(&self.page_count.to_le_bytes());
         buf[44] = u8::from(self.maintenance_active);
-        let checksum = fnv1a_64(&[&buf[0..48]]);
-        buf[48..56].copy_from_slice(&checksum.to_le_bytes());
+        let sum = checksum(&[&buf[0..48]]);
+        buf[48..56].copy_from_slice(&sum.to_le_bytes());
         buf
     }
 
     /// Persist the record atomically: write a temp file, fsync it, rename
-    /// over the live record. The rename is the commit point of the whole
-    /// checkpoint.
+    /// over the live record, fsync the directory. The rename is the commit
+    /// point of the whole checkpoint, and it is durable only once the
+    /// directory is synced: the caller raises the GC reclaim ceiling as
+    /// soon as this returns, which is safe only if a power loss can no
+    /// longer bring the older record back.
     pub fn write(&self, dir: &Path) -> StorageResult<()> {
         // trace: the checkpoint's commit point — span it under the caller.
         let _ts = wh_obs::trace_span!("storage.ckpt.meta_commit");
@@ -97,7 +102,9 @@ impl CheckpointMeta {
         file.sync_all().map_err(StorageError::io)?;
         drop(file);
         std::fs::rename(&tmp, Self::meta_path(dir)).map_err(StorageError::io)?;
-        Ok(())
+        std::fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(StorageError::io)
     }
 
     /// Load and validate the checkpoint record. A missing file is the
@@ -133,7 +140,7 @@ impl CheckpointMeta {
         if field_u32(8..12) != FORMAT {
             return Err(corrupt("unknown format version"));
         }
-        if fnv1a_64(&[&buf[0..48]]) != field_u64(48..56) {
+        if checksum(&[&buf[0..48]]) != field_u64(48..56) {
             return Err(corrupt("checksum mismatch"));
         }
         Ok(CheckpointMeta {

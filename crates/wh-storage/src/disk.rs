@@ -20,12 +20,23 @@
 //!        12..16  record_len   u32
 //!        16..18  live         u16   (validation only; recomputed on load)
 //!        18..20  retired      u16   (validation only; recomputed on load)
-//!        20..24  reserved     u32   (zero)
+//!        20..24  format       u32   (2; any other value is refused)
 //!        24..32  seq          u64   (monotone per page; picks the winner)
-//!        32..40  checksum     u64   (FNV-1a over header[0..32] ++ states ++ data)
+//!        32..40  checksum     u64   (`checksum` over bytes 0..32, then 40..)
 //! states  2 bits per slot, capacity.div_ceil(4) bytes
 //! data    capacity × record_len bytes
 //! ```
+//!
+//! The checksum covers every byte of the block except its own field. It
+//! reads the block as little-endian `u64` words dealt round-robin to four
+//! independent lanes (so four multiply chains run at once), then folds the
+//! lanes and the byte tail into one `u64` (`checksum` below).
+//!
+//! A read verifies **one** block: the one whose header carries the higher
+//! `seq`. Only if that block fails does it verify the elder. This is the
+//! same verdict as decoding both and keeping the highest verified `seq`: a
+//! verified block's `seq` is the one it was written with, and the elder's
+//! header `seq` is no higher.
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::Page;
@@ -37,21 +48,94 @@ use wh_types::fail_point;
 /// `"2VNLPAGE"` as a little-endian u64.
 const MAGIC: u64 = u64::from_le_bytes(*b"2VNLPAGE");
 
+/// On-disk block format version (header bytes 20..24). Version 1 had a
+/// byte-serial FNV-1a checksum and a zero here.
+const FORMAT: u32 = 2;
+
 /// Header bytes per block (see module docs for the field map).
 const HEADER_LEN: usize = 40;
 
-/// FNV-1a 64-bit over a sequence of byte regions. Hand-rolled (no external
-/// hashing crates): not cryptographic, but a torn or bit-flipped block
-/// failing it is exactly the detection the shadow pair needs.
-pub(crate) fn fnv1a_64(regions: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for region in regions {
-        for &b in *region {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Independent multiply chains in [`checksum`].
+const LANES: usize = 4;
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Per-lane start values (the FNV offset basis, then arbitrary odd
+/// constants), so equal words in different lanes do not cancel.
+const LANE_SEEDS: [u64; LANES] = [
+    0xcbf2_9ce4_8422_2325,
+    0x9e37_79b9_7f4a_7c15,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+];
+
+/// One lane step. For a fixed `word` it is a bijection of `lane` (xor,
+/// multiply by an odd constant and xor-shift are each invertible), and for
+/// a fixed `lane` a bijection of `word`: so damage confined to one word
+/// always changes that lane's final value. The shift folds the high bits
+/// back down, which plain multiply-xor never does — a flip of bit 63 would
+/// otherwise only ever flip bit 63.
+#[inline(always)]
+fn mix(lane: u64, word: u64) -> u64 {
+    let x = (lane ^ word).wrapping_mul(FNV_PRIME);
+    x ^ (x >> 29)
+}
+
+/// The storage tier's checksum (page blocks and `checkpoint.meta`).
+/// Hand-rolled after PostgreSQL's lane-parallel FNV page checksum; not
+/// cryptographic, but any single damaged word is always detected (see
+/// [`mix`]) and it runs four lanes at once instead of one byte at a time.
+///
+/// `parts` are read as one stream of little-endian words, word `i` going
+/// to lane `i % 4`. Every part but the last must be a whole number of
+/// 32-byte rounds. What is left of the last part — up to three words, then
+/// up to seven bytes — is absorbed after the rounds, and the fold mixes in
+/// the total length, each lane, and the zero-padded byte tail.
+pub(crate) fn checksum(parts: &[&[u8]]) -> u64 {
+    let absorb = |lanes: &mut [u64; LANES], words: &[[u8; 8]]| {
+        for (lane, w) in lanes.iter_mut().zip(words) {
+            *lane = mix(*lane, u64::from_le_bytes(*w));
         }
+    };
+    let mut lanes = LANE_SEEDS;
+    let mut len = 0u64;
+    let mut tail = [0u8; 8];
+    for (i, part) in parts.iter().enumerate() {
+        let (words, bytes) = part.as_chunks::<8>();
+        let (rounds, spare) = words.as_chunks::<LANES>();
+        debug_assert!(
+            i + 1 == parts.len() || (spare.is_empty() && bytes.is_empty()),
+            "only the last part may end mid-round"
+        );
+        for round in rounds {
+            absorb(&mut lanes, round);
+        }
+        absorb(&mut lanes, spare);
+        tail[..bytes.len()].copy_from_slice(bytes);
+        len += part.len() as u64;
     }
-    h
+    let mut h = mix(LANE_SEEDS[0], len);
+    for lane in lanes {
+        h = mix(h, lane);
+    }
+    mix(h, u64::from_le_bytes(tail))
+}
+
+/// Checksum of a block: bytes `0..32`, then everything after the header.
+fn block_sum(block: &[u8]) -> u64 {
+    checksum(&[&block[..32], &block[HEADER_LEN..]])
+}
+
+/// Store `block`'s checksum in its header.
+fn seal(block: &mut [u8]) {
+    let sum = block_sum(block);
+    block[32..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// The `N`-byte header field at byte `at` of a block.
+fn field<const N: usize>(block: &[u8], at: usize) -> [u8; N] {
+    // lint: allow(no-panic) — constant offsets inside the header, and a block is longer than it
+    block[at..at + N].try_into().expect("header field")
 }
 
 /// A page-granular file of shadow-paired blocks, addressed by page number.
@@ -135,24 +219,7 @@ impl DiskFile {
         // trace: real I/O — span each page write under the flush/checkpoint.
         let _ts = wh_obs::trace_span!("storage.disk.write");
         fail_point!("storage.disk.write");
-        let states = page.pack_states();
-        let data = page.data_bytes();
-        let mut header = [0u8; HEADER_LEN];
-        header[0..8].copy_from_slice(&MAGIC.to_le_bytes());
-        header[8..12].copy_from_slice(&page_no.to_le_bytes());
-        header[12..16].copy_from_slice(&(self.record_len as u32).to_le_bytes());
-        header[16..18].copy_from_slice(&page.live().to_le_bytes());
-        header[18..20].copy_from_slice(&page.retired().to_le_bytes());
-        header[24..32].copy_from_slice(&seq.to_le_bytes());
-        let checksum = fnv1a_64(&[&header[0..32], &states, data]);
-        header[32..40].copy_from_slice(&checksum.to_le_bytes());
-
-        let mut block = Vec::with_capacity(self.block_len);
-        block.extend_from_slice(&header);
-        block.extend_from_slice(&states);
-        block.extend_from_slice(data);
-        debug_assert_eq!(block.len(), self.block_len);
-
+        let block = self.encode_block(page_no, page, seq);
         let offset = u64::from(page_no) * self.stride() + (seq % 2) * self.block_len as u64;
         self.file
             .write_all_at(&block, offset)
@@ -161,8 +228,28 @@ impl DiskFile {
         Ok(())
     }
 
-    /// Read back page `page_no`: validate both shadow blocks and return the
-    /// intact image with the highest sequence number, plus that sequence.
+    /// The block image of `page` as sequence number `seq`, checksum sealed.
+    fn encode_block(&self, page_no: u32, page: &Page, seq: u64) -> Vec<u8> {
+        let mut block = Vec::with_capacity(self.block_len);
+        block.extend_from_slice(&MAGIC.to_le_bytes());
+        block.extend_from_slice(&page_no.to_le_bytes());
+        block.extend_from_slice(&(self.record_len as u32).to_le_bytes());
+        block.extend_from_slice(&page.live().to_le_bytes());
+        block.extend_from_slice(&page.retired().to_le_bytes());
+        block.extend_from_slice(&FORMAT.to_le_bytes());
+        block.extend_from_slice(&seq.to_le_bytes());
+        block.extend_from_slice(&[0u8; 8]); // checksum, sealed below
+        block.extend_from_slice(&page.pack_states());
+        block.extend_from_slice(page.data_bytes());
+        debug_assert_eq!(block.len(), self.block_len);
+        seal(&mut block);
+        block
+    }
+
+    /// Read back page `page_no`: the intact shadow block with the highest
+    /// sequence number, plus that sequence. The block whose header claims
+    /// the higher `seq` is verified first (block 0 on a tie) and the elder
+    /// only if that fails, so a fault normally checksums one block.
     ///
     /// Returns `Ok(None)` for a page that was allocated but never flushed
     /// (region beyond EOF or still all-zero) — recovery treats it as empty,
@@ -190,63 +277,55 @@ impl DiskFile {
         }
         wh_obs::counter!("storage.disk.page_reads").inc();
 
-        let mut best: Option<(Page, u64)> = None;
-        let mut invalid = 0usize;
-        for half in 0..2 {
-            let block = &region[half * self.block_len..(half + 1) * self.block_len];
-            if block.iter().all(|&b| b == 0) {
-                continue; // never written
-            }
-            match self.decode_block(page_no, block) {
-                Ok((page, seq)) => {
-                    if best.as_ref().is_none_or(|(_, s)| seq > *s) {
-                        best = Some((page, seq));
-                    }
-                }
-                Err(_) => invalid += 1,
+        let (first, second) = region.split_at(self.block_len);
+        let header_seq = |block: &[u8]| u64::from_le_bytes(field(block, 24));
+        let (newer, elder) = if header_seq(second) > header_seq(first) {
+            (second, first)
+        } else {
+            (first, second)
+        };
+        for block in [newer, elder] {
+            if let Ok(image) = self.decode_block(page_no, block) {
+                return Ok(Some(image));
             }
         }
-        if best.is_none() && invalid == 2 {
-            return Err(StorageError::Corrupt(format!(
-                "page {page_no}: both shadow blocks fail validation"
-            )));
+        if [first, second].iter().any(|b| b.iter().all(|&x| x == 0)) {
+            return Ok(None); // never written (or only a torn first write)
         }
-        Ok(best)
+        Err(StorageError::Corrupt(format!(
+            "page {page_no}: both shadow blocks fail validation"
+        )))
     }
 
     fn decode_block(&self, page_no: u32, block: &[u8]) -> StorageResult<(Page, u64)> {
         let corrupt = |what: &str| StorageError::Corrupt(format!("page {page_no}: {what}"));
-        let header = &block[..HEADER_LEN];
-        let field_u64 = |r: std::ops::Range<usize>| {
-            // lint: allow(no-panic) — fixed-width slice of a fixed-width header
-            u64::from_le_bytes(header[r].try_into().expect("8-byte header field"))
-        };
-        if field_u64(0..8) != MAGIC {
+        if u64::from_le_bytes(field(block, 0)) != MAGIC {
             return Err(corrupt("bad magic"));
+        }
+        if u32::from_le_bytes(field(block, 20)) != FORMAT {
+            return Err(corrupt("unknown format version"));
+        }
+        if block_sum(block) != u64::from_le_bytes(field(block, 32)) {
+            return Err(corrupt("checksum mismatch"));
+        }
+        if u32::from_le_bytes(field(block, 8)) != page_no {
+            return Err(corrupt("header page number does not match offset"));
+        }
+        if u32::from_le_bytes(field(block, 12)) as usize != self.record_len {
+            return Err(corrupt("record width does not match file"));
         }
         let states_len = self.capacity.div_ceil(4);
         let states = &block[HEADER_LEN..HEADER_LEN + states_len];
         let data = &block[HEADER_LEN + states_len..];
-        let checksum = fnv1a_64(&[&header[0..32], states, data]);
-        if checksum != field_u64(32..40) {
-            return Err(corrupt("checksum mismatch"));
-        }
-        let hdr_page = u32::from_le_bytes(header[8..12].try_into().expect("4-byte field")); // lint: allow(no-panic) — fixed-width slice
-        if hdr_page != page_no {
-            return Err(corrupt("header page number does not match offset"));
-        }
-        let hdr_record_len =
-            u32::from_le_bytes(header[12..16].try_into().expect("4-byte field")) as usize; // lint: allow(no-panic) — fixed-width slice
-        if hdr_record_len != self.record_len {
-            return Err(corrupt("record width does not match file"));
-        }
         let page = Page::from_disk_parts(self.record_len, states, data)?;
-        let hdr_live = u16::from_le_bytes(header[16..18].try_into().expect("2-byte field")); // lint: allow(no-panic) — fixed-width slice
-        let hdr_retired = u16::from_le_bytes(header[18..20].try_into().expect("2-byte field")); // lint: allow(no-panic) — fixed-width slice
-        if (page.live(), page.retired()) != (hdr_live, hdr_retired) {
+        let counts = (
+            u16::from_le_bytes(field(block, 16)),
+            u16::from_le_bytes(field(block, 18)),
+        );
+        if (page.live(), page.retired()) != counts {
             return Err(corrupt("occupancy counts disagree with state map"));
         }
-        Ok((page, field_u64(24..32)))
+        Ok((page, u64::from_le_bytes(field(block, 24))))
     }
 
     /// Flush OS buffers for the page file (checkpoint end only — steal +
@@ -261,6 +340,7 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use wh_types::SplitMix64;
 
     pub(crate) fn temp_path(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -369,11 +449,269 @@ mod tests {
     }
 
     #[test]
-    fn fnv_vector() {
-        // Reference vectors for FNV-1a 64.
-        assert_eq!(fnv1a_64(&[b""]), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(&[b"a"]), 0xaf63_dc4c_8601_ec8c);
-        // Region splits must not change the digest.
-        assert_eq!(fnv1a_64(&[b"ab", b"c"]), fnv1a_64(&[b"abc"]));
+    fn checksum_golden_vectors() {
+        // Pinned outputs: any drift in the lane step, the lane count, the
+        // seeds or the fold changes the on-disk format and must fail here.
+        let meta: Vec<u8> = (0u8..48).collect();
+        let block: Vec<u8> = (0..4163u32).map(|i| (i * 31 + 7) as u8).collect();
+        assert_eq!(checksum(&[b""]), 0x9445_43a6_2c59_e9ac);
+        assert_eq!(checksum(&[b"a"]), 0xc1fb_fe56_bcde_9cdc);
+        assert_eq!(checksum(&[&meta]), 0xdfc7_76fd_de4d_04ca);
+        assert_eq!(checksum(&[&block]), 0xd9e0_90b6_0dda_9011);
+        // Whole 32-byte rounds may be split off the front without changing
+        // the digest (how a block skips its own checksum field).
+        assert_eq!(checksum(&[&block[..32], &block[32..]]), checksum(&[&block]));
+        assert_eq!(checksum(&[&meta[..32], &meta[32..]]), checksum(&[&meta]));
+    }
+
+    /// A full page of records that differ from every other `salt`'s, with
+    /// one retired and one deleted slot so the state map is not uniform.
+    fn full_page(record_len: usize, salt: u8) -> Page {
+        let mut p = Page::new(record_len).unwrap();
+        let mut i = 0u8;
+        while p
+            .insert(&vec![salt.wrapping_mul(97) ^ i; record_len])
+            .unwrap()
+            .is_some()
+        {
+            i = i.wrapping_add(1);
+        }
+        p.retire(0, 3).unwrap();
+        p.delete(0, 5).unwrap();
+        p
+    }
+
+    /// `record_len` 24 leaves a 3-byte tail after the block's last whole
+    /// word: 40 + 43 state bytes + 170 × 24 data bytes = 4163.
+    const TAIL_WIDTH: usize = 24;
+
+    #[test]
+    fn every_single_bit_flip_fails_verification() {
+        let path = temp_path("flip");
+        let d = DiskFile::create(&path, TAIL_WIDTH).unwrap();
+        let block = d.encode_block(0, &full_page(TAIL_WIDTH, 1), 7);
+        assert_eq!(block.len() % 8, 3);
+        assert!(d.decode_block(0, &block).is_ok());
+        let mut b = block.clone();
+        for bit in 0..block.len() * 8 {
+            b[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                d.decode_block(0, &b).is_err(),
+                "flip of bit {bit} (byte {}) went undetected",
+                bit / 8
+            );
+            b[bit / 8] ^= 1 << (bit % 8);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn another_format_is_refused_even_under_a_valid_checksum() {
+        let path = temp_path("format");
+        let d = DiskFile::create(&path, TAIL_WIDTH).unwrap();
+        for format in [0u32, 1, 3] {
+            let mut b = d.encode_block(0, &full_page(TAIL_WIDTH, 1), 1);
+            b[20..24].copy_from_slice(&format.to_le_bytes());
+            seal(&mut b);
+            match d.decode_block(0, &b) {
+                Err(StorageError::Corrupt(msg)) => assert!(msg.contains("format"), "{msg}"),
+                other => panic!("format {format} decoded: {:?}", other.map(|(_, s)| s)),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn any_overwritten_word_fails_verification() {
+        let path = temp_path("word");
+        let d = DiskFile::create(&path, TAIL_WIDTH).unwrap();
+        let block = d.encode_block(0, &full_page(TAIL_WIDTH, 2), 9);
+        let mut rng = SplitMix64::seed_from_u64(0x0BAD_C0DE);
+        for at in (0..=block.len() - 8).step_by(8) {
+            for _ in 0..4 {
+                let noise = rng.next_u64().to_le_bytes();
+                if noise[..] == block[at..at + 8] {
+                    continue;
+                }
+                let mut b = block.clone();
+                b[at..at + 8].copy_from_slice(&noise);
+                assert!(
+                    d.decode_block(0, &b).is_err(),
+                    "random word at byte {at} went undetected"
+                );
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_write_torn_at_any_sector_boundary_reads_as_the_elder_image() {
+        let path = temp_path("tear");
+        let d = DiskFile::create(&path, TAIL_WIDTH).unwrap();
+        let (old, elder, new) = (
+            full_page(TAIL_WIDTH, 1),
+            full_page(TAIL_WIDTH, 2),
+            full_page(TAIL_WIDTH, 3),
+        );
+        // Seq 1 lands in shadow slot 1 and seq 2 in slot 0; seq 3 goes back
+        // to slot 1, over the seq-1 image, and tears there.
+        d.write_page(0, &old, 1).unwrap();
+        d.write_page(0, &elder, 2).unwrap();
+        let old_block = d.encode_block(0, &old, 1);
+        let new_block = d.encode_block(0, &new, 3);
+        for cut in (512..d.block_len).step_by(512) {
+            for (prefix, suffix) in [(&new_block, &old_block), (&old_block, &new_block)] {
+                let mut torn = prefix.clone();
+                torn[cut..].copy_from_slice(&suffix[cut..]);
+                d.file.write_all_at(&torn, d.block_len as u64).unwrap();
+                let (back, seq) = d.read_page(0).unwrap().unwrap();
+                assert_eq!(seq, 2, "tear at byte {cut}");
+                assert_eq!(back.data_bytes(), elder.data_bytes(), "tear at byte {cut}");
+                assert_eq!(back.pack_states(), elder.pack_states());
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The selection rule `read_page` had before it verified the newer
+    /// block first, kept as the oracle: decode every written block, keep
+    /// the highest verified seq (block 0 on a tie); two written blocks
+    /// that both fail are corruption.
+    fn decode_both(
+        d: &DiskFile,
+        page_no: u32,
+        blocks: [&[u8]; 2],
+    ) -> StorageResult<Option<(Page, u64)>> {
+        let mut best: Option<(Page, u64)> = None;
+        let mut invalid = 0usize;
+        for block in blocks {
+            if block.iter().all(|&b| b == 0) {
+                continue;
+            }
+            match d.decode_block(page_no, block) {
+                Ok((page, seq)) => {
+                    if best.as_ref().is_none_or(|(_, s)| seq > *s) {
+                        best = Some((page, seq));
+                    }
+                }
+                Err(_) => invalid += 1,
+            }
+        }
+        if best.is_none() && invalid == 2 {
+            return Err(StorageError::Corrupt("both blocks invalid".into()));
+        }
+        Ok(best)
+    }
+
+    /// A read's outcome in comparable form: the image and seq, `None`, or
+    /// a `Corrupt` refusal (any other error fails the test).
+    type Verdict = Result<Option<(u64, Vec<u8>, Vec<u8>)>, ()>;
+
+    fn verdict(read: StorageResult<Option<(Page, u64)>>) -> Verdict {
+        match read {
+            Ok(hit) => Ok(hit.map(|(p, seq)| (seq, p.pack_states(), p.data_bytes().to_vec()))),
+            Err(StorageError::Corrupt(_)) => Err(()),
+            Err(e) => panic!("unexpected error {e:?}"),
+        }
+    }
+
+    const BLOCK_STATES: [&str; 8] = [
+        "never written",
+        "valid",
+        "torn",
+        "seq raised by corruption",
+        "wrong page_no",
+        "wrong record_len",
+        "wrong format",
+        "zero header over a body",
+    ];
+
+    /// One shadow block of page `page_no` in state `BLOCK_STATES[state]`.
+    fn block_in_state(
+        d: &DiskFile,
+        page_no: u32,
+        state: usize,
+        images: &[Page],
+        rng: &mut SplitMix64,
+    ) -> Vec<u8> {
+        let seq = 1 + rng.next_below(4);
+        let image = &images[rng.index(images.len())];
+        let mut b = d.encode_block(page_no, image, seq);
+        match state {
+            0 => b.fill(0),
+            1 => {}
+            2 => {
+                let other = d.encode_block(page_no, &images[rng.index(images.len())], seq + 1);
+                let cut = 512 * (1 + rng.index((d.block_len - 1) / 512));
+                if rng.chance(1, 2) {
+                    b[cut..].copy_from_slice(&other[cut..]);
+                } else {
+                    b[..cut].copy_from_slice(&other[..cut]);
+                }
+            }
+            3 => b[24..32].copy_from_slice(&(seq + 1 + rng.next_below(8)).to_le_bytes()),
+            4 => b = d.encode_block(page_no + 1, image, seq),
+            5 => {
+                b[12..16].copy_from_slice(&(d.record_len as u32 + 8).to_le_bytes());
+                seal(&mut b);
+            }
+            6 => {
+                let format = if rng.chance(1, 2) { 1u32 } else { 3 };
+                b[20..24].copy_from_slice(&format.to_le_bytes());
+                seal(&mut b);
+            }
+            _ => b[..HEADER_LEN].fill(0),
+        }
+        b
+    }
+
+    #[test]
+    fn newer_first_reads_what_decoding_both_reads() {
+        let path = temp_path("pairs");
+        let d = DiskFile::create(&path, TAIL_WIDTH).unwrap();
+        let images = [
+            full_page(TAIL_WIDTH, 1),
+            full_page(TAIL_WIDTH, 2),
+            sample_page(TAIL_WIDTH, &[&[9u8; TAIL_WIDTH]]),
+        ];
+        let page_no = 1;
+        let base = u64::from(page_no) * d.stride();
+        let mut rng = SplitMix64::seed_from_u64(0x5EED_B10C);
+        let mut pairs_seen = std::collections::HashSet::new();
+        let mut outcomes = [0usize; 3]; // image, never written, corrupt
+        for case in 0..3000 {
+            let states = [rng.index(BLOCK_STATES.len()), rng.index(BLOCK_STATES.len())];
+            let blocks = states.map(|s| block_in_state(&d, page_no, s, &images, &mut rng));
+            d.file.write_all_at(&blocks[0], base).unwrap();
+            d.file
+                .write_all_at(&blocks[1], base + d.block_len as u64)
+                .unwrap();
+            let got = verdict(d.read_page(page_no));
+            let want = verdict(decode_both(&d, page_no, [&blocks[0], &blocks[1]]));
+            assert!(
+                got == want,
+                "case {case}: blocks ({}, {}): read_page {:?} vs decode-both {:?}",
+                BLOCK_STATES[states[0]],
+                BLOCK_STATES[states[1]],
+                got.as_ref().map(|h| h.as_ref().map(|(seq, ..)| *seq)),
+                want.as_ref().map(|h| h.as_ref().map(|(seq, ..)| *seq)),
+            );
+            pairs_seen.insert(states);
+            outcomes[match got {
+                Ok(Some(_)) => 0,
+                Ok(None) => 1,
+                Err(()) => 2,
+            }] += 1;
+        }
+        assert_eq!(
+            pairs_seen.len(),
+            BLOCK_STATES.len().pow(2),
+            "every pair drawn"
+        );
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "every verdict reached: {outcomes:?}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 }
