@@ -8,7 +8,12 @@
 
 use crate::error::VnlResult;
 use crate::version::{Operation, VersionNo};
+use wh_storage::{Rid, StorageError};
 use wh_types::{Column, DataType, Row, Schema, Value};
+
+/// One version slot: `(tupleVN, operation, pre-values)`, the pre-values
+/// parallel to [`ExtLayout::updatable`].
+pub(crate) type Slot = (VersionNo, Operation, Vec<Value>);
 
 /// Layout of an nVNL-extended schema over a base schema.
 #[derive(Debug, Clone)]
@@ -145,6 +150,44 @@ impl ExtLayout {
         let vn = ext_row[self.vn_cols[j]].as_int()?;
         let op = Operation::from_value(&ext_row[self.op_cols[j]])?;
         Some((vn as VersionNo, op))
+    }
+
+    /// Slot 0's `(tupleVN, operation)` of the stored tuple at `rid`. Every
+    /// stored tuple carries one, so an empty slot 0 is reported as
+    /// [`StorageError::Corrupt`], as the relation walk reports it.
+    pub(crate) fn stamp(&self, ext_row: &[Value], rid: Rid) -> VnlResult<(VersionNo, Operation)> {
+        self.slot(ext_row, 0)
+            .ok_or_else(|| StorageError::Corrupt(format!("{rid}: no slot-0 stamp")).into())
+    }
+
+    /// Slot `j`'s pre-update values (parallel to [`ExtLayout::updatable`]).
+    pub(crate) fn pre_image(&self, ext_row: &[Value], j: usize) -> Vec<Value> {
+        self.pre_cols[j]
+            .iter()
+            .map(|&i| ext_row[i].clone())
+            .collect()
+    }
+
+    /// Slot `j` whole — `(tupleVN, operation, pre-values)` — when occupied.
+    pub(crate) fn saved(&self, ext_row: &[Value], j: usize) -> Option<Slot> {
+        let (vn, op) = self.slot(ext_row, j)?;
+        Some((vn, op, self.pre_image(ext_row, j)))
+    }
+
+    /// Overwrite slot `j` with `(vn, op, pre)`.
+    pub(crate) fn set_slot(&self, ext_row: &mut Row, j: usize, (vn, op, pre): &Slot) {
+        ext_row[self.vn_cols[j]] = Value::from(*vn as i64);
+        ext_row[self.op_cols[j]] = op.value();
+        for (&i, v) in self.pre_cols[j].iter().zip(pre) {
+            ext_row[i] = v.clone();
+        }
+    }
+
+    /// Overwrite the current values of the updatable columns.
+    pub(crate) fn set_current(&self, ext_row: &mut Row, updatable: &[Value]) {
+        for (&u, v) in self.updatable.iter().zip(updatable) {
+            ext_row[self.base_cols[u]] = v.clone();
+        }
     }
 
     /// Project the current (base-schema) values out of an extended row.

@@ -1,11 +1,11 @@
 //! §7's log-free rollback: aborting a maintenance transaction restores the
 //! exact pre-transaction state by reverting tuples from their own version
-//! slots (plus the transaction-private dropped-slot map).
+//! slots (plus the transaction-private undo map).
 
 use wh_sql::Params;
 use wh_types::schema::daily_sales_schema;
 use wh_types::{Date, Row, Value};
-use wh_vnl::{VnlError, VnlTable};
+use wh_vnl::{MaintenanceTxn, VnlError, VnlTable, WarehouseBuilder};
 
 fn row(city: &str, pl: &str, day: u8, sales: i64) -> Row {
     vec![
@@ -29,15 +29,66 @@ fn state(t: &VnlTable) -> Vec<Vec<String>> {
     rows
 }
 
-fn seeded(n: usize) -> VnlTable {
-    let t = VnlTable::create_named("DailySales", daily_sales_schema(), n).unwrap();
+fn load(t: &VnlTable) {
     t.load_initial(&[
         row("San Jose", "golf equip", 14, 10_000),
         row("Berkeley", "racquetball", 14, 12_000),
         row("Novato", "rollerblades", 13, 8_000),
     ])
     .unwrap();
+}
+
+fn seeded(n: usize) -> VnlTable {
+    let t = VnlTable::create_named("DailySales", daily_sales_schema(), n).unwrap();
+    load(&t);
     t
+}
+
+/// Update∘delete leaves the updated values current and the delete's slot 0
+/// holding the pre-transaction ones; the rollback must make those current
+/// again, however the transaction ends unfinished.
+#[test]
+fn abort_of_update_then_delete_restores_the_pre_transaction_value() {
+    let key = row("San Jose", "golf equip", 14, 0);
+    let update_then_delete = |txn: &MaintenanceTxn<'_>| {
+        txn.update_row(&row("San Jose", "golf equip", 14, 77_777))
+            .unwrap();
+        txn.delete_row(&key).unwrap();
+    };
+    let assert_restored = |t: &VnlTable, before: &[Vec<String>], how: &str| {
+        assert_eq!(state(t), before, "{how}");
+        let s = t.begin_session();
+        let current = s.read_by_key(&key).unwrap().expect("key restored");
+        assert_eq!(current[4], Value::from(10_000), "{how}");
+        s.finish();
+    };
+    for n in [2, 3, 4] {
+        let t = seeded(n);
+        let before = state(&t);
+        let txn = t.begin_maintenance().unwrap();
+        update_then_delete(&txn);
+        txn.abort().unwrap();
+        assert_restored(&t, &before, &format!("abort, n={n}"));
+
+        {
+            let txn = t.begin_maintenance().unwrap();
+            update_then_delete(&txn);
+        }
+        assert_restored(&t, &before, &format!("dropped txn, n={n}"));
+
+        let wh = WarehouseBuilder::new()
+            .unwrap()
+            .table("DailySales", daily_sales_schema(), n)
+            .unwrap()
+            .build();
+        let t = wh.table("DailySales").unwrap();
+        load(t);
+        let before = state(t);
+        let txn = wh.begin_maintenance().unwrap();
+        update_then_delete(txn.on("DailySales").unwrap());
+        txn.abort().unwrap();
+        assert_restored(t, &before, &format!("warehouse abort, n={n}"));
+    }
 }
 
 #[test]
