@@ -112,9 +112,7 @@ pub fn collect(table: &VnlTable) -> VnlResult<GcReport> {
             rid,
             |row| matches!(layout.slot(row, 0), Some((vn, Operation::Delete)) if dead(vn)),
             || {
-                if let Some(dir) = table.key_dir() {
-                    let _ = dir.unregister(&ext, rid);
-                }
+                table.unregister_key(&ext, rid);
                 for idx in &index_snap {
                     idx.remove_entry(&ext, rid);
                 }
