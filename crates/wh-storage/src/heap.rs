@@ -416,59 +416,17 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Physically delete the record at `rid` only if `pred` approves its
-    /// current image — checked and deleted under one page latch, so no
-    /// concurrent modification can slip between the check and the delete.
-    /// Returns whether the delete happened.
-    pub fn delete_if<F>(&self, rid: Rid, pred: F) -> StorageResult<bool>
-    where
-        F: FnOnce(&[u8]) -> bool,
-    {
-        self.delete_if_then(rid, pred, || ())
-    }
-
-    /// [`Heap::delete_if`], plus a `then` hook that runs after the delete
-    /// while the page latch is still held. Callers retire external
-    /// bookkeeping (key directory, secondary indexes) atomically with the
-    /// physical removal: done after the latch drops, the freed slot can be
-    /// reallocated — possibly to the same key — and the late cleanup would
-    /// tear down the new record's entries instead.
-    pub fn delete_if_then<F, G>(&self, rid: Rid, pred: F, then: G) -> StorageResult<bool>
-    where
-        F: FnOnce(&[u8]) -> bool,
-        G: FnOnce(),
-    {
-        // trace: point-op leaf; the enclosing vnl txn/read span is the causal parent.
-        fail_point!("storage.heap.delete");
-        let op = self.sample_op().then(wh_obs::Timer::start);
-        let page = self.page(rid.page)?;
-        let mut guard = write_latch_timed(&page);
-        self.stats.count_page_reads(1);
-        let current = guard.read(rid.page, rid.slot)?;
-        if !pred(current) {
-            return Ok(false);
-        }
-        guard.delete(rid.page, rid.slot)?;
-        page.mark_dirty();
-        self.stats.count_page_writes(1);
-        self.stats.count_tuple_writes(1);
-        then();
-        drop(guard);
-        self.note_page_free(rid.page)?;
-        if let Some(op) = op {
-            wh_obs::histogram_sampled!("storage.heap.delete_ns", 16).record(op.elapsed_ns());
-        }
-        Ok(true)
-    }
-
     /// Retire the record at `rid` only if `pred` approves its current
-    /// image — checked and retired under one page latch, with the `then`
-    /// hook run while the latch is still held (see
-    /// [`Self::delete_if_then`] for why the bookkeeping must be
-    /// under-latch). Unlike a delete, a retired slot is invisible but
-    /// **not reusable**: the page is not returned to the free list and
-    /// the old bytes stay in place until [`Self::release`] — the storage
-    /// half of the GC's epoch grace period.
+    /// image — checked and retired under one page latch, so no concurrent
+    /// modification can slip between the check and the retire. The `then`
+    /// hook runs while the latch is still held: callers retire external
+    /// bookkeeping (key directory, secondary indexes) atomically with the
+    /// removal, because cleanup done after the latch drops could race a
+    /// reuse of the slot — possibly by the same key — and tear down the
+    /// new record's entries instead. Unlike a delete, a retired slot is
+    /// invisible but **not reusable**: the page is not returned to the free
+    /// list and the old bytes stay in place until [`Self::release`] — the
+    /// storage half of the GC's epoch grace period.
     pub fn retire_if_then<F, G>(&self, rid: Rid, pred: F, then: G) -> StorageResult<bool>
     where
         F: FnOnce(&[u8]) -> bool,
@@ -508,9 +466,24 @@ impl HeapFile {
         self.note_page_free(rid.page)
     }
 
-    /// Physically delete the record at `rid`.
+    /// Physically delete the record at `rid`; its slot is reusable at once.
     pub fn delete(&self, rid: Rid) -> StorageResult<()> {
-        self.delete_if_then(rid, |_| true, || ()).map(drop)
+        // trace: point-op leaf; the enclosing vnl txn/read span is the causal parent.
+        fail_point!("storage.heap.delete");
+        let op = self.sample_op().then(wh_obs::Timer::start);
+        let page = self.page(rid.page)?;
+        let mut guard = write_latch_timed(&page);
+        self.stats.count_page_reads(1);
+        guard.delete(rid.page, rid.slot)?;
+        page.mark_dirty();
+        self.stats.count_page_writes(1);
+        self.stats.count_tuple_writes(1);
+        drop(guard);
+        self.note_page_free(rid.page)?;
+        if let Some(op) = op {
+            wh_obs::histogram_sampled!("storage.heap.delete_ns", 16).record(op.elapsed_ns());
+        }
+        Ok(())
     }
 
     /// Scan all live records, invoking `visit` for each `(rid, record)` —

@@ -144,33 +144,6 @@ impl Table {
         self.heap.delete(rid)
     }
 
-    /// Delete the row at `rid` only if `pred` approves its current value,
-    /// atomically under the page latch. Returns whether it was deleted.
-    pub fn delete_if<F>(&self, rid: Rid, pred: F) -> StorageResult<bool>
-    where
-        F: FnOnce(&Row) -> bool,
-    {
-        self.delete_if_then(rid, pred, || ())
-    }
-
-    /// [`Table::delete_if`] plus a hook run under the same page latch after
-    /// the delete — see [`Heap::delete_if_then`] for why cleanup that must
-    /// not interleave with slot reuse belongs inside the latch.
-    pub fn delete_if_then<F, G>(&self, rid: Rid, pred: F, then: G) -> StorageResult<bool>
-    where
-        F: FnOnce(&Row) -> bool,
-        G: FnOnce(),
-    {
-        self.heap.delete_if_then(
-            rid,
-            |buf| match self.codec.decode(buf) {
-                Ok(row) => pred(&row),
-                Err(_) => false,
-            },
-            then,
-        )
-    }
-
     /// Retire the row at `rid` if `pred` approves its current value,
     /// atomically under the page latch, with `then` run under the same
     /// latch. A retired slot is invisible but **not reusable** until

@@ -91,7 +91,6 @@ impl ReaderTxn for VnlReader<'_> {
 
 struct VnlWriter<'s> {
     txn: Option<MaintenanceTxn<'s>>,
-    table: &'s VnlTable,
 }
 
 impl WriterTxn for VnlWriter<'_> {
@@ -116,13 +115,6 @@ impl WriterTxn for VnlWriter<'_> {
     }
 }
 
-impl Drop for VnlWriter<'_> {
-    fn drop(&mut self) {
-        // MaintenanceTxn's own Drop auto-aborts if still open.
-        let _ = &self.table;
-    }
-}
-
 impl ConcurrencyScheme for VnlStore {
     fn name(&self) -> &'static str {
         "2VNL"
@@ -139,10 +131,7 @@ impl ConcurrencyScheme for VnlStore {
             .table
             .begin_maintenance()
             .expect("benchmarks enforce one writer at a time"); // lint: allow(no-panic) — invariant documented in the expect message
-        Box::new(VnlWriter {
-            txn: Some(txn),
-            table: &self.table,
-        })
+        Box::new(VnlWriter { txn: Some(txn) })
     }
 
     fn cc_stats(&self) -> CcStatsSnapshot {

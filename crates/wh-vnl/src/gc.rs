@@ -457,6 +457,24 @@ mod tests {
             txn.insert(row("San Jose", i)).unwrap();
             txn.commit().unwrap();
         }
+        // Deleting a committed-deleted key finds no tuple, whether the
+        // collector has not reached it yet, retires it between the key
+        // probe and the read, or has already unregistered the key.
+        let keys: Vec<Row> = (0..16).map(|i| row(&format!("city{i}"), i)).collect();
+        for _ in 0..40 {
+            let txn = t.begin_maintenance().unwrap();
+            keys.iter().for_each(|k| txn.insert(k.clone()).unwrap());
+            txn.commit().unwrap();
+            let txn = t.begin_maintenance().unwrap();
+            keys.iter().for_each(|k| txn.delete_row(k).unwrap());
+            txn.commit().unwrap();
+            let txn = t.begin_maintenance().unwrap();
+            for k in &keys {
+                let err = txn.delete_row(k).unwrap_err();
+                assert!(matches!(err, crate::VnlError::NoSuchTuple(_)), "{err:?}");
+            }
+            txn.commit().unwrap();
+        }
         collector.stop();
         let s = t.begin_session();
         let rows = s.scan().unwrap();

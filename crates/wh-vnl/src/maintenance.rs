@@ -8,6 +8,15 @@
 //! (\[SP89\]): insert∘update = insert, delete∘insert = update, insert∘delete =
 //! nothing, update∘delete = delete.
 //!
+//! The tables are stated once. `decide` maps the attempted operation, the
+//! tuple's slot-0 operation and whether this transaction stamped it to one
+//! [`PhysicalAction`], or to [`VnlError::InvalidTransition`] for an
+//! impossible cell. `write` is the one path every logical write takes: it
+//! reads the tuple once, asks `decide`, records undo for a slot push, and
+//! applies the arm in a single read-modify-write under the page latch. The
+//! decision is made before the latch is taken. `insert` (after its key
+//! probe), `update_row`, `delete_row` and the §4.2 cursors are thin callers.
+//!
 //! **Rollback without logging** (§7 future work): because a touched tuple
 //! still carries its pre-update version, an aborting maintenance transaction
 //! restores tuples from their own version slots, through the reversal crash
@@ -109,6 +118,36 @@ impl std::fmt::Display for PhysicalAction {
     }
 }
 
+/// Tables 2–4 (§3.3), cell by cell: what `attempted` physically does to a
+/// tuple whose slot 0 holds `previous`, stamped by this transaction
+/// (`own`) or by an earlier one. Insert∘delete is one cell here; whether
+/// it removes a fresh insert or restores a resurrected tuple is the undo
+/// map's to say.
+fn decide(attempted: Operation, own: bool, previous: Operation) -> VnlResult<PhysicalAction> {
+    use Operation::{Delete, Insert, Update};
+    use PhysicalAction as A;
+    Ok(match (attempted, own, previous) {
+        // Table 2: an insert can only meet a logically deleted tuple.
+        (Insert, false, Delete) => A::ResurrectTuple,
+        (Insert, true, Delete) => A::UpdateAfterOwnDelete,
+        // Table 3.
+        (Update, false, Insert | Update) => A::UpdateSavingPre,
+        (Update, true, Insert | Update) => A::UpdateInPlace,
+        // Table 4.
+        (Delete, false, Insert | Update) => A::MarkDeleted,
+        (Delete, true, Insert) => A::RemoveOwnInsert,
+        (Delete, true, Update) => A::MarkOwnUpdateDeleted,
+        // Insert over a live tuple; update or delete of a deleted one.
+        (Insert, _, Insert | Update) | (Update | Delete, _, Delete) => {
+            return Err(VnlError::InvalidTransition {
+                attempted,
+                previous,
+                same_txn: own,
+            })
+        }
+    })
+}
+
 /// Lock one of the transaction's private mutexes. Poisoning is recovered:
 /// every update under them is a single insert, remove or flag store, so a
 /// thread that panicked mid-hold left consistent data behind.
@@ -189,13 +228,11 @@ impl<'t> MaintenanceTxn<'t> {
     }
 
     /// Save undo info for the first touch of an existing tuple, *before* its
-    /// slots are pushed back.
-    fn save_undo_existing(&self, rid: Rid, ext_row: &[Value]) {
+    /// slots are pushed back. A `resurrection` overwrites current values
+    /// that no slot keeps.
+    fn save_undo_existing(&self, rid: Rid, ext_row: &[Value], resurrection: bool) {
         let layout = self.table.layout();
         let current = |&u: &usize| ext_row[layout.base_col(u)].clone();
-        // Only a resurrection first-touches a logically-deleted tuple, and
-        // it overwrites current values that no slot keeps.
-        let resurrection = matches!(layout.slot(ext_row, 0), Some((_, Operation::Delete)));
         locked(&self.undo)
             .entry(rid)
             .or_insert_with(|| Lost::Pushed {
@@ -218,31 +255,20 @@ impl<'t> MaintenanceTxn<'t> {
 
     /// Point-read the current version of the tuple keyed by `key_row`
     /// (`None` when logically absent). The maintenance transaction's own
-    /// uncommitted changes are visible to itself.
+    /// uncommitted changes are visible to itself. A keyless relation has no
+    /// tuple to find.
     pub fn read_current(&self, key_row: &[Value]) -> VnlResult<Option<Row>> {
         self.check_open()?;
-        // Pin: find_physical probes the key directory's RIDs against raw
-        // tuple memory; hold the epoch across probe + read.
-        let _pin = self.table.epochs().pin();
-        let layout = self.table.layout();
-        let Some(rid) = self.table.find_physical(key_row) else {
-            return Ok(None);
-        };
-        let ext = match self.table.storage().read(rid) {
-            Ok(e) => e,
-            // Reclaimed by a concurrent GC pass: logically absent.
-            Err(StorageError::NoSuchSlot { .. }) => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        let (_, op) = layout.stamp(&ext, rid)?;
-        if op == Operation::Delete {
+        if self.table.key_dir().is_none() {
             return Ok(None);
         }
-        Ok(Some(layout.current_values(&ext)))
+        // Table 1 at sessionVN = maintenanceVN: no stamp exceeds it, so
+        // case 1 holds — the current values, unless slot 0 is a delete.
+        self.table.read_visible_by_key(key_row, self.vn)
     }
 
     // ------------------------------------------------------------------
-    // Table 2: logical INSERT
+    // Logical writes: Tables 2–4
     // ------------------------------------------------------------------
 
     /// Logically insert `base_row` (Table 2).
@@ -252,174 +278,37 @@ impl<'t> MaintenanceTxn<'t> {
             wh_obs::timed_span_under!("vnl.txn.insert", "vnl.maintenance.insert_ns", self.span_ctx);
         self.check_open()?;
         self.table.layout().base_schema().validate(&base_row)?;
-        let layout = self.table.layout();
-
-        // Pin: the conflict probe and the physical insert below touch RIDs
-        // a concurrent GC pass could otherwise recycle.
+        // Pin: the conflict probe and the write below touch RIDs a
+        // concurrent GC pass could otherwise recycle.
         let _pin = self.table.epochs().pin();
         // Key conflict detection (rows 1–2 of Table 2) — only for keyed
         // relations; keyless relations always take row 3.
-        let Some(rid) = self.table.find_physical(&base_row) else {
-            // Row 3: physical insert.
-            fail_point!("vnl.txn.insert.fresh");
-            let ext = layout.new_insert_row(&base_row, self.vn);
-            let new_rid = self.table.storage().insert(&ext)?;
-            // Recorded at once: every stamped tuple is in the map, which is
-            // how rollback finds it.
-            locked(&self.undo).insert(new_rid, Lost::Fresh);
-            // Crash window: the tuple exists but is not yet key-registered
-            // (an orphan until rollback or recovery reclaims it).
-            fail_point!("vnl.txn.insert.register");
-            if let Some(dir) = self.table.key_dir() {
-                dir.register(&ext, new_rid)
-                    .expect("no conflict was found just above"); // lint: allow(no-panic) — invariant documented in the expect message
-            }
-            self.table.on_physical_insert(&ext, new_rid);
-            self.record(PhysicalAction::InsertTuple, &ext);
-            return Ok(());
-        };
-
-        let ext = match self.table.storage().read(rid) {
-            Ok(e) => e,
-            // The concurrent GC daemon may reclaim a logically-deleted tuple
-            // between the key probe and this read; clear any stale key
-            // registration (GC unregisters after its physical delete) and
-            // retry as a fresh insert.
-            Err(StorageError::NoSuchSlot { .. }) => {
-                self.table
-                    .unregister_key(&self.table.base_to_ext_positions(&base_row), rid);
-                return self.insert(base_row);
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let (tuple_vn, prev_op) = layout.stamp(&ext, rid)?;
-        match (tuple_vn < self.vn, prev_op) {
-            // Row 1: earlier transaction. Insert over a live tuple is
-            // impossible; over a logically-deleted tuple it resurrects.
-            (true, Operation::Insert | Operation::Update) => Err(VnlError::InvalidTransition {
-                attempted: Operation::Insert,
-                previous: prev_op,
-                same_txn: false,
-            }),
-            (true, Operation::Delete) => {
-                self.save_undo_existing(rid, &ext);
-                fail_point!("vnl.txn.insert.resurrect");
-                let mut new_ext = None;
-                let modified = self.table.storage().modify(rid, |mut row| {
-                    layout.push_back(&mut row);
-                    row[layout.vn_col(0)] = Value::from(self.vn as i64);
-                    row[layout.op_col(0)] = Operation::Insert.value();
-                    for &i in layout.pre_set(0) {
-                        row[i] = Value::Null;
-                    }
-                    for (i, v) in base_row.iter().enumerate() {
-                        row[layout.base_col(i)] = v.clone();
-                    }
-                    new_ext = Some(row.clone());
-                    Ok(row)
-                });
-                match modified {
-                    Ok(()) => {}
-                    // Same race as above, one step later: GC reclaimed the
-                    // logically-deleted tuple after our read but before the
-                    // resurrecting write. Undo entry and key registration
-                    // are stale; drop both and retry as a fresh insert.
-                    Err(StorageError::NoSuchSlot { .. }) => {
-                        locked(&self.undo).remove(&rid);
-                        self.table
-                            .unregister_key(&self.table.base_to_ext_positions(&base_row), rid);
-                        return self.insert(base_row);
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-                // CV ← MV may have moved non-updatable indexed attributes.
-                self.table
-                    .on_physical_update(&ext, new_ext.as_ref().expect("modify ran"), rid); // lint: allow(no-panic) — invariant documented in the expect message
-                self.record(
-                    PhysicalAction::ResurrectTuple,
-                    &self.table.base_to_ext_positions(&base_row),
-                );
-                Ok(())
-            }
-            // Row 2: same transaction. Only delete∘insert is valid: the net
-            // effect is an update.
-            (false, Operation::Insert | Operation::Update) => Err(VnlError::InvalidTransition {
-                attempted: Operation::Insert,
-                previous: prev_op,
-                same_txn: true,
-            }),
-            (false, Operation::Delete) => {
-                let mut new_ext = None;
-                self.table.storage().modify(rid, |mut row| {
-                    row[layout.op_col(0)] = Operation::Update.value();
-                    for (i, v) in base_row.iter().enumerate() {
-                        row[layout.base_col(i)] = v.clone();
-                    }
-                    new_ext = Some(row.clone());
-                    Ok(row)
-                })?;
-                self.table
-                    .on_physical_update(&ext, new_ext.as_ref().expect("modify ran"), rid); // lint: allow(no-panic) — invariant documented in the expect message
-                self.record(
-                    PhysicalAction::UpdateAfterOwnDelete,
-                    &self.table.base_to_ext_positions(&base_row),
-                );
-                Ok(())
-            }
+        match self.table.find_physical(&base_row) {
+            Some(rid) => self.write(rid, Operation::Insert, &base_row),
+            None => self.insert_fresh(&base_row),
         }
     }
 
-    // ------------------------------------------------------------------
-    // Table 3: logical UPDATE
-    // ------------------------------------------------------------------
-
-    fn apply_update(&self, rid: Rid, new_updatable: &[Value]) -> VnlResult<()> {
-        let _ts =
-            wh_obs::timed_span_under!("vnl.txn.update", "vnl.maintenance.update_ns", self.span_ctx);
-        let layout = self.table.layout();
-        let ext = match self.table.storage().read(rid) {
-            Ok(e) => e,
-            Err(StorageError::NoSuchSlot { .. }) => {
-                return Err(VnlError::NoSuchTuple(format!("{rid}")));
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let (tuple_vn, prev_op) = layout.stamp(&ext, rid)?;
-        match (tuple_vn < self.vn, prev_op) {
-            (true, Operation::Insert | Operation::Update) => {
-                // Row 1: save pre-update values, stamp the new slot.
-                self.save_undo_existing(rid, &ext);
-                fail_point!("vnl.txn.update.save_pre");
-                self.table.storage().modify(rid, |mut row| {
-                    layout.push_back(&mut row);
-                    for (u_pos, &u) in layout.updatable().iter().enumerate() {
-                        row[layout.pre_set(0)[u_pos]] = row[layout.base_col(u)].clone();
-                        row[layout.base_col(u)] = new_updatable[u_pos].clone();
-                    }
-                    row[layout.vn_col(0)] = Value::from(self.vn as i64);
-                    row[layout.op_col(0)] = Operation::Update.value();
-                    Ok(row)
-                })?;
-                self.record(PhysicalAction::UpdateSavingPre, &ext);
-                Ok(())
-            }
-            (false, Operation::Insert | Operation::Update) => {
-                // Row 2: overwrite current values only; net effect keeps the
-                // recorded operation (insert stays insert).
-                fail_point!("vnl.txn.update.in_place");
-                self.table.storage().modify(rid, |mut row| {
-                    layout.set_current(&mut row, new_updatable);
-                    Ok(row)
-                })?;
-                self.record(PhysicalAction::UpdateInPlace, &ext);
-                Ok(())
-            }
-            (same_txn_is_false, Operation::Delete) => Err(VnlError::InvalidTransition {
-                attempted: Operation::Update,
-                previous: Operation::Delete,
-                same_txn: !same_txn_is_false,
-            }),
+    /// Table 2 row 3: no conflicting tuple — a physical insert.
+    fn insert_fresh(&self, base_row: &[Value]) -> VnlResult<()> {
+        // trace: under the caller's vnl.txn.insert span.
+        fail_point!("vnl.txn.insert.fresh");
+        let ext = self.table.layout().new_insert_row(base_row, self.vn);
+        let rid = self.table.storage().insert(&ext)?;
+        // Recorded at once: every stamped tuple is in the map, which is
+        // how rollback finds it.
+        locked(&self.undo).insert(rid, Lost::Fresh);
+        // Crash window: the tuple exists but is not yet key-registered
+        // (an orphan until rollback or recovery reclaims it).
+        // trace: under the caller's vnl.txn.insert span.
+        fail_point!("vnl.txn.insert.register");
+        if let Some(dir) = self.table.key_dir() {
+            dir.register(&ext, rid)
+                .expect("the key probe found no registration"); // lint: allow(no-panic) — invariant documented in the expect message
         }
+        self.table.on_physical_insert(&ext, rid);
+        self.record(PhysicalAction::InsertTuple, &ext);
+        Ok(())
     }
 
     /// Logically update every visible tuple matching `predicate` (over base
@@ -432,8 +321,7 @@ impl<'t> MaintenanceTxn<'t> {
         params: &Params,
     ) -> VnlResult<u64> {
         self.check_open()?;
-        let layout = self.table.layout();
-        let base_schema = layout.base_schema();
+        let base_schema = self.table.layout().base_schema();
         // Resolve assignment targets: must be updatable columns.
         let mut targets: Vec<usize> = Vec::with_capacity(assignments.len());
         for (name, _) in assignments {
@@ -452,12 +340,7 @@ impl<'t> MaintenanceTxn<'t> {
             for (t, (_, expr)) in targets.iter().zip(assignments) {
                 new_row[*t] = ctx.eval(expr, &current)?;
             }
-            let new_updatable: Vec<Value> = layout
-                .updatable()
-                .iter()
-                .map(|&u| new_row[u].clone())
-                .collect();
-            self.apply_update(rid, &new_updatable)?;
+            self.write(rid, Operation::Update, &new_row)?;
             count += 1;
         }
         Ok(count)
@@ -471,91 +354,11 @@ impl<'t> MaintenanceTxn<'t> {
         // Pin: find_physical probes RIDs; hold the epoch across probe +
         // in-place shift.
         let _pin = self.table.epochs().pin();
-        let layout = self.table.layout();
-        let rid = self.table.find_physical(base_row).ok_or_else(|| {
-            VnlError::NoSuchTuple(format!("{:?}", layout.base_schema().key_of(base_row)))
-        })?;
-        let new_updatable: Vec<Value> = layout
-            .updatable()
-            .iter()
-            .map(|&u| base_row[u].clone())
-            .collect();
-        self.apply_update(rid, &new_updatable)
-    }
-
-    // ------------------------------------------------------------------
-    // Table 4: logical DELETE
-    // ------------------------------------------------------------------
-
-    fn apply_delete(&self, rid: Rid) -> VnlResult<()> {
-        let _ts =
-            wh_obs::timed_span_under!("vnl.txn.delete", "vnl.maintenance.delete_ns", self.span_ctx);
-        let layout = self.table.layout();
-        let ext = match self.table.storage().read(rid) {
-            Ok(e) => e,
-            Err(StorageError::NoSuchSlot { .. }) => {
-                return Err(VnlError::NoSuchTuple(format!("{rid}")));
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let (tuple_vn, prev_op) = layout.stamp(&ext, rid)?;
-        match (tuple_vn < self.vn, prev_op) {
-            (true, Operation::Insert | Operation::Update) => {
-                // Row 1: logical delete — preserve current values as the
-                // pre-delete version, keep CV (Figure 6's Berkeley row).
-                self.save_undo_existing(rid, &ext);
-                fail_point!("vnl.txn.delete.mark");
-                self.table.storage().modify(rid, |mut row| {
-                    layout.push_back(&mut row);
-                    for (u_pos, &u) in layout.updatable().iter().enumerate() {
-                        row[layout.pre_set(0)[u_pos]] = row[layout.base_col(u)].clone();
-                    }
-                    row[layout.vn_col(0)] = Value::from(self.vn as i64);
-                    row[layout.op_col(0)] = Operation::Delete.value();
-                    Ok(row)
-                })?;
-                self.record(PhysicalAction::MarkDeleted, &ext);
-                Ok(())
-            }
-            (false, Operation::Insert) => {
-                // Row 2, previous insert: the tuple was created (or
-                // resurrected) by this very transaction, so insert∘delete =
-                // nothing is that one tuple's rollback — a physical delete
-                // of a fresh insert, or the pre-resurrection tuple restored
-                // rather than its still-needed pre-delete version destroyed.
-                let lost = locked(&self.undo)
-                    .get(&rid)
-                    .cloned()
-                    .unwrap_or(Lost::Unknown);
-                if matches!(lost, Lost::Fresh) {
-                    self.table.unregister_key(&ext, rid);
-                    // Crash window: key unregistered, tuple still stored.
-                    fail_point!("vnl.txn.delete.remove_own");
-                }
-                let action = match undo_tuple(self.table, rid, &ext, &lost)? {
-                    Plan::Remove { .. } => PhysicalAction::RemoveOwnInsert,
-                    Plan::Restore { .. } => PhysicalAction::RestoreResurrected,
-                };
-                locked(&self.undo).remove(&rid);
-                self.record(action, &ext);
-                Ok(())
-            }
-            (false, Operation::Update) => {
-                // Row 2, previous update: update∘delete = delete.
-                fail_point!("vnl.txn.delete.mark_own_update");
-                self.table.storage().modify(rid, |mut row| {
-                    row[layout.op_col(0)] = Operation::Delete.value();
-                    Ok(row)
-                })?;
-                self.record(PhysicalAction::MarkOwnUpdateDeleted, &ext);
-                Ok(())
-            }
-            (same_txn_is_false, Operation::Delete) => Err(VnlError::InvalidTransition {
-                attempted: Operation::Delete,
-                previous: Operation::Delete,
-                same_txn: !same_txn_is_false,
-            }),
-        }
+        let rid = self
+            .table
+            .find_physical(base_row)
+            .ok_or_else(|| self.no_such_key(base_row))?;
+        self.write(rid, Operation::Update, base_row)
     }
 
     /// Logically delete every visible tuple matching `predicate` (Table 4,
@@ -564,7 +367,7 @@ impl<'t> MaintenanceTxn<'t> {
         self.check_open()?;
         let mut count = 0;
         for (rid, _) in self.visible_cursor(predicate, params)? {
-            self.apply_delete(rid)?;
+            self.write(rid, Operation::Delete, &[])?;
             count += 1;
         }
         Ok(count)
@@ -576,23 +379,168 @@ impl<'t> MaintenanceTxn<'t> {
         // Pin: find_physical probes RIDs; hold the epoch across probe +
         // delete marking.
         let _pin = self.table.epochs().pin();
-        let rid = self.table.find_physical(base_row).ok_or_else(|| {
-            VnlError::NoSuchTuple(format!(
-                "{:?}",
-                self.table.layout().base_schema().key_of(base_row)
-            ))
-        })?;
-        // A key pointing at a tuple already logically deleted by an earlier
-        // transaction is "not there" for deletion purposes.
-        let ext = self.table.storage().read(rid)?;
-        let (tuple_vn, op) = self.table.layout().stamp(&ext, rid)?;
-        if op == Operation::Delete && tuple_vn < self.vn {
-            return Err(VnlError::NoSuchTuple(format!(
-                "{:?}",
-                self.table.layout().base_schema().key_of(base_row)
-            )));
+        let rid = self
+            .table
+            .find_physical(base_row)
+            .ok_or_else(|| self.no_such_key(base_row))?;
+        match self.write(rid, Operation::Delete, &[]) {
+            // A key pointing at a tuple already logically deleted by an
+            // earlier transaction is "not there" for deletion purposes.
+            Err(VnlError::InvalidTransition {
+                same_txn: false, ..
+            }) => Err(self.no_such_key(base_row)),
+            done => done,
         }
-        self.apply_delete(rid)
+    }
+
+    /// `NoSuchTuple` naming the key of `base_row`.
+    fn no_such_key(&self, base_row: &[Value]) -> VnlError {
+        let key = self.table.layout().base_schema().key_of(base_row);
+        VnlError::NoSuchTuple(format!("{key:?}"))
+    }
+
+    /// Tables 2–4 applied to the tuple at `rid` — the one path every
+    /// logical write of an existing tuple takes. It reads the tuple once,
+    /// lets [`decide`] pick the arm, records undo for a slot push, and
+    /// applies the arm in one read-modify-write. `row` is the base row an
+    /// insert or update writes; a delete writes none.
+    fn write(&self, rid: Rid, attempted: Operation, row: &[Value]) -> VnlResult<()> {
+        use PhysicalAction as A;
+        // `insert` times itself: its span also covers the key probe and a
+        // fresh insert.
+        let _ts = match attempted {
+            Operation::Insert => None,
+            Operation::Update => Some(wh_obs::timed_span_under!(
+                "vnl.txn.update",
+                "vnl.maintenance.update_ns",
+                self.span_ctx
+            )),
+            Operation::Delete => Some(wh_obs::timed_span_under!(
+                "vnl.txn.delete",
+                "vnl.maintenance.delete_ns",
+                self.span_ctx
+            )),
+        };
+        // A concurrent GC pass may reclaim a committed-deleted tuple after
+        // the caller found it. An insert then meets no conflict: it clears
+        // the stale key registration (GC unregisters after its physical
+        // delete) and inserts fresh. An update or delete finds no tuple.
+        let vanished = || {
+            if attempted != Operation::Insert {
+                return Err(VnlError::NoSuchTuple(format!("{rid}")));
+            }
+            self.table
+                .unregister_key(&self.table.base_to_ext_positions(row), rid);
+            self.insert_fresh(row)
+        };
+        let layout = self.table.layout();
+        let ext = match self.table.storage().read(rid) {
+            Ok(ext) => ext,
+            Err(StorageError::NoSuchSlot { .. }) => return vanished(),
+            Err(e) => return Err(e.into()),
+        };
+        let (tuple_vn, previous) = layout.stamp(&ext, rid)?;
+        let action = decide(attempted, tuple_vn == self.vn, previous)?;
+
+        if action == A::RemoveOwnInsert {
+            // insert∘delete = nothing: the tuple was created (or
+            // resurrected) by this very transaction, so the delete is that
+            // one tuple's rollback — a physical delete of a fresh insert, or
+            // the pre-resurrection tuple restored rather than its
+            // still-needed pre-delete version destroyed.
+            let lost = locked(&self.undo)
+                .get(&rid)
+                .cloned()
+                .unwrap_or(Lost::Unknown);
+            if matches!(lost, Lost::Fresh) {
+                self.table.unregister_key(&ext, rid);
+                // Crash window: key unregistered, tuple still stored.
+                fail_point!("vnl.txn.delete.remove_own");
+            }
+            let action = match undo_tuple(self.table, rid, &ext, &lost)? {
+                Plan::Remove { .. } => A::RemoveOwnInsert,
+                Plan::Restore { .. } => A::RestoreResurrected,
+            };
+            locked(&self.undo).remove(&rid);
+            self.record(action, &ext);
+            return Ok(());
+        }
+
+        // An earlier transaction's tuple is pushed back to open slot 0 for
+        // this one; the undo entry goes in before the write.
+        let pushes = matches!(
+            action,
+            A::ResurrectTuple | A::UpdateSavingPre | A::MarkDeleted
+        );
+        if pushes {
+            self.save_undo_existing(rid, &ext, attempted == Operation::Insert);
+        }
+        match action {
+            A::ResurrectTuple => fail_point!("vnl.txn.insert.resurrect"),
+            A::UpdateSavingPre => fail_point!("vnl.txn.update.save_pre"),
+            A::UpdateInPlace => fail_point!("vnl.txn.update.in_place"),
+            A::MarkDeleted => fail_point!("vnl.txn.delete.mark"),
+            A::MarkOwnUpdateDeleted => fail_point!("vnl.txn.delete.mark_own_update"),
+            _ => {}
+        }
+        // Slot 0 carries the net effect: delete∘insert = update and
+        // insert∘update = insert.
+        let op = match action {
+            A::UpdateAfterOwnDelete => Operation::Update,
+            A::UpdateInPlace => previous,
+            _ => attempted,
+        };
+        let mut written = Row::new();
+        let modified = self.table.storage().modify(rid, |mut ext| {
+            if pushes {
+                layout.push_back(&mut ext);
+                // PV(0): NULL under a resurrection, else the current values
+                // being updated or deleted.
+                for (&pre, &u) in layout.pre_set(0).iter().zip(layout.updatable()) {
+                    ext[pre] = match attempted {
+                        Operation::Insert => Value::Null,
+                        _ => ext[layout.base_col(u)].clone(),
+                    };
+                }
+            }
+            // CV ← MV: every base column for an insert, the updatable ones
+            // for an update. A delete keeps CV (Figure 6's Berkeley row).
+            match attempted {
+                Operation::Insert => {
+                    for (i, v) in row.iter().enumerate() {
+                        ext[layout.base_col(i)] = v.clone();
+                    }
+                }
+                Operation::Update => {
+                    for &u in layout.updatable() {
+                        ext[layout.base_col(u)] = row[u].clone();
+                    }
+                }
+                Operation::Delete => {}
+            }
+            ext[layout.vn_col(0)] = Value::from(self.vn as i64);
+            ext[layout.op_col(0)] = op.value();
+            if attempted == Operation::Insert {
+                written.clone_from(&ext);
+            }
+            Ok(ext)
+        });
+        match modified {
+            Ok(()) => {}
+            // The same race one step later, between the read and a
+            // resurrecting write; the undo entry just recorded is stale.
+            Err(StorageError::NoSuchSlot { .. }) => {
+                locked(&self.undo).remove(&rid);
+                return vanished();
+            }
+            Err(e) => return Err(e.into()),
+        }
+        if attempted == Operation::Insert {
+            // CV ← MV may have moved non-updatable indexed attributes.
+            self.table.on_physical_update(&ext, &written, rid);
+        }
+        self.record(action, &ext);
+        Ok(())
     }
 
     /// Stable cursor over tuples this transaction can see (current versions,
@@ -1075,6 +1023,55 @@ mod tests {
                 }
             }
             assert_eq!(arms.len(), 9, "n={n}: every Tables 2–4 arm, got {arms:?}");
+        }
+    }
+
+    #[test]
+    fn decide_is_tables_2_to_4_cell_by_cell() {
+        use Operation::{Delete as D, Insert as I, Update as U};
+        use PhysicalAction as A;
+        // (attempted, stamped by this txn, slot-0 operation) → arm; `None`
+        // is an impossible cell.
+        let cells = [
+            // Table 2: insert.
+            (I, false, I, None),
+            (I, false, U, None),
+            (I, false, D, Some(A::ResurrectTuple)),
+            (I, true, I, None),
+            (I, true, U, None),
+            (I, true, D, Some(A::UpdateAfterOwnDelete)),
+            // Table 3: update.
+            (U, false, I, Some(A::UpdateSavingPre)),
+            (U, false, U, Some(A::UpdateSavingPre)),
+            (U, false, D, None),
+            (U, true, I, Some(A::UpdateInPlace)),
+            (U, true, U, Some(A::UpdateInPlace)),
+            (U, true, D, None),
+            // Table 4: delete.
+            (D, false, I, Some(A::MarkDeleted)),
+            (D, false, U, Some(A::MarkDeleted)),
+            (D, false, D, None),
+            (D, true, I, Some(A::RemoveOwnInsert)),
+            (D, true, U, Some(A::MarkOwnUpdateDeleted)),
+            (D, true, D, None),
+        ];
+        let distinct: BTreeSet<String> = cells
+            .iter()
+            .map(|(a, own, p, _)| format!("{a:?} {own} {p:?}"))
+            .collect();
+        assert_eq!(distinct.len(), 18, "every cell exactly once");
+        assert_eq!(cells.iter().filter(|c| c.3.is_some()).count(), 10);
+        for (attempted, own, previous, arm) in cells {
+            let expected = arm.ok_or(VnlError::InvalidTransition {
+                attempted,
+                previous,
+                same_txn: own,
+            });
+            assert_eq!(
+                decide(attempted, own, previous),
+                expected,
+                "{attempted:?} over {previous:?}, own={own}"
+            );
         }
     }
 }
