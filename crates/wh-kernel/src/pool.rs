@@ -18,6 +18,15 @@
 //!   the page bytes under the page read latch — a writer racing the flush
 //!   either lands its bytes before the flusher's read, or re-marks the
 //!   frame dirty after it, so no update is ever silently clean.
+//! * A fault [`FrameCore::install`]s the page clean. A point fetch installs
+//!   it referenced. A scan installs it unreferenced and, once it has copied
+//!   the page out and unpinned it, takes the frame back itself (the
+//!   **ring step**): one [`FrameCore::ring_verdict`] on that frame alone,
+//!   acted on as the clock acts on its verdict. So the step evicts only a
+//!   frame the scan faulted in and nobody has referenced since, never one
+//!   another handle still pins, and a dirty one only after its flush.
+//!   Every other fetch of the page sets the bit, and the step then leaves
+//!   the frame, bit and all, to the clock.
 
 use crate::sync::atomic::{AtomicBool, Ordering};
 
@@ -26,8 +35,8 @@ use crate::sync::atomic::{AtomicBool, Ordering};
 pub enum EvictVerdict {
     /// Outstanding page handles exist: skip, never evict.
     Pinned,
-    /// The reference bit was set; it has been cleared (second chance) —
-    /// skip on this sweep.
+    /// The reference bit was set: skip. The clock's verdict has cleared it
+    /// (the second chance); the ring step's leaves it for the clock.
     SecondChance,
     /// Unpinned, unreferenced, clean: safe to drop without I/O.
     Clean,
@@ -76,6 +85,17 @@ impl FrameCore {
         self.dirty.swap(false, Ordering::SeqCst)
     }
 
+    /// Install a page just read from disk, under the frame's state write
+    /// latch: clean, and referenced or not. A point fetch passes `true`, so
+    /// the clock gives the page its second chance. A scan passes `false`:
+    /// until some other fetch references the page, its own ring step (see
+    /// the module docs) may evict it at once.
+    pub fn install(&self, referenced: bool) {
+        self.clear_dirty();
+        // ordering: pool-frame SeqCst — uniform with the rest of the frame protocol.
+        self.referenced.store(referenced, Ordering::SeqCst);
+    }
+
     /// Record a page access (fetch hit or miss) for clock second-chance.
     pub fn mark_referenced(&self) {
         // ordering: pool-frame SeqCst — uniform; the bit is a heuristic, but keeping
@@ -89,13 +109,32 @@ impl FrameCore {
     /// frame's own; the latch guarantees no new handle appears while the
     /// verdict is acted on.
     pub fn evict_verdict(&self, pins: usize) -> EvictVerdict {
+        self.verdict(pins, true)
+    }
+
+    /// The ring step's decision (module docs) on the frame the caller's own
+    /// scan fault installed, under its state latch: the clock's, except
+    /// that a frame referenced since the fault keeps its reference bit, so
+    /// the clock still owes it its second chance.
+    pub fn ring_verdict(&self, pins: usize) -> EvictVerdict {
+        self.verdict(pins, false)
+    }
+
+    fn verdict(&self, pins: usize, spend_reference: bool) -> EvictVerdict {
         if pins > 0 {
             return EvictVerdict::Pinned;
         }
-        // ordering: pool-frame SeqCst — clearing the reference bit is the second
-        // chance itself; a concurrent fetch re-sets it and the next sweep
-        // sees the frame referenced again.
-        if self.referenced.swap(false, Ordering::SeqCst) {
+        let referenced = if spend_reference {
+            // ordering: pool-frame SeqCst — clearing the reference bit is the second
+            // chance itself; a concurrent fetch re-sets it and the next sweep
+            // sees the frame referenced again.
+            self.referenced.swap(false, Ordering::SeqCst)
+        } else {
+            // ordering: pool-frame SeqCst — a fetch that hit the page set the bit
+            // before it unpinned, and a fetch still pinning it is counted in `pins`.
+            self.referenced.load(Ordering::SeqCst)
+        };
+        if referenced {
             return EvictVerdict::SecondChance;
         }
         if self.is_dirty() {
@@ -131,6 +170,26 @@ mod tests {
         assert_eq!(c.evict_verdict(0), EvictVerdict::MustFlush);
         assert!(c.clear_dirty(), "the flusher claims the dirty bit");
         assert_eq!(c.evict_verdict(0), EvictVerdict::Clean);
+    }
+
+    #[test]
+    fn a_scan_install_leaves_the_frame_to_the_ring_step() {
+        let c = FrameCore::new();
+        c.mark_dirty();
+        c.install(false);
+        assert!(!c.is_dirty());
+        assert_eq!(c.ring_verdict(1), EvictVerdict::Pinned);
+        assert_eq!(c.ring_verdict(0), EvictVerdict::Clean, "no second chance");
+        c.mark_dirty();
+        assert_eq!(c.ring_verdict(0), EvictVerdict::MustFlush);
+        c.mark_referenced(); // another fetch hit the page
+        assert_eq!(c.ring_verdict(0), EvictVerdict::SecondChance);
+        // The ring step left the bit: the clock still owes the second chance.
+        assert_eq!(c.ring_verdict(0), EvictVerdict::SecondChance);
+        assert_eq!(c.evict_verdict(0), EvictVerdict::SecondChance);
+        assert_eq!(c.evict_verdict(0), EvictVerdict::MustFlush);
+        c.install(true);
+        assert_eq!(c.evict_verdict(0), EvictVerdict::SecondChance);
     }
 
     #[test]

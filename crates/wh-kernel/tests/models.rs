@@ -359,7 +359,8 @@ fn epoch_advance_never_outruns_a_pin_by_two() {
 /// with `pins = strong_count − 2` (the state's copy plus the evictor's
 /// local clone), and a dirty frame is flushed — under the same state
 /// latch, with the `clear_dirty` swap as the exactly-one-flusher claim —
-/// before its page is dropped.
+/// before its page is dropped. A scan's ring step is the same eviction with
+/// [`FrameCore::ring_verdict`], as in production.
 struct FrameModel {
     state: RwLock<Option<Arc<RwLock<u64>>>>,
     core: FrameCore,
@@ -375,24 +376,46 @@ impl FrameModel {
         }
     }
 
+    /// A frame whose page is on "disk" only.
+    fn evicted(v: u64) -> Self {
+        FrameModel {
+            state: RwLock::new(None),
+            core: FrameCore::new(),
+            disk: RwLock::new(v),
+        }
+    }
+
     /// Pin the page, faulting it in from "disk" if evicted — the
-    /// production `fetch` path.
-    fn pin(&self) -> Arc<RwLock<u64>> {
+    /// production `fetch` path. A scan (`scan`) installs a faulted page
+    /// unreferenced. The flag says whether this call faulted, which is what
+    /// obliges a scan to its ring step.
+    fn fetch(&self, scan: bool) -> (Arc<RwLock<u64>>, bool) {
         if let Some(page) = read_latch(&self.state).as_ref().map(Arc::clone) {
             self.core.mark_referenced();
-            return page;
+            return (page, false);
         }
         let mut state = write_latch(&self.state);
         if let Some(page) = state.as_ref().map(Arc::clone) {
             // Lost the fault-in race; the other thread's copy wins.
             self.core.mark_referenced();
-            return page;
+            return (page, false);
         }
         let page = Arc::new(RwLock::new(*read_latch(&self.disk)));
+        self.core.install(!scan);
         *state = Some(Arc::clone(&page));
-        self.core.clear_dirty();
-        self.core.mark_referenced();
-        page
+        (page, true)
+    }
+
+    /// A point fetch's pin.
+    fn pin(&self) -> Arc<RwLock<u64>> {
+        self.fetch(false).0
+    }
+
+    /// Whether `pin` is the frame's resident copy.
+    fn holds(&self, pin: &Arc<RwLock<u64>>) -> bool {
+        read_latch(&self.state)
+            .as_ref()
+            .is_some_and(|page| Arc::ptr_eq(page, pin))
     }
 
     /// Write through a pin — the production heap write sites: mutate under
@@ -403,15 +426,25 @@ impl FrameModel {
         self.core.mark_dirty();
     }
 
-    /// Production eviction: verdict under the state write latch, flush
-    /// before release.
+    /// Production eviction, a clock-hand visit: verdict under the state
+    /// write latch, flush before release.
     fn try_evict(&self) -> bool {
+        self.evict_by(FrameCore::evict_verdict)
+    }
+
+    /// A scan's ring step on the frame its fault installed: the same
+    /// eviction with the ring's verdict.
+    fn ring_step(&self) -> bool {
+        self.evict_by(FrameCore::ring_verdict)
+    }
+
+    fn evict_by(&self, verdict: fn(&FrameCore, usize) -> EvictVerdict) -> bool {
         let mut state = write_latch(&self.state);
         let Some(page) = state.as_ref().map(Arc::clone) else {
             return false;
         };
         let pins = Arc::strong_count(&page) - 2;
-        match self.core.evict_verdict(pins) {
+        match verdict(&self.core, pins) {
             EvictVerdict::Pinned | EvictVerdict::SecondChance => false,
             EvictVerdict::MustFlush => {
                 let v = *read_latch(&page);
@@ -543,6 +576,154 @@ fn pool_drop_without_flush_is_caught() {
         failure.message.contains("dropped without flush"),
         "unexpected failure: {failure}"
     );
+}
+
+/// Scan ring, two scans: scan A faults the page in and, done with it,
+/// takes the frame back through its ring step, while scan B reads the same
+/// page (faulting it itself if A has not, and then owing the step). For as
+/// long as B holds its pin the frame stays resident with B's copy: no ring
+/// step drops a frame another scan pins.
+#[test]
+fn pool_ring_never_evicts_a_frame_another_scan_pins() {
+    let report = ok(try_model(builder(), || {
+        let frame = Arc::new(FrameModel::evicted(10));
+        let f2 = Arc::clone(&frame);
+        let scan_a = wh_model::thread::spawn(move || {
+            let (pin, faulted) = f2.fetch(true);
+            assert_eq!(*read_latch(&pin), 10, "scan A read a torn page");
+            drop(pin);
+            if faulted {
+                f2.ring_step();
+            }
+        });
+        let (pin, faulted) = frame.fetch(true);
+        assert_eq!(*read_latch(&pin), 10, "scan B read a torn page");
+        assert!(frame.holds(&pin), "a ring step evicted a pinned frame");
+        drop(pin);
+        if faulted {
+            frame.ring_step();
+        }
+        scan_a.join().unwrap();
+        assert_eq!(frame.visible(), 10);
+    }));
+    assert!(report.iterations > 10, "expected a real interleaving space");
+}
+
+/// Scan ring against a point fetch: a point fetch that hits the page scan
+/// A faulted in keeps it resident. Either it still pins the frame when A's
+/// ring step looks, or it set the reference bit before unpinning; both
+/// make the step leave the frame to the clock, which still owes it its
+/// second chance. If the fetch did not hit, it faulted the page in itself,
+/// before A or after A's step.
+#[test]
+fn pool_ring_keeps_a_frame_a_point_fetch_referenced() {
+    ok(try_model(builder(), || {
+        let frame = Arc::new(FrameModel::evicted(10));
+        let f2 = Arc::clone(&frame);
+        let scan_a = wh_model::thread::spawn(move || {
+            let (pin, faulted) = f2.fetch(true);
+            drop(pin);
+            faulted && f2.ring_step()
+        });
+        let (pin, faulted) = frame.fetch(false);
+        assert_eq!(*read_latch(&pin), 10);
+        drop(pin);
+        let ring_evicted = scan_a.join().unwrap();
+        if !faulted {
+            assert!(
+                !ring_evicted,
+                "the ring step evicted a frame a point fetch referenced"
+            );
+            assert!(read_latch(&frame.state).is_some());
+            assert!(
+                !frame.try_evict(),
+                "the ring step spent the point fetch's second chance"
+            );
+        }
+        assert_eq!(frame.visible(), 10);
+    }));
+}
+
+/// Regression model of a ring step that skips the reference bit: taking
+/// back any unpinned frame the scan faulted in (flushing it first if dirty)
+/// throws out the page a point fetch has just referenced. The checker must
+/// find that interleaving.
+#[test]
+fn pool_ring_ignoring_the_reference_bit_is_caught() {
+    let failure = try_model(builder(), || {
+        let frame = Arc::new(FrameModel::evicted(10));
+        let f2 = Arc::clone(&frame);
+        let scan_a = wh_model::thread::spawn(move || {
+            let (pin, faulted) = f2.fetch(true);
+            drop(pin);
+            if !faulted {
+                return false;
+            }
+            let mut state = write_latch(&f2.state);
+            let Some(page) = state.as_ref().map(Arc::clone) else {
+                return false;
+            };
+            if Arc::strong_count(&page) - 2 > 0 {
+                return false;
+            }
+            if f2.core.clear_dirty() {
+                *write_latch(&f2.disk) = *read_latch(&page);
+            }
+            *state = None;
+            true
+        });
+        let (pin, faulted) = frame.fetch(false);
+        drop(pin);
+        let ring_evicted = scan_a.join().unwrap();
+        if !faulted {
+            assert!(
+                !ring_evicted,
+                "the ring step evicted a frame a point fetch referenced"
+            );
+        }
+    })
+    .expect_err("a reference-blind ring step must have a failing interleaving");
+    assert!(
+        failure.message.contains("point fetch referenced"),
+        "unexpected failure: {failure}"
+    );
+}
+
+/// Scan ring against the writer: the writer dirties the page scan A
+/// faulted in, and a clock-hand visit may then spend the writer's
+/// reference, so A's ring step can find the frame dirty and unreferenced.
+/// In every interleaving the acknowledged write survives (resident, or
+/// flushed before the drop), a dirty frame is resident, and once the frame
+/// is drained the disk image holds the write.
+#[test]
+fn pool_ring_flushes_a_frame_the_writer_dirtied() {
+    ok(try_model(builder(), || {
+        let frame = Arc::new(FrameModel::evicted(10));
+        let f2 = Arc::clone(&frame);
+        let scan_a = wh_model::thread::spawn(move || {
+            let (pin, faulted) = f2.fetch(true);
+            drop(pin);
+            if faulted {
+                f2.ring_step();
+            }
+        });
+        let pin = frame.pin();
+        frame.write(&pin, 20);
+        drop(pin);
+        frame.try_evict(); // one clock-hand visit
+        scan_a.join().unwrap();
+        assert_eq!(frame.visible(), 20, "an acknowledged write was lost");
+        if frame.core.is_dirty() {
+            assert!(
+                read_latch(&frame.state).is_some(),
+                "dirty frame lost its page"
+            );
+        }
+        frame.try_evict();
+        frame.try_evict();
+        assert!(read_latch(&frame.state).is_none(), "unpinned frame evicts");
+        assert_eq!(*read_latch(&frame.disk), 20, "flush-before-release lost");
+    }));
 }
 
 /// Delta-log kernel: windows are all-or-nothing. Whatever state the

@@ -20,6 +20,27 @@
 //!   frames never evict, fetch is one map lookup plus an Arc clone. The
 //!   heap's hot paths run through the same code either way — the E22 gate
 //!   in `report_durability` checks the ratio cost of that unification.
+//! * **A scan's one-frame ring.** A point fetch that misses installs the
+//!   page referenced and runs the clock. A scan ([`ScanRing`]) installs it
+//!   unreferenced and runs nothing. Once the scan has copied the page out
+//!   and unpinned it, and if the pool is over capacity, the scan evicts that
+//!   one frame itself ([`BufferPool::ring_step`]) under
+//!   [`FrameCore::ring_verdict`]: a pinned frame stays, a dirty one is
+//!   flushed first, and one that another fetch referenced meanwhile stays
+//!   with its reference bit for the clock. Its next fault decodes into the
+//!   page it took back. So a scan over more pages than the pool holds stops
+//!   flushing the pool: the pages resident when it started stay resident,
+//!   and it runs through one frame of its own. Only when its frame cannot
+//!   be taken back does the scan run the clock. Residency is therefore at
+//!   most `capacity` plus one frame per running scan, except while pins
+//!   hold more.
+//! * **One fault function, one block read.** Every miss goes through
+//!   [`BufferPool::fault_in`], which passes the frame's `seq` to
+//!   [`DiskFile::read_page`] once it is known (after a write or an earlier
+//!   fault of the page), so the read verifies one block. The invariant that
+//!   makes that exact: while a frame is not resident, no block of its page
+//!   holds a verified `seq` above the frame's, because a write that fails
+//!   leaves its frame resident and dirty and its `seq` unadvanced.
 //!
 //! The eviction-decision core ([`FrameCore`]) lives in `wh-kernel` and is
 //! model-checked exhaustively; this module adds the I/O those verdicts gate.
@@ -72,6 +93,15 @@ impl PagePin {
     pub fn mark_dirty(&self) {
         self.frame.core.mark_dirty();
     }
+}
+
+/// One scan's ring of one frame (module docs): the frame its last fault
+/// installed, until [`BufferPool::ring_step`] settles it, and the page it
+/// last took back, which its next fault decodes into.
+#[derive(Default)]
+pub(crate) struct ScanRing {
+    faulted: Option<Arc<Frame>>,
+    spare: Option<Arc<RwLock<Page>>>,
 }
 
 /// A pool of page frames, optionally backed by a [`DiskFile`].
@@ -157,7 +187,25 @@ impl BufferPool {
     }
 
     /// Fetch (pinning) page `page_no`, faulting it in from disk if needed.
+    #[inline]
     pub fn fetch(&self, page_no: u32) -> StorageResult<PagePin> {
+        self.pin(page_no, None)
+    }
+
+    /// [`Self::fetch`] for a scan: a miss goes through the scan's `ring`
+    /// (module docs), and the scan calls [`Self::ring_step`] once it has
+    /// copied the page out and dropped the pin.
+    #[inline]
+    pub(crate) fn fetch_in_ring(
+        &self,
+        page_no: u32,
+        ring: &mut ScanRing,
+    ) -> StorageResult<PagePin> {
+        self.pin(page_no, Some(ring))
+    }
+
+    #[inline]
+    fn pin(&self, page_no: u32, ring: Option<&mut ScanRing>) -> StorageResult<PagePin> {
         let frame = read_latch(&self.frames)
             .get(page_no as usize)
             .cloned()
@@ -173,15 +221,19 @@ impl BufferPool {
             }
         }
         // lint: allow(latch-order) — the state read latch above is scoped to the hit-check block and already dropped here; fault_in starts from a clean slate
-        self.fault_in(frame)
+        self.fault_in(frame, ring)
     }
 
-    /// Miss path: load the page image from disk under the frame's state
-    /// write latch. `#[cold]` keeps the in-memory fast path (which can
-    /// never miss) free of this code.
+    /// The one miss path (module docs): load the page image from disk under
+    /// the frame's state write latch. `#[cold]` keeps the in-memory fast
+    /// path (which can never miss) free of this code.
     #[cold]
     #[inline(never)]
-    fn fault_in(&self, frame: Arc<Frame>) -> StorageResult<PagePin> {
+    fn fault_in(
+        &self,
+        frame: Arc<Frame>,
+        mut ring: Option<&mut ScanRing>,
+    ) -> StorageResult<PagePin> {
         let mut state = write_latch(&frame.state);
         if let Some(page) = state.as_ref() {
             // Lost the race to another faulting fetcher: that's a hit.
@@ -195,26 +247,72 @@ impl BufferPool {
         let disk = self.disk.as_ref().ok_or_else(|| {
             StorageError::Corrupt("non-resident frame in an unbacked pool".into())
         })?;
-        let (page, seq) = match disk.read_page(frame.page_no)? {
-            Some((page, seq)) => (page, seq),
-            // Allocated but never flushed: an empty page, which is exactly
-            // what §7 rollback leaves of a page born after the checkpoint.
-            None => (Page::new(self.record_len)?, 0),
+        let page = match ring.as_mut().and_then(|ring| ring.spare.take()) {
+            Some(page) => page,
+            None => Arc::new(RwLock::new(Page::new(self.record_len)?)),
+        };
+        // ordering: pool-frame SeqCst — uniform with the frame protocol; the state
+        // write latch serializes this with every flush of the frame.
+        let known = frame.seq.load(Ordering::SeqCst);
+        let seq = {
+            // Nobody else can reach `page` yet: the latch is uncontended.
+            let mut image = write_latch(&page);
+            match disk.read_page(frame.page_no, (known > 0).then_some(known), &mut image)? {
+                Some(seq) => seq,
+                // Allocated but never flushed: an empty page, which is exactly
+                // what §7 rollback leaves of a page born after the checkpoint.
+                None => {
+                    *image = Page::new(self.record_len)?;
+                    0
+                }
+            }
         };
         // ordering: pool-frame SeqCst — uniform with the frame protocol; the state
         // write latch is the real publication edge.
         frame.seq.store(seq, Ordering::SeqCst);
-        frame.core.clear_dirty();
-        frame.core.mark_referenced();
-        let page = Arc::new(RwLock::new(page));
+        frame.core.install(ring.is_none());
         *state = Some(Arc::clone(&page));
         drop(state);
         // ordering: pool-resident SeqCst — resident accounting pairs with eviction's sub.
         self.resident.fetch_add(1, Ordering::SeqCst);
         wh_obs::gauge!("storage.pool.resident").set(self.resident() as i64);
-        // lint: allow(latch-order) — the frame-state write latch was dropped just above; eviction inside enforce_capacity starts with no latch held
-        self.enforce_capacity()?;
+        match ring {
+            Some(ring) => ring.faulted = Some(Arc::clone(&frame)),
+            // lint: allow(latch-order) — the frame-state write latch was dropped just above; eviction inside enforce_capacity starts with no latch held
+            None => self.enforce_capacity()?,
+        }
         Ok(PagePin { page, frame })
+    }
+
+    /// The ring step, for a scan that has copied out and unpinned the page
+    /// it last fetched. If that fetch faulted and the pool is over
+    /// capacity, evict that frame under `FrameCore::ring_verdict` and keep
+    /// its page for the scan's next fault; if the frame must stay (pinned,
+    /// referenced since, contended), run the clock instead.
+    #[inline]
+    pub(crate) fn ring_step(&self, ring: &mut ScanRing) -> StorageResult<()> {
+        match ring.faulted.take() {
+            None => Ok(()),
+            Some(frame) => self.take_back(&frame, ring),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn take_back(&self, frame: &Arc<Frame>, ring: &mut ScanRing) -> StorageResult<()> {
+        // ordering: pool-resident SeqCst — pairs with the add/sub sites.
+        if self.resident.load(Ordering::SeqCst) <= self.capacity {
+            return Ok(());
+        }
+        match self.try_evict(frame, FrameCore::ring_verdict)? {
+            Some(page) => {
+                if Arc::strong_count(&page) == 1 {
+                    ring.spare = Some(page);
+                }
+                Ok(())
+            }
+            None => self.enforce_capacity(),
+        }
     }
 
     /// Append a new (resident, empty) page; returns its page number.
@@ -269,25 +367,31 @@ impl BufferPool {
             // ordering: clock-hand Relaxed — the hand position is only a rotation cursor.
             let idx = self.clock.fetch_add(1, Ordering::Relaxed) % len;
             let frame = Arc::clone(&read_latch(&self.frames)[idx]);
-            self.try_evict(&frame)?;
+            self.try_evict(&frame, FrameCore::evict_verdict)?;
         }
         Ok(())
     }
 
-    /// One clock-hand visit: evict the frame if the kernel verdict allows,
-    /// flushing first when dirty. Contended or pinned frames are skipped.
-    fn try_evict(&self, frame: &Arc<Frame>) -> StorageResult<bool> {
+    /// One clock-hand visit (`FrameCore::evict_verdict`) or ring step
+    /// (`FrameCore::ring_verdict`): evict the frame if the kernel verdict
+    /// allows, flushing first when dirty, and return its page. Contended or
+    /// pinned frames are skipped.
+    fn try_evict(
+        &self,
+        frame: &Arc<Frame>,
+        verdict: fn(&FrameCore, usize) -> EvictVerdict,
+    ) -> StorageResult<Option<Arc<RwLock<Page>>>> {
         let Some(mut state) = try_write_latch(&frame.state) else {
-            return Ok(false);
+            return Ok(None);
         };
         let Some(page) = state.as_ref().map(Arc::clone) else {
-            return Ok(false);
+            return Ok(None);
         };
         // Pins beyond the frame's own reference; new pins are excluded by
         // the state write latch we hold.
         let pins = Arc::strong_count(&page) - 2; // minus `state`'s and ours
-        match frame.core.evict_verdict(pins) {
-            EvictVerdict::Pinned | EvictVerdict::SecondChance => Ok(false),
+        match verdict(&frame.core, pins) {
+            EvictVerdict::Pinned | EvictVerdict::SecondChance => Ok(None),
             verdict => {
                 if verdict == EvictVerdict::MustFlush {
                     self.flush_frame(frame, &page)?;
@@ -301,7 +405,7 @@ impl BufferPool {
                 self.resident.fetch_sub(1, Ordering::SeqCst);
                 wh_obs::counter!("storage.pool.evictions").inc();
                 wh_obs::gauge!("storage.pool.resident").set(self.resident() as i64);
-                Ok(true)
+                Ok(Some(page))
             }
         }
     }
@@ -386,7 +490,7 @@ impl BufferPool {
         // Two sweeps so reference bits can't shield everything.
         for _ in 0..2 {
             for frame in &frames {
-                if self.try_evict(frame)? {
+                if self.try_evict(frame, FrameCore::evict_verdict)?.is_some() {
                     evicted += 1;
                 }
             }
@@ -415,9 +519,14 @@ impl std::fmt::Debug for BufferPool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::path::PathBuf;
+
+    /// Whether page `page_no` is resident (which pages a scan kept).
+    pub(crate) fn is_resident(pool: &BufferPool, page_no: u32) -> bool {
+        read_latch(&read_latch(&pool.frames)[page_no as usize].state).is_some()
+    }
 
     fn temp_path(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -471,23 +580,137 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn capacity_bounds_residency() {
-        let path = temp_path("cap");
-        let pool = BufferPool::create_backed(64, &path, 4).unwrap();
-        for i in 0..32u8 {
+    /// A pool of `pages` pages, page `p` holding byte `p` in slot 0, all
+    /// flushed and evicted.
+    fn cold_pool(tag: &str, pages: u8, capacity: usize) -> (BufferPool, PathBuf) {
+        let path = temp_path(tag);
+        let pool = BufferPool::create_backed(64, &path, capacity).unwrap();
+        for i in 0..pages {
             let p = pool.allocate().unwrap();
             put(&pool, p, i);
         }
-        assert!(
-            pool.resident() <= 6,
-            "clock keeps residency near capacity, got {}",
-            pool.resident()
-        );
+        pool.flush_all().unwrap();
+        pool.evict_all().unwrap();
+        assert_eq!(pool.resident(), 0);
+        (pool, path)
+    }
+
+    /// `HeapFile::scan_batches`' page protocol over `pages`: fetch through
+    /// the ring, copy out, unpin, ring step. Returns the number of hits (pages
+    /// resident when fetched).
+    fn ring_scan(pool: &BufferPool, pages: std::ops::Range<u32>) -> u32 {
+        let mut ring = ScanRing::default();
+        let mut hits = 0;
+        for p in pages {
+            hits += u32::from(is_resident(pool, p));
+            let pin = pool.fetch_in_ring(p, &mut ring).unwrap();
+            assert_eq!(read_latch(&pin).read(p, 0).unwrap()[0], p as u8);
+            drop(pin);
+            pool.ring_step(&mut ring).unwrap();
+        }
+        hits
+    }
+
+    /// The residency bound: `capacity`, plus one ring frame per running
+    /// scan, unless pins hold more.
+    #[test]
+    fn capacity_bounds_residency() {
+        let path = temp_path("cap");
+        let capacity = 4;
+        let pool = BufferPool::create_backed(64, &path, capacity).unwrap();
+        for i in 0..32u8 {
+            let p = pool.allocate().unwrap();
+            put(&pool, p, i);
+            assert!(pool.resident() <= capacity, "no scan, no pin held");
+        }
         // Every page still readable (faulting evicted ones back in).
         for i in 0..32u8 {
             assert_eq!(first_byte(&pool, u32::from(i)), i);
+            assert!(pool.resident() <= capacity);
         }
+        // Two scans in step, half the heap apart: each adds its ring frame
+        // at most, and gives it back on release.
+        let (mut a, mut b) = (ScanRing::default(), ScanRing::default());
+        for p in 0..32u32 {
+            let pin_a = pool.fetch_in_ring(p, &mut a).unwrap();
+            let pin_b = pool.fetch_in_ring((p + 16) % 32, &mut b).unwrap();
+            assert!(pool.resident() <= capacity + 2, "page {p}: two scans");
+            drop(pin_a);
+            pool.ring_step(&mut a).unwrap();
+            assert!(pool.resident() <= capacity + 1, "page {p}: one scan");
+            drop(pin_b);
+            pool.ring_step(&mut b).unwrap();
+            assert!(pool.resident() <= capacity, "page {p}: scans released");
+        }
+        // Pins hold more: six pinned pages stay, and a scan adds its one.
+        let pins: Vec<PagePin> = (0..6).map(|p| pool.fetch(p).unwrap()).collect();
+        assert_eq!(pool.resident(), 6, "pinned pages cannot leave");
+        let mut ring = ScanRing::default();
+        for p in 6..32u32 {
+            drop(pool.fetch_in_ring(p, &mut ring).unwrap());
+            assert!(pool.resident() <= 6 + 1);
+            pool.ring_step(&mut ring).unwrap();
+            assert!(pool.resident() <= 6);
+        }
+        drop(pins);
+        assert_eq!(first_byte(&pool, 31), 31);
+        assert!(
+            pool.resident() <= capacity,
+            "unpinned, the clock catches up"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn repeated_ring_scans_hit_what_the_pool_holds() {
+        let capacity = 8;
+        let (pool, path) = cold_pool("ring", 32, capacity);
+        // Cold: the first faults fill the pool, the rest run through the ring.
+        assert_eq!(ring_scan(&pool, 0..32), 0);
+        for round in 0..5 {
+            let hits = ring_scan(&pool, 0..32);
+            assert!(
+                hits + 1 >= capacity as u32,
+                "round {round}: {hits} hits at capacity {capacity}"
+            );
+            assert!(pool.resident() <= capacity);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_ring_keeps_a_page_another_fetch_referenced() {
+        let (pool, path) = cold_pool("refd", 16, 4);
+        ring_scan(&pool, 0..16); // the pool holds pages 0..4
+        let mut ring = ScanRing::default();
+        let scan = pool.fetch_in_ring(9, &mut ring).unwrap();
+        drop(pool.fetch(9).unwrap()); // another reader, while the scan holds it
+        drop(scan);
+        pool.ring_step(&mut ring).unwrap();
+        assert!(
+            is_resident(&pool, 9),
+            "the scan evicted a page another fetch referenced"
+        );
+        assert!(
+            pool.resident() <= 4,
+            "the clock evicted another page instead"
+        );
+        assert!(ring.spare.is_none());
+
+        // Unreferenced, the scan's page goes at once, and its buffer holds
+        // the scan's next fault.
+        drop(pool.fetch_in_ring(11, &mut ring).unwrap());
+        pool.ring_step(&mut ring).unwrap();
+        assert!(!is_resident(&pool, 11));
+        let spare = Arc::as_ptr(ring.spare.as_ref().unwrap());
+        let next = pool.fetch_in_ring(12, &mut ring).unwrap();
+        assert!(
+            std::ptr::eq(&*next, spare),
+            "the next fault reused the page"
+        );
+        assert_eq!(read_latch(&next).read(12, 0).unwrap()[0], 12);
+        drop(next);
+        pool.ring_step(&mut ring).unwrap();
         std::fs::remove_file(&path).ok();
     }
 

@@ -32,14 +32,19 @@
 //! independent lanes (so four multiply chains run at once), then folds the
 //! lanes and the byte tail into one `u64` (`checksum` below).
 //!
-//! A read verifies **one** block: the one whose header carries the higher
-//! `seq`. Only if that block fails does it verify the elder. This is the
-//! same verdict as decoding both and keeping the highest verified `seq`: a
-//! verified block's `seq` is the one it was written with, and the elder's
-//! header `seq` is no higher.
+//! A read whose caller knows the page's `seq` (the buffer pool does after
+//! any write or earlier fault of the page) reads and verifies **one
+//! block**, `seq % 2`, and takes it if its header carries that `seq`.
+//! Otherwise, or if that block fails, it reads both and verifies the newer
+//! by header `seq` first, the elder only if that fails. Either way the
+//! verdict is the one decoding both blocks and keeping the highest verified
+//! `seq` gives: a verified block's `seq` is the one it was written with,
+//! the elder's is no higher, and no block holds a verified `seq` above the
+//! one the pool knows (`bufpool` module docs).
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::Page;
+use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
@@ -136,6 +141,17 @@ fn seal(block: &mut [u8]) {
 fn field<const N: usize>(block: &[u8], at: usize) -> [u8; N] {
     // lint: allow(no-panic) — constant offsets inside the header, and a block is longer than it
     block[at..at + N].try_into().expect("header field")
+}
+
+/// The `seq` a block's header claims (verified or not).
+fn header_seq(block: &[u8]) -> u64 {
+    u64::from_le_bytes(field(block, 24))
+}
+
+thread_local! {
+    /// This thread's fault buffer (one block, or both on the fallback),
+    /// reused so that a page fault allocates nothing.
+    static READ_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A page-granular file of shadow-paired blocks, addressed by page number.
@@ -246,58 +262,84 @@ impl DiskFile {
         block
     }
 
-    /// Read back page `page_no`: the intact shadow block with the highest
-    /// sequence number, plus that sequence. The block whose header claims
-    /// the higher `seq` is verified first (block 0 on a tie) and the elder
-    /// only if that fails, so a fault normally checksums one block.
+    /// Load page `page_no` into `page`, overwriting it in place, and return
+    /// the sequence number of the image loaded: the intact shadow block
+    /// with the highest sequence number.
+    ///
+    /// `known` is the page's `seq` if the caller knows it: then block
+    /// `known % 2` alone is read and taken if it verifies with that `seq`.
+    /// Otherwise both are read and the newer by header `seq` is verified
+    /// first (block 0 on a tie), the elder only if that fails (module docs).
     ///
     /// Returns `Ok(None)` for a page that was allocated but never flushed
     /// (region beyond EOF or still all-zero) — recovery treats it as empty,
     /// which is exactly what the §7 rollback would leave: everything on an
     /// unflushed page postdates the checkpoint VN. Both blocks present but
-    /// invalid is real corruption and errors.
-    pub fn read_page(&self, page_no: u32) -> StorageResult<Option<(Page, u64)>> {
+    /// invalid is real corruption and errors. After `Ok(None)` or an error,
+    /// `page` holds no particular image.
+    pub fn read_page(
+        &self,
+        page_no: u32,
+        known: Option<u64>,
+        page: &mut Page,
+    ) -> StorageResult<Option<u64>> {
         // trace: real I/O — span each fault-in under the caller's span.
         let _ts = wh_obs::trace_span!("storage.disk.read");
         fail_point!("storage.disk.read");
+        wh_obs::counter!("storage.disk.page_reads").inc();
         let base = u64::from(page_no) * self.stride();
-        let mut region = vec![0u8; 2 * self.block_len];
-        // Short reads past EOF leave the tail zeroed, which decodes the same
-        // as a never-written block.
+        let len = self.block_len;
+        READ_BUF.with_borrow_mut(|buf| {
+            buf.resize(2 * len, 0);
+            if let Some(seq) = known {
+                let block = &mut buf[..len];
+                self.read_full(block, base + (seq % 2) * len as u64)?;
+                if header_seq(block) == seq && self.decode_block(page_no, block, page).is_ok() {
+                    return Ok(Some(seq));
+                }
+            }
+            self.read_full(buf, base)?;
+            let (first, second) = buf.split_at(len);
+            let (newer, elder) = if header_seq(second) > header_seq(first) {
+                (second, first)
+            } else {
+                (first, second)
+            };
+            for block in [newer, elder] {
+                if let Ok(seq) = self.decode_block(page_no, block, page) {
+                    return Ok(Some(seq));
+                }
+            }
+            if [first, second].iter().any(|b| b.iter().all(|&x| x == 0)) {
+                return Ok(None); // never written (or only a torn first write)
+            }
+            Err(StorageError::Corrupt(format!(
+                "page {page_no}: both shadow blocks fail validation"
+            )))
+        })
+    }
+
+    /// Fill `buf` from byte `offset` of the file. Bytes past EOF read as
+    /// zero, which decodes the same as a never-written block.
+    fn read_full(&self, buf: &mut [u8], offset: u64) -> StorageResult<()> {
         let mut filled = 0usize;
-        while filled < region.len() {
+        while filled < buf.len() {
             let n = self
                 .file
-                .read_at(&mut region[filled..], base + filled as u64)
+                .read_at(&mut buf[filled..], offset + filled as u64)
                 .map_err(StorageError::io)?;
             if n == 0 {
                 break;
             }
             filled += n;
         }
-        wh_obs::counter!("storage.disk.page_reads").inc();
-
-        let (first, second) = region.split_at(self.block_len);
-        let header_seq = |block: &[u8]| u64::from_le_bytes(field(block, 24));
-        let (newer, elder) = if header_seq(second) > header_seq(first) {
-            (second, first)
-        } else {
-            (first, second)
-        };
-        for block in [newer, elder] {
-            if let Ok(image) = self.decode_block(page_no, block) {
-                return Ok(Some(image));
-            }
-        }
-        if [first, second].iter().any(|b| b.iter().all(|&x| x == 0)) {
-            return Ok(None); // never written (or only a torn first write)
-        }
-        Err(StorageError::Corrupt(format!(
-            "page {page_no}: both shadow blocks fail validation"
-        )))
+        buf[filled..].fill(0);
+        Ok(())
     }
 
-    fn decode_block(&self, page_no: u32, block: &[u8]) -> StorageResult<(Page, u64)> {
+    /// Verify `block` as page `page_no`'s and load it into `page`; returns
+    /// its `seq`.
+    fn decode_block(&self, page_no: u32, block: &[u8], page: &mut Page) -> StorageResult<u64> {
         let corrupt = |what: &str| StorageError::Corrupt(format!("page {page_no}: {what}"));
         if u64::from_le_bytes(field(block, 0)) != MAGIC {
             return Err(corrupt("bad magic"));
@@ -317,7 +359,7 @@ impl DiskFile {
         let states_len = self.capacity.div_ceil(4);
         let states = &block[HEADER_LEN..HEADER_LEN + states_len];
         let data = &block[HEADER_LEN + states_len..];
-        let page = Page::from_disk_parts(self.record_len, states, data)?;
+        page.load_disk_parts(states, data)?;
         let counts = (
             u16::from_le_bytes(field(block, 16)),
             u16::from_le_bytes(field(block, 18)),
@@ -325,7 +367,7 @@ impl DiskFile {
         if (page.live(), page.retired()) != counts {
             return Err(corrupt("occupancy counts disagree with state map"));
         }
-        Ok((page, u64::from_le_bytes(field(block, 24))))
+        Ok(header_seq(block))
     }
 
     /// Flush OS buffers for the page file (checkpoint end only — steal +
@@ -348,6 +390,20 @@ mod tests {
         std::env::temp_dir().join(format!("wh-disk-{tag}-{}-{n}.whd", std::process::id()))
     }
 
+    /// `read_page` into a fresh page, as `(image, seq)`.
+    fn read(d: &DiskFile, page_no: u32, known: Option<u64>) -> StorageResult<Option<(Page, u64)>> {
+        let mut page = Page::new(d.record_len).unwrap();
+        Ok(d.read_page(page_no, known, &mut page)?
+            .map(|seq| (page, seq)))
+    }
+
+    /// `decode_block` into a fresh page, as `(image, seq)`.
+    fn decode(d: &DiskFile, page_no: u32, block: &[u8]) -> StorageResult<(Page, u64)> {
+        let mut page = Page::new(d.record_len).unwrap();
+        let seq = d.decode_block(page_no, block, &mut page)?;
+        Ok((page, seq))
+    }
+
     fn sample_page(record_len: usize, records: &[&[u8]]) -> Page {
         let mut p = Page::new(record_len).unwrap();
         for r in records {
@@ -364,7 +420,7 @@ mod tests {
         p.delete(0, 0).unwrap();
         p.retire(0, 1).unwrap();
         d.write_page(0, &p, 1).unwrap();
-        let (back, seq) = d.read_page(0).unwrap().unwrap();
+        let (back, seq) = read(&d, 0, None).unwrap().unwrap();
         assert_eq!(seq, 1);
         assert_eq!((back.live(), back.retired()), (1, 1));
         assert_eq!(back.read(0, 2).unwrap(), &[3u8; 8]);
@@ -380,11 +436,11 @@ mod tests {
         d.write_page(0, &sample_page(16, &[&[1u8; 16]]), 1).unwrap();
         d.write_page(0, &sample_page(16, &[&[2u8; 16], &[2u8; 16]]), 2)
             .unwrap();
-        let (back, seq) = d.read_page(0).unwrap().unwrap();
+        let (back, seq) = read(&d, 0, None).unwrap().unwrap();
         assert_eq!((seq, back.live()), (2, 2));
         // A third write lands back in slot 1's position and wins again.
         d.write_page(0, &sample_page(16, &[&[3u8; 16]]), 3).unwrap();
-        let (back, seq) = d.read_page(0).unwrap().unwrap();
+        let (back, seq) = read(&d, 0, None).unwrap().unwrap();
         assert_eq!((seq, back.live()), (3, 1));
         assert_eq!(back.read(0, 0).unwrap(), &[3u8; 16]);
         std::fs::remove_file(&path).ok();
@@ -400,7 +456,7 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.write_all_at(&[0xAA; 32], d.block_len as u64 + 60)
             .unwrap();
-        let (back, seq) = d.read_page(0).unwrap().unwrap();
+        let (back, seq) = read(&d, 0, None).unwrap().unwrap();
         assert_eq!(seq, 2, "elder complete image survives the tear");
         assert_eq!(back.read(0, 0).unwrap(), &[7u8; 16]);
         std::fs::remove_file(&path).ok();
@@ -415,7 +471,7 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.write_all_at(&[0xFF; 16], 4).unwrap();
         f.write_all_at(&[0xFF; 16], d.block_len as u64 + 4).unwrap();
-        assert!(matches!(d.read_page(0), Err(StorageError::Corrupt(_))));
+        assert!(matches!(read(&d, 0, None), Err(StorageError::Corrupt(_))));
         std::fs::remove_file(&path).ok();
     }
 
@@ -423,10 +479,10 @@ mod tests {
     fn unwritten_page_reads_as_none() {
         let path = temp_path("none");
         let d = DiskFile::create(&path, 16).unwrap();
-        assert!(d.read_page(0).unwrap().is_none(), "beyond EOF");
+        assert!(read(&d, 0, None).unwrap().is_none(), "beyond EOF");
         d.write_page(3, &sample_page(16, &[&[1u8; 16]]), 1).unwrap();
-        assert!(d.read_page(1).unwrap().is_none(), "hole inside the file");
-        assert!(d.read_page(3).unwrap().is_some());
+        assert!(read(&d, 1, None).unwrap().is_none(), "hole inside the file");
+        assert!(read(&d, 3, None).unwrap().is_some());
         assert_eq!(d.page_count().unwrap(), 4, "count from file size");
         std::fs::remove_file(&path).ok();
     }
@@ -440,11 +496,11 @@ mod tests {
             d.sync().unwrap();
         }
         let d = DiskFile::open(&path, 32).unwrap();
-        let (back, seq) = d.read_page(0).unwrap().unwrap();
+        let (back, seq) = read(&d, 0, None).unwrap().unwrap();
         assert_eq!((seq, back.read(0, 0).unwrap()[0]), (5, 9));
         // Wrong record width is caught by the header, not silently decoded.
         let wrong = DiskFile::open(&path, 16).unwrap();
-        assert!(wrong.read_page(0).is_err());
+        assert!(read(&wrong, 0, None).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -491,12 +547,12 @@ mod tests {
         let d = DiskFile::create(&path, TAIL_WIDTH).unwrap();
         let block = d.encode_block(0, &full_page(TAIL_WIDTH, 1), 7);
         assert_eq!(block.len() % 8, 3);
-        assert!(d.decode_block(0, &block).is_ok());
+        assert!(decode(&d, 0, &block).is_ok());
         let mut b = block.clone();
         for bit in 0..block.len() * 8 {
             b[bit / 8] ^= 1 << (bit % 8);
             assert!(
-                d.decode_block(0, &b).is_err(),
+                decode(&d, 0, &b).is_err(),
                 "flip of bit {bit} (byte {}) went undetected",
                 bit / 8
             );
@@ -513,7 +569,7 @@ mod tests {
             let mut b = d.encode_block(0, &full_page(TAIL_WIDTH, 1), 1);
             b[20..24].copy_from_slice(&format.to_le_bytes());
             seal(&mut b);
-            match d.decode_block(0, &b) {
+            match decode(&d, 0, &b) {
                 Err(StorageError::Corrupt(msg)) => assert!(msg.contains("format"), "{msg}"),
                 other => panic!("format {format} decoded: {:?}", other.map(|(_, s)| s)),
             }
@@ -536,7 +592,7 @@ mod tests {
                 let mut b = block.clone();
                 b[at..at + 8].copy_from_slice(&noise);
                 assert!(
-                    d.decode_block(0, &b).is_err(),
+                    decode(&d, 0, &b).is_err(),
                     "random word at byte {at} went undetected"
                 );
             }
@@ -554,7 +610,9 @@ mod tests {
             full_page(TAIL_WIDTH, 3),
         );
         // Seq 1 lands in shadow slot 1 and seq 2 in slot 0; seq 3 goes back
-        // to slot 1, over the seq-1 image, and tears there.
+        // to slot 1, over the seq-1 image, and tears there. A reader that
+        // knows seq 2 (the write failed) or seq 3 (the write returned, and
+        // the block tore later) reads the elder image too.
         d.write_page(0, &old, 1).unwrap();
         d.write_page(0, &elder, 2).unwrap();
         let old_block = d.encode_block(0, &old, 1);
@@ -564,34 +622,87 @@ mod tests {
                 let mut torn = prefix.clone();
                 torn[cut..].copy_from_slice(&suffix[cut..]);
                 d.file.write_all_at(&torn, d.block_len as u64).unwrap();
-                let (back, seq) = d.read_page(0).unwrap().unwrap();
-                assert_eq!(seq, 2, "tear at byte {cut}");
-                assert_eq!(back.data_bytes(), elder.data_bytes(), "tear at byte {cut}");
-                assert_eq!(back.pack_states(), elder.pack_states());
+                for known in [None, Some(2), Some(3)] {
+                    let (back, seq) = read(&d, 0, known).unwrap().unwrap();
+                    assert_eq!(seq, 2, "tear at byte {cut}, known {known:?}");
+                    assert_eq!(back.data_bytes(), elder.data_bytes(), "tear at byte {cut}");
+                    assert_eq!(back.pack_states(), elder.pack_states());
+                }
             }
         }
         std::fs::remove_file(&path).ok();
     }
 
+    #[test]
+    fn a_known_block_with_bit_rot_falls_back_to_the_elder_image() {
+        let path = temp_path("rot");
+        let d = DiskFile::create(&path, TAIL_WIDTH).unwrap();
+        let (elder, newer) = (full_page(TAIL_WIDTH, 4), full_page(TAIL_WIDTH, 5));
+        d.write_page(0, &elder, 2).unwrap();
+        d.write_page(0, &newer, 3).unwrap();
+        let sound = d.encode_block(0, &newer, 3);
+        let mut page = Page::new(TAIL_WIDTH).unwrap(); // reused, as by a scan's ring
+        for byte in (0..d.block_len).step_by(97) {
+            let mut rotten = sound.clone();
+            rotten[byte] ^= 0x10;
+            d.file.write_all_at(&rotten, d.block_len as u64).unwrap();
+            assert_eq!(
+                d.read_page(0, Some(3), &mut page).unwrap(),
+                Some(2),
+                "byte {byte}"
+            );
+            assert_eq!(page.data_bytes(), elder.data_bytes(), "byte {byte}");
+            assert_eq!(page.pack_states(), elder.pack_states());
+        }
+        d.file.write_all_at(&sound, d.block_len as u64).unwrap();
+        assert_eq!(d.read_page(0, Some(3), &mut page).unwrap(), Some(3));
+        assert_eq!(page.data_bytes(), newer.data_bytes());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_known_seq_reads_only_its_own_block() {
+        // Outside the pool's invariant on purpose: block 1 verifies with a
+        // seq above the one the reader knows. A known-seq read takes block 0
+        // without looking at block 1; a read without one takes block 1.
+        let path = temp_path("own");
+        let d = DiskFile::create(&path, TAIL_WIDTH).unwrap();
+        let (two, three) = (full_page(TAIL_WIDTH, 6), full_page(TAIL_WIDTH, 7));
+        d.write_page(0, &two, 2).unwrap();
+        d.write_page(0, &three, 3).unwrap();
+        let (back, seq) = read(&d, 0, Some(2)).unwrap().unwrap();
+        assert_eq!((seq, back.data_bytes()), (2, two.data_bytes()));
+        let (back, seq) = read(&d, 0, None).unwrap().unwrap();
+        assert_eq!((seq, back.data_bytes()), (3, three.data_bytes()));
+        // The known block is taken only under the known seq: block 1 now
+        // verifies with seq 1, so a reader that knows seq 3 falls back.
+        let one = full_page(TAIL_WIDTH, 8);
+        d.write_page(0, &one, 1).unwrap();
+        let (back, seq) = read(&d, 0, Some(3)).unwrap().unwrap();
+        assert_eq!((seq, back.data_bytes()), (2, two.data_bytes()));
+        std::fs::remove_file(&path).ok();
+    }
+
     /// The selection rule `read_page` had before it verified the newer
     /// block first, kept as the oracle: decode every written block, keep
-    /// the highest verified seq (block 0 on a tie); two written blocks
-    /// that both fail are corruption.
+    /// the highest verified seq (block 0 on a tie) and load it into
+    /// `page`; two written blocks that both fail are corruption.
     fn decode_both(
         d: &DiskFile,
         page_no: u32,
         blocks: [&[u8]; 2],
-    ) -> StorageResult<Option<(Page, u64)>> {
-        let mut best: Option<(Page, u64)> = None;
+        page: &mut Page,
+    ) -> StorageResult<Option<u64>> {
+        let mut best: Option<(&[u8], u64)> = None;
         let mut invalid = 0usize;
         for block in blocks {
             if block.iter().all(|&b| b == 0) {
                 continue;
             }
-            match d.decode_block(page_no, block) {
-                Ok((page, seq)) => {
-                    if best.as_ref().is_none_or(|(_, s)| seq > *s) {
-                        best = Some((page, seq));
+            match decode(d, page_no, block) {
+                Ok((_, seq)) => {
+                    if best.is_none_or(|(_, s)| seq > s) {
+                        best = Some((block, seq));
                     }
                 }
                 Err(_) => invalid += 1,
@@ -600,16 +711,34 @@ mod tests {
         if best.is_none() && invalid == 2 {
             return Err(StorageError::Corrupt("both blocks invalid".into()));
         }
-        Ok(best)
+        best.map(|(block, _)| d.decode_block(page_no, block, page))
+            .transpose()
+    }
+
+    /// The `seq`s the pool's invariant lets a reader know for these
+    /// blocks: the last write it saw succeed was `s`, into block `s % 2`,
+    /// and every other write came before. So the other block does not
+    /// verify with a `seq` of `s` or more, and block `s % 2` verifies with
+    /// `s` unless it was damaged (or lost) after the write.
+    fn allowed_known(d: &DiskFile, page_no: u32, blocks: &[Vec<u8>; 2]) -> Vec<u64> {
+        let verified = blocks
+            .each_ref()
+            .map(|b| decode(d, page_no, b).ok().map(|(_, seq)| seq));
+        (1..=16u64)
+            .filter(|&s| {
+                let (own, other) = (verified[(s % 2) as usize], verified[(1 - s % 2) as usize]);
+                own.is_none_or(|v| v == s) && other.is_none_or(|v| v < s)
+            })
+            .collect()
     }
 
     /// A read's outcome in comparable form: the image and seq, `None`, or
     /// a `Corrupt` refusal (any other error fails the test).
     type Verdict = Result<Option<(u64, Vec<u8>, Vec<u8>)>, ()>;
 
-    fn verdict(read: StorageResult<Option<(Page, u64)>>) -> Verdict {
+    fn verdict(read: StorageResult<Option<u64>>, page: &Page) -> Verdict {
         match read {
-            Ok(hit) => Ok(hit.map(|(p, seq)| (seq, p.pack_states(), p.data_bytes().to_vec()))),
+            Ok(hit) => Ok(hit.map(|seq| (seq, page.pack_states(), page.data_bytes().to_vec()))),
             Err(StorageError::Corrupt(_)) => Err(()),
             Err(e) => panic!("unexpected error {e:?}"),
         }
@@ -679,6 +808,12 @@ mod tests {
         let mut rng = SplitMix64::seed_from_u64(0x5EED_B10C);
         let mut pairs_seen = std::collections::HashSet::new();
         let mut outcomes = [0usize; 3]; // image, never written, corrupt
+        let mut known_paths = [0usize; 2]; // own block taken, fallback
+
+        // Every read loads into one page, as a scan's fault loads into the
+        // page its ring took back: stale contents must never leak through.
+        let mut page = Page::new(TAIL_WIDTH).unwrap();
+        let mut oracle = Page::new(TAIL_WIDTH).unwrap();
         for case in 0..3000 {
             let states = [rng.index(BLOCK_STATES.len()), rng.index(BLOCK_STATES.len())];
             let blocks = states.map(|s| block_in_state(&d, page_no, s, &images, &mut rng));
@@ -686,18 +821,26 @@ mod tests {
             d.file
                 .write_all_at(&blocks[1], base + d.block_len as u64)
                 .unwrap();
-            let got = verdict(d.read_page(page_no));
-            let want = verdict(decode_both(&d, page_no, [&blocks[0], &blocks[1]]));
-            assert!(
-                got == want,
-                "case {case}: blocks ({}, {}): read_page {:?} vs decode-both {:?}",
-                BLOCK_STATES[states[0]],
-                BLOCK_STATES[states[1]],
-                got.as_ref().map(|h| h.as_ref().map(|(seq, ..)| *seq)),
-                want.as_ref().map(|h| h.as_ref().map(|(seq, ..)| *seq)),
-            );
+            let both = decode_both(&d, page_no, [&blocks[0], &blocks[1]], &mut oracle);
+            let want = verdict(both, &oracle);
+            let allowed = allowed_known(&d, page_no, &blocks);
+            for known in std::iter::once(None).chain(allowed.iter().copied().map(Some)) {
+                let got = verdict(d.read_page(page_no, known, &mut page), &page);
+                assert!(
+                    got == want,
+                    "case {case}: blocks ({}, {}), known seq {known:?}: read_page {:?} vs decode-both {:?}",
+                    BLOCK_STATES[states[0]],
+                    BLOCK_STATES[states[1]],
+                    got.as_ref().map(|h| h.as_ref().map(|(seq, ..)| *seq)),
+                    want.as_ref().map(|h| h.as_ref().map(|(seq, ..)| *seq)),
+                );
+                if let Some(s) = known {
+                    let own = decode(&d, page_no, &blocks[(s % 2) as usize]);
+                    known_paths[usize::from(own.is_err())] += 1;
+                }
+            }
             pairs_seen.insert(states);
-            outcomes[match got {
+            outcomes[match want {
                 Ok(Some(_)) => 0,
                 Ok(None) => 1,
                 Err(()) => 2,
@@ -711,6 +854,10 @@ mod tests {
         assert!(
             outcomes.iter().all(|&n| n > 0),
             "every verdict reached: {outcomes:?}"
+        );
+        assert!(
+            known_paths.iter().all(|&n| n > 0),
+            "known-seq reads both took their own block and fell back: {known_paths:?}"
         );
         std::fs::remove_file(&path).ok();
     }

@@ -1,7 +1,7 @@
 //! Heap files: growable collections of latched pages.
 
 use crate::batch::{FieldSpec, RecordBatch};
-use crate::bufpool::{BufferPool, PagePin};
+use crate::bufpool::{BufferPool, PagePin, ScanRing};
 use crate::checkpoint::{CheckpointMeta, CheckpointStats, VersionMeta};
 use crate::error::{StorageError, StorageResult};
 use crate::iostats::IoStats;
@@ -81,6 +81,14 @@ fn write_latch_contended<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     // Contended waits are rare enough to afford a causal event each.
     wh_obs::trace_event!("storage.latch.write_contended", ns);
     g
+}
+
+/// Copy page `page_no`'s live records into `batch` under its read latch,
+/// which is held for this call only: the scan's ring step and visitor run
+/// after it with no latch held.
+#[inline]
+fn copy_out(page: &PagePin, page_no: u32, batch: &mut RecordBatch) {
+    read_latch_timed(page).fill_batch(page_no, batch);
 }
 
 /// A heap file of fixed-width records.
@@ -555,6 +563,11 @@ impl HeapFile {
     ///
     /// The batch buffer is reused across pages; `visit` must not retain
     /// references into it.
+    ///
+    /// Pages come through the pool's scan ring (`bufpool` module docs): a
+    /// page this scan faults in is handed back to the pool as soon as it
+    /// has been copied out, if the pool is over capacity, so one scan does
+    /// not flush the pool.
     pub fn scan_batches<F>(
         &self,
         range: std::ops::Range<u32>,
@@ -577,20 +590,22 @@ impl HeapFile {
         let mut page_reads = 0u64;
         let mut tuple_reads = 0u64;
         let mut batch = RecordBatch::default();
+        let mut ring = ScanRing::default();
         let mut result = Ok(());
         for page_no in start..end {
-            let page = match self.pool.fetch(page_no) {
+            let page = match self.pool.fetch_in_ring(page_no, &mut ring) {
                 Ok(page) => page,
                 Err(e) => {
                     result = Err(e);
                     break;
                 }
             };
-            {
-                let guard = read_latch_timed(&page);
-                guard.fill_batch(page_no, &mut batch);
-            } // latch released: gather + visit run over the copied bytes
-            drop(page); // unpin before the visitor runs
+            copy_out(&page, page_no, &mut batch); // gather + visit run over the copy
+            drop(page); // unpin before the ring step and the visitor
+            if let Err(e) = self.pool.ring_step(&mut ring) {
+                result = Err(e);
+                break;
+            }
             page_reads += 1;
             tuple_reads += batch.len() as u64;
             batch.gather(specs);
@@ -811,6 +826,52 @@ mod tests {
             h.page_count() as u64
         );
         assert_eq!(after_parallel.tuple_reads - after_serial.tuple_reads, 100);
+    }
+
+    #[test]
+    fn durable_scans_keep_the_pool_they_find() {
+        use crate::bufpool::tests::is_resident;
+        let dir = std::env::temp_dir().join(format!("wh-heap-ring-{}", std::process::id()));
+        let capacity = 4;
+        let h = HeapFile::create_backed(512, &dir, capacity, Arc::new(IoStats::new())).unwrap();
+        for i in 0..192u8 {
+            h.insert(&[i; 512]).unwrap(); // 8 records per page: 24 pages
+        }
+        let pages = h.page_count();
+        h.evict_all().unwrap();
+        let resident = |h: &HeapFile| -> Vec<u32> {
+            (0..pages).filter(|&p| is_resident(h.pool(), p)).collect()
+        };
+        for round in 0..3 {
+            let before = resident(&h);
+            let mut seen = 0;
+            h.scan_batches(0..pages, &[], |batch| {
+                seen += batch.len();
+                assert!(h.pool().resident() <= capacity, "ring frame given back");
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(seen, 192);
+            let after = resident(&h);
+            assert_eq!(after.len(), capacity, "round {round}");
+            if round > 0 {
+                assert_eq!(after, before, "round {round}: the scan flushed the pool");
+            }
+        }
+        // Two partitions at once hold one ring frame each at most.
+        for outcome in h.scan_parallel(2, |_, range| {
+            h.scan_batches(range, &[], |_| {
+                assert!(
+                    h.pool().resident() <= capacity + 1,
+                    "the other scan's frame"
+                );
+                Ok(())
+            })
+        }) {
+            outcome.unwrap();
+        }
+        assert!(h.pool().resident() <= capacity);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

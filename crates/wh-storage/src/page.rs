@@ -238,34 +238,36 @@ impl Page {
         out
     }
 
-    /// Reconstruct a page from its disk-codec regions. `live`/`retired` are
-    /// recomputed from the unpacked states; the caller validates them against
-    /// the on-disk header as a corruption check.
-    pub(crate) fn from_disk_parts(
-        record_len: usize,
+    /// Overwrite this page with its disk-codec regions, in place: a page
+    /// fault reuses the buffers of a page it took back from the pool.
+    /// `live`/`retired` are recomputed from the unpacked states; the caller
+    /// validates them against the on-disk header as a corruption check. On
+    /// an error the page holds a partial image and must be loaded again.
+    pub(crate) fn load_disk_parts(
+        &mut self,
         packed_states: &[u8],
         data: &[u8],
-    ) -> StorageResult<Self> {
-        let mut page = Page::new(record_len)?;
-        let expected_states = (page.capacity as usize).div_ceil(4);
-        if packed_states.len() != expected_states || data.len() != page.data.len() {
+    ) -> StorageResult<()> {
+        let expected_states = (self.capacity as usize).div_ceil(4);
+        if packed_states.len() != expected_states || data.len() != self.data.len() {
             return Err(StorageError::Corrupt(format!(
                 "disk page regions malformed: {} state bytes (want {expected_states}), {} data bytes (want {})",
                 packed_states.len(),
                 data.len(),
-                page.data.len(),
+                self.data.len(),
             )));
         }
-        for i in 0..page.capacity as usize {
+        (self.live, self.retired) = (0, 0);
+        for i in 0..self.capacity as usize {
             let bits = (packed_states[i / 4] >> ((i % 4) * 2)) & 0b11;
-            page.state[i] = match bits {
+            self.state[i] = match bits {
                 0 => SlotState::Free,
                 1 => {
-                    page.live += 1;
+                    self.live += 1;
                     SlotState::Live
                 }
                 2 => {
-                    page.retired += 1;
+                    self.retired += 1;
                     SlotState::Retired
                 }
                 _ => {
@@ -275,8 +277,8 @@ impl Page {
                 }
             };
         }
-        page.data.copy_from_slice(data);
-        Ok(page)
+        self.data.copy_from_slice(data);
+        Ok(())
     }
 
     /// Copy every live record into `batch` — the only batch-path work done
@@ -426,6 +428,29 @@ mod tests {
         for i in 0..4usize {
             assert!(batch.record(i).iter().all(|&x| x == i as u8));
         }
+    }
+
+    #[test]
+    fn loading_over_a_used_page_equals_loading_a_fresh_one() {
+        let mut src = Page::new(512).unwrap();
+        for i in 0..8u8 {
+            src.insert(&[i; 512]).unwrap().unwrap();
+        }
+        src.delete(0, 2).unwrap();
+        src.retire(0, 5).unwrap();
+        let mut used = Page::new(512).unwrap();
+        used.insert(&[0xEE; 512]).unwrap().unwrap();
+        used.retire(0, 0).unwrap();
+        let mut fresh = Page::new(512).unwrap();
+        for page in [&mut used, &mut fresh] {
+            page.load_disk_parts(&src.pack_states(), src.data_bytes())
+                .unwrap();
+            assert_eq!((page.live(), page.retired()), (6, 1));
+            assert_eq!(page.pack_states(), src.pack_states());
+            assert_eq!(page.data_bytes(), src.data_bytes());
+        }
+        let bad = [0xFFu8; 2];
+        assert!(used.load_disk_parts(&bad, src.data_bytes()).is_err());
     }
 
     #[test]

@@ -139,6 +139,68 @@ fn targeted_durability_cells_inject_on_their_own_path() {
     wh_types::fault::clear_all();
 }
 
+/// The matrix's tables fit in one page, so its scans never run the pool's
+/// scan ring. Here a durable table is six times its pool: every scan takes
+/// back the pages it faults in, so a scan fires the ring step's eviction
+/// and the fault's disk read on the read path. A fault injected there fails
+/// that scan only; the next scan answers in full, and the directory
+/// recovers to the same answer with no log.
+#[test]
+fn a_fault_in_a_scans_ring_fails_that_scan_only() {
+    use wh_types::fault::{self, FaultAction};
+    use wh_types::{Column, DataType, Schema, Value};
+    let _g = gate();
+    fault::clear_all();
+    let schema = || {
+        Schema::with_key_names(
+            vec![
+                Column::new("k", DataType::Int64),
+                Column::updatable("v", DataType::Int64),
+            ],
+            &["k"],
+        )
+        .unwrap()
+    };
+    let count = |table: &wh_vnl::VnlTable| {
+        let session = table.begin_session();
+        let n = session.count();
+        session.finish();
+        n
+    };
+    let dir = std::env::temp_dir().join(format!("wh-ring-faults-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let table = wh_vnl::create_durable("T", schema(), 3, &dir, 4).unwrap();
+    let rows: Vec<Vec<Value>> = (0..2300)
+        .map(|k| vec![Value::from(k), Value::from(-k)])
+        .collect();
+    table.load_initial(&rows).unwrap();
+    wh_vnl::checkpoint(&table).unwrap();
+    assert!(table.storage().heap().page_count() >= 24);
+    assert_eq!(count(&table).unwrap(), 2300);
+    for point in ["storage.pool.evict", "storage.disk.read"] {
+        let fired = fault::fired(point);
+        fault::configure(point, FaultAction::ErrorTimes(1));
+        assert!(
+            count(&table).is_err(),
+            "{point}: the scan ignored its fault"
+        );
+        assert_eq!(fault::fired(point), fired + 1, "{point}");
+        fault::disarm_all();
+        assert_eq!(
+            count(&table).unwrap(),
+            2300,
+            "{point}: a later scan lost rows"
+        );
+    }
+    drop(table);
+    let (table, report) = wh_vnl::recover_from_disk("T", schema(), 3, &dir, 4).unwrap();
+    assert_eq!(report.recovery.log_writes, 0);
+    assert_eq!(count(&table).unwrap(), 2300);
+    drop(table);
+    std::fs::remove_dir_all(&dir).ok();
+    fault::clear_all();
+}
+
 /// Deeper nVNL sweep: n = 4 gives the recovery shift two surviving slots to
 /// work with.
 #[test]
