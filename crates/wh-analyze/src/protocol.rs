@@ -1,9 +1,12 @@
-//! `atomic-protocol`: structured `// ordering:` tags and workspace-wide
-//! protocol pairing.
+//! `atomic-protocol`: every atomic `Ordering::…` use carries a structured
+//! `// ordering:` tag, and the tags pair up workspace-wide.
 //!
-//! The `ordering-comment` rule requires every atomic access to carry a
-//! justification; this rule gives the justification a grammar and checks
-//! the claims:
+//! The memory model is the one part of the 2VNL hot path the type system
+//! cannot check; the wh-kernel model suite proves the kernels, and these
+//! tags keep every production site honest about which proof (or reasoning)
+//! covers it. A use with no adjacent tag is a finding at its line, whether
+//! or not an atomic method encloses it. The tag has a grammar and its
+//! claims are checked:
 //!
 //! ```text
 //! // ordering: <proto> <Order>[/<Order>][ fence] — why
@@ -29,9 +32,10 @@
 //!   genuinely unsynchronized it belongs to a different protocol name.
 //!
 //! Sites where no atomic method can be found (match arms over `Ordering`
-//! in wh-model's simulator, pass-through parameters) are not accesses and
-//! stay free-text. Bin targets and `#[cfg(test)]` code are out of scope,
-//! mirroring `ordering-comment`.
+//! in wh-model's simulator, pass-through parameters) are not accesses: they
+//! need a tag comment but take part in no pairing. Bin targets and
+//! `#[cfg(test)]` code are out of scope. `std::cmp::Ordering` never
+//! collides: its variants are Less/Equal/Greater.
 
 use crate::lexer::{Kind, Tok};
 use crate::rules::{marker_text, Diagnostic, Workspace};
@@ -165,6 +169,7 @@ pub(crate) fn check(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) -> Vec<Protoc
         }
         // site key: method token index → orders.
         let mut sites: BTreeMap<usize, (u32, Vec<String>)> = BTreeMap::new();
+        let mut untagged = Vec::new();
         for (i, t) in ctx.toks.iter().enumerate() {
             if !t.is_ident("Ordering") || ctx.in_test(i) {
                 continue;
@@ -176,6 +181,18 @@ pub(crate) fn check(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) -> Vec<Protoc
             };
             if !path_sep || !ATOMIC_ORDERINGS.contains(&variant.text.as_str()) {
                 continue;
+            }
+            if !untagged.contains(&t.line) && marker_text(ctx, t.line, "ordering:").is_none() {
+                untagged.push(t.line);
+                ctx.emit(
+                    out,
+                    "atomic-protocol",
+                    t.line,
+                    format!(
+                        "Ordering::{} without an adjacent `// ordering:` tag",
+                        variant.text
+                    ),
+                );
             }
             let Some(m) = enclosing_atomic_method(&ctx.toks, i) else {
                 continue;
@@ -200,12 +217,8 @@ pub(crate) fn check(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) -> Vec<Protoc
                     );
                 })
             });
-            let tag = match tag {
-                Some(Ok(tag)) => Some(tag),
-                // No comment at all is `ordering-comment`'s finding, not
-                // ours; a malformed tag was already reported above.
-                _ => None,
-            };
+            // A missing or malformed tag was already reported above.
+            let tag = tag.and_then(Result::ok);
             if let Some(tag) = &tag {
                 let mut declared = tag.orders.clone();
                 let mut actual = orders.clone();

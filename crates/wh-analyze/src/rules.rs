@@ -14,11 +14,15 @@
 //! | name | invariant |
 //! |------|-----------|
 //! | `no-panic` | no `.unwrap()` / `.expect()` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` in non-test library code |
-//! | `ordering-comment` | every atomic `Ordering::…` use carries an adjacent `// ordering:` justification |
 //! | `safety-comment` | every `unsafe` block carries an adjacent `// safety:` justification |
 //! | `failpoint-registry` | every `fail_point!("name")` is in `wh_types::fault::REGISTRY`, and every registry entry has a call site |
 //! | `failpoint-trace` | every `fail_point!` site is covered by a trace span opened earlier in the same function, or carries a `// trace:` marker naming the ambient span |
 //! | `version-encapsulation` | the version kernel's atomic fields are never poked directly outside `wh-kernel` |
+//!
+//! The call-graph rules live beside them: `latch-order` and
+//! `epoch-discipline` in [`crate::interproc`], and `atomic-protocol` (every
+//! atomic `Ordering::…` use carries a structured `// ordering:` tag, and the
+//! tags pair up) in [`crate::protocol`].
 
 use crate::lexer::{Kind, Tok};
 use std::collections::{BTreeMap, BTreeSet};
@@ -28,7 +32,6 @@ use std::path::{Path, PathBuf};
 /// All rule names, for pragma validation and docs.
 pub const RULES: &[&str] = &[
     "no-panic",
-    "ordering-comment",
     "safety-comment",
     "failpoint-registry",
     "failpoint-trace",
@@ -178,7 +181,6 @@ pub fn analyze_report(files: &[SourceFile]) -> Report {
 
     for (ctx, table) in ctxs.iter().zip(&tables) {
         no_panic(ctx, &mut out);
-        ordering_comment(ctx, &mut out);
         safety_comment(ctx, &mut out);
         failpoint_trace(ctx, table, &mut out);
         version_encapsulation(ctx, &mut out);
@@ -418,48 +420,6 @@ fn no_panic(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
-/// `ordering-comment`: every atomic `Ordering::X` use must carry an
-/// adjacent `// ordering:` comment saying why X is sufficient. The memory
-/// model is the one part of the 2VNL hot path the type system cannot
-/// check; the wh-kernel model suite proves the kernels, and these comments
-/// keep every production site honest about which proof (or reasoning)
-/// covers it. `std::cmp::Ordering` never collides: its variants are
-/// Less/Equal/Greater.
-fn ordering_comment(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if ctx.is_bin {
-        return;
-    }
-    let mut flagged_lines = BTreeSet::new();
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if !t.is_ident("Ordering") || ctx.in_test(i) {
-            continue;
-        }
-        let path_sep = matches!(ctx.toks.get(i + 1), Some(t) if t.is_punct(':'))
-            && matches!(ctx.toks.get(i + 2), Some(t) if t.is_punct(':'));
-        let variant = ctx.toks.get(i + 3);
-        let Some(variant) = variant else { continue };
-        if !path_sep || !ATOMIC_ORDERINGS.contains(&variant.text.as_str()) {
-            continue;
-        }
-        let line = t.line;
-        if flagged_lines.contains(&line) || has_marker_comment(ctx, line, "ordering:") {
-            continue;
-        }
-        flagged_lines.insert(line);
-        ctx.emit(
-            out,
-            "ordering-comment",
-            line,
-            format!(
-                "Ordering::{} without an adjacent `// ordering:` justification",
-                variant.text
-            ),
-        );
-    }
-}
-
 /// `safety-comment`: every `unsafe` block must carry an adjacent
 /// `// safety:` comment stating the invariant that makes it sound. The
 /// batch decode kernels use `get_unchecked` against bounds the classifier
@@ -502,9 +462,9 @@ fn has_marker_comment(ctx: &FileCtx<'_>, line: u32, marker: &str) -> bool {
 /// the end of that comment line), if any: on the same line, or in the
 /// comment block directly above the statement (walking up through
 /// comment/attribute lines and multiline-expression continuations until
-/// the previous statement's terminator). Shared by the
-/// `ordering-comment`/`safety-comment` rules ("adjacent justification")
-/// and the `atomic-protocol` rule (which parses the tag's content).
+/// the previous statement's terminator). Shared by the `safety-comment`
+/// rule ("adjacent justification") and the `atomic-protocol` rule (which
+/// also parses the tag's content).
 pub(crate) fn marker_text(ctx: &FileCtx<'_>, line: u32, marker: &str) -> Option<String> {
     let idx = (line as usize).saturating_sub(1);
     let tail = |s: &str| s.find(marker).map(|at| s[at..].trim_end().to_string());
@@ -778,7 +738,7 @@ mod tests {
         let bad = "fn f(a: &AtomicU64) { a.load(Ordering::Relaxed); }\n";
         let d = run_one("crates/a/src/lib.rs", bad);
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "ordering-comment");
+        assert_eq!(d[0].rule, "atomic-protocol");
 
         let same_line =
             "fn f(a: &AtomicU64) { a.load(Ordering::Relaxed) } // ordering: stat-counter Relaxed — hint only\n";

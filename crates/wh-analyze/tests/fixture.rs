@@ -42,7 +42,7 @@ fn fixture_tree_flags_each_seeded_violation() {
         (
             "crates/badcrate/src/lib.rs".to_string(),
             23,
-            "ordering-comment",
+            "atomic-protocol",
         ),
         (
             "crates/badcrate/src/lib.rs".to_string(),
@@ -58,6 +58,11 @@ fn fixture_tree_flags_each_seeded_violation() {
             "crates/badcrate/src/lib.rs".to_string(),
             33,
             "failpoint-trace",
+        ),
+        (
+            "crates/badcrate/src/lib.rs".to_string(),
+            60,
+            "atomic-protocol",
         ),
         ("src/lib.rs".to_string(), 5, "version-encapsulation"),
         ("src/lib.rs".to_string(), 14, "latch-order"),

@@ -20,7 +20,7 @@ pub fn suppressed_inline(x: Option<u32>) -> u32 {
 }
 
 pub fn bare_load(a: &AtomicU64) -> u64 {
-    a.load(Ordering::Relaxed) // line 23: ordering-comment (no marker word)
+    a.load(Ordering::Relaxed) // line 23: atomic-protocol (no ordering tag)
 }
 
 pub fn justified_load(a: &AtomicU64) -> u64 {
@@ -54,6 +54,10 @@ pub fn covered_by_marker() -> Result<(), Error> {
 
 pub fn cmp_is_fine(a: i32, b: i32) -> std::cmp::Ordering {
     a.cmp(&b)
+}
+
+pub fn classifies(o: Ordering) -> bool {
+    matches!(o, Ordering::Acquire) // line 60: atomic-protocol (no atomic method, still needs a tag)
 }
 
 #[cfg(test)]

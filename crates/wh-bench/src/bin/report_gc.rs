@@ -44,7 +44,7 @@ fn main() {
         rows.push(vec![
             format!("{delete_pct}%"),
             before.to_string(),
-            report.deleted_found.to_string(),
+            report.scanned.to_string(),
             report.reclaimed.to_string(),
             report.bytes_reclaimed.to_string(),
             t.storage().len().to_string(),
@@ -54,7 +54,7 @@ fn main() {
         &[
             "deleted",
             "tuples before",
-            "found",
+            "examined",
             "reclaimed",
             "bytes freed",
             "tuples after",

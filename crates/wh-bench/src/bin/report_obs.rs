@@ -576,10 +576,7 @@ fn main() {
     .expect("final delete");
     txn.commit().expect("commit");
     let gc_report = wh_vnl::gc::collect(&table).expect("gc pass");
-    println!(
-        "final GC pass: {} reclaimed of {} logically deleted",
-        gc_report.reclaimed, gc_report.deleted_found
-    );
+    println!("final GC pass: {} reclaimed", gc_report.reclaimed);
 
     // Phase 3: a short §6 scheme comparison to populate the per-scheme
     // cc.* wait histograms.

@@ -15,7 +15,7 @@
 // lint: allow-file(no-panic) — these are the instrumented primitives the
 // checker controls; impossible-state panics here abort the explored
 // schedule, which is exactly the checker's failure-reporting channel.
-// lint: allow-file(ordering-comment) — Ordering idents in this file
+// lint: allow-file(atomic-protocol) — Ordering idents in this file
 // classify the *caller's* ordering argument (is_acquire/is_release
 // matches); the real accesses delegate to std with the caller's choice.
 use crate::exec::current;

@@ -146,20 +146,22 @@ impl Table {
 
     /// Retire the row at `rid` if `pred` approves its current value,
     /// atomically under the page latch, with `then` run under the same
-    /// latch. A retired slot is invisible but **not reusable** until
-    /// [`Table::release`] — see [`HeapFile::retire_if_then`].
+    /// latch and handed the row `pred` approved. A retired slot is invisible
+    /// but **not reusable** until [`Table::release`] — see
+    /// [`HeapFile::retire_if_then`].
     pub fn retire_if_then<F, G>(&self, rid: Rid, pred: F, then: G) -> StorageResult<bool>
     where
         F: FnOnce(&Row) -> bool,
-        G: FnOnce(),
+        G: FnOnce(&Row),
     {
+        let approved = std::cell::OnceCell::new();
         self.heap.retire_if_then(
             rid,
             |buf| match self.codec.decode(buf) {
-                Ok(row) => pred(&row),
+                Ok(row) => pred(&row) && approved.set(row).is_ok(),
                 Err(_) => false,
             },
-            then,
+            || approved.get().map_or((), then),
         )
     }
 

@@ -25,6 +25,7 @@ use crate::durable::{self, DiskRecoveryReport};
 use crate::gc;
 use crate::recovery::{self, RecoveryReport};
 use crate::table::VnlTable;
+use crate::version::Operation;
 use crate::visibility;
 use crate::Visible;
 use std::path::{Path, PathBuf};
@@ -207,7 +208,7 @@ pub fn run_cell(n: usize, point: &'static str, op: OpKind) -> CellReport {
     match op {
         OpKind::Expire => {
             // GC runs outside any maintenance transaction; a fault mid-pass
-            // abandons the remaining victims.
+            // puts the remaining victims back into the record.
             let _ = gc::collect(&table);
         }
         _ => {
@@ -304,6 +305,16 @@ pub fn run_cell(n: usize, point: &'static str, op: OpKind) -> CellReport {
         before,
         "second recovery must be a no-op ({point} × {op:?}, n={n})"
     );
+
+    // Nothing leaks: whatever the fault did to GC's record of deletes, one
+    // fault-free pass leaves no tuple that GC could reclaim.
+    gc::collect(&table).unwrap();
+    let bound = snap.current_vn.min(table.gc_reclaim_ceiling());
+    for (rid, ext) in table.scan_raw().unwrap() {
+        let slot0 = table.layout().slot(&ext, 0);
+        let dead = matches!(slot0, Some((w, Operation::Delete)) if w <= bound);
+        assert!(!dead, "{rid} leaked ({point} × {op:?}, n={n})");
+    }
 
     CellReport {
         point,

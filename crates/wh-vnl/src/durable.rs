@@ -328,8 +328,11 @@ mod tests {
             swept.reclaimed, 0,
             "tombstone newer than the checkpoint must survive GC"
         );
-        // After the next checkpoint the deletion is durable; GC may collect.
+        // After the next checkpoint the deletion is durable; GC may collect,
+        // also after a restart: the reopen walk records the delete again.
         checkpoint(&table).unwrap(); // ceiling = 3
+        drop(table);
+        let (table, _) = recover_from_disk("R", schema(), 2, &dir, 4).unwrap();
         let swept = crate::gc::collect(&table).unwrap();
         assert_eq!(swept.reclaimed, 1);
         std::fs::remove_dir_all(&dir).ok();

@@ -9,17 +9,17 @@
 //! session satisfies `sessionVN ≥ tupleVN`.
 
 use crate::error::VnlResult;
-use crate::table::VnlTable;
+use crate::table::{SecondaryIndex, VnlTable};
 use crate::version::{Operation, VersionNo};
+use std::sync::Arc;
+use wh_storage::{Rid, StorageError};
 use wh_types::fail_point;
 
 /// Result of one collection pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GcReport {
-    /// Tuples examined.
+    /// Recorded deletes examined: the ones old enough to be dead.
     pub scanned: u64,
-    /// Logically-deleted tuples found.
-    pub deleted_found: u64,
     /// Tuples reclaimed this pass: retired from the heap (unlinked from
     /// key directory and indexes, invisible to every scan) and queued for
     /// slot release after the epoch grace period.
@@ -34,17 +34,14 @@ pub struct GcReport {
 
 /// Run one garbage-collection pass over `table`.
 ///
-/// Safe to run at any time, including while a maintenance transaction is
-/// active: tuples deleted by the uncommitted transaction carry
-/// `tupleVN = maintenanceVN > currentVN ≥` every active `sessionVN`, so the
-/// liveness test below never selects them... unless no sessions constrain
-/// us, in which case we still must not touch uncommitted work — the pass
-/// therefore also requires `tupleVN ≤ currentVN`.
+/// A pass visits the table's record of committed deletes, not the relation.
+/// It is safe at any time, a maintenance transaction included: an
+/// uncommitted delete carries `maintenanceVN > currentVN`, above every bound
+/// a pass takes.
 pub fn collect(table: &VnlTable) -> VnlResult<GcReport> {
     // trace: each GC pass is its own trace — usually nothing ambient is
     // running on the collector thread, and a pass is a complete story.
     let _ts = wh_obs::timed_span!("vnl.gc.pass", "vnl.gc.pass_ns");
-    let layout = table.layout().clone();
     let snap = table.version().snapshot();
     // The horizon: the oldest version any active session reads. Future
     // sessions begin at currentVN.
@@ -57,7 +54,7 @@ pub fn collect(table: &VnlTable) -> VnlResult<GcReport> {
     // must keep its physical tuple, or a crash would resurrect the tuple
     // from the checkpoint with no newer slot history to re-delete it.
     // In-memory tables see `u64::MAX` here (no constraint).
-    let ceiling = table.gc_reclaim_ceiling();
+    let bound = horizon.min(table.gc_reclaim_ceiling());
     // How far the oldest live session holds reclamation behind the present:
     // 0 means GC can reach everything committed, k means k generations of
     // logically-deleted tuples are pinned by readers.
@@ -69,66 +66,23 @@ pub fn collect(table: &VnlTable) -> VnlResult<GcReport> {
     // mid-pass may keep a stale entry for a reclaimed rid; readers already
     // tolerate those.
     let index_snap = table.indexes_snapshot();
-    // One victim test for the walk and for the under-latch re-verify.
-    let dead = |vn: VersionNo| vn <= horizon && vn <= snap.current_vn && vn <= ceiling;
-    // Collect victims first; mutate after the scan.
-    let mut victims = Vec::new();
-    let mut occupied_slots: u64 = 0;
-    // lint: allow(epoch-discipline) — the collector is the epoch's writer side: victims are re-verified under the page latch before unlinking, and pinning would stall its own grace advances
-    table.walk_stamps(|t| {
+    let mut taken = table.take_deletes(bound).into_iter();
+    while let Some((vn, rid)) = taken.next() {
         report.scanned += 1;
-        // Version-slot occupancy (§5's space-in-use measure), piggybacked
-        // on the GC walk so it costs no extra pass.
-        if wh_obs::is_enabled() {
-            occupied_slots += t.older_occupied();
-        }
-        if t.op == Operation::Delete {
-            report.deleted_found += 1;
-            if dead(t.vn) {
-                victims.push((t.rid, t.decode()?));
+        let timer = wh_obs::Timer::start();
+        match reclaim(table, rid, bound, &index_snap) {
+            Ok(false) => continue,
+            Ok(true) => {}
+            Err(e) => {
+                // A failed pass loses no entry: this one and the rest wait
+                // for a later pass.
+                table.note_deletes(std::iter::once((vn, rid)).chain(taken));
+                return Err(e);
             }
         }
-        Ok(())
-    })?;
-    wh_obs::gauge!("vnl.storage.occupied_version_slots").set(occupied_slots as i64);
-    for (rid, ext) in victims {
-        let reclaim = wh_obs::Timer::start();
-        // Per-victim crash window: a fault mid-pass leaves the remaining
-        // victims unreclaimed — a later pass picks them up.
-        fail_point!("vnl.gc.reclaim");
-        // Re-verify under the page latch: a maintenance transaction may have
-        // resurrected the tuple since the scan (Table 2 row 1), in which
-        // case it must not be touched. The key-directory and index entries
-        // are retired inside the same latch hold: a concurrent insert of
-        // the same key must find the directory slot free the moment the
-        // tuple goes invisible, and a late unregister could tear down the
-        // *new* tuple's entries, orphaning the key.
-        //
-        // The tuple is *retired*, not deleted: its slot stays unusable
-        // until the epoch grace period below proves no reader gathered its
-        // RID before the unlink. Readers never take a GC-side lock for
-        // this protection — they only pin an epoch.
-        let retired = table.storage().retire_if_then(
-            rid,
-            |row| matches!(layout.slot(row, 0), Some((vn, Operation::Delete)) if dead(vn)),
-            || {
-                table.unregister_key(&ext, rid);
-                for idx in &index_snap {
-                    idx.remove_entry(&ext, rid);
-                }
-            },
-        )?;
-        if !retired {
-            continue;
-        }
-        table.epochs().retire(rid);
-        table.note_physical_delete();
-        // Crash window: reclamation fully applied, stats not yet counted —
-        // a fault here under-reports the pass but leaves the table sound.
-        fail_point!("vnl.gc.unregister");
         report.reclaimed += 1;
         report.bytes_reclaimed += tuple_bytes;
-        wh_obs::histogram!("vnl.gc.reclaim_ns").record(reclaim.elapsed_ns());
+        wh_obs::histogram!("vnl.gc.reclaim_ns").record(timer.elapsed_ns());
         wh_obs::counter!("vnl.gc.reclaimed").inc();
         wh_obs::counter!("vnl.gc.bytes_reclaimed").add(tuple_bytes);
     }
@@ -138,6 +92,57 @@ pub fn collect(table: &VnlTable) -> VnlResult<GcReport> {
     evict_deltas(table, horizon);
     report.released = release_after_grace(table)?;
     Ok(report)
+}
+
+/// Retire the recorded delete at `rid` if its slot 0, read under the page
+/// latch, is still a delete stamped `≤ bound`; a delete not dead yet goes
+/// back into the record. A tuple no longer deleted, or gone, leaves the
+/// record: whatever deletes it next records itself.
+fn reclaim(
+    table: &VnlTable,
+    rid: Rid,
+    bound: VersionNo,
+    index_snap: &[Arc<SecondaryIndex>],
+) -> VnlResult<bool> {
+    // trace: under the caller's vnl.gc.pass span.
+    fail_point!("vnl.gc.reclaim");
+    // The key-directory and index entries go inside the same latch hold: a
+    // concurrent insert of the same key must find the directory slot free
+    // the moment the tuple goes invisible, and a late unregister could tear
+    // down the *new* tuple's entries. The tuple is *retired*, not deleted:
+    // its slot stays unusable until the epoch grace period proves no reader
+    // gathered its RID before the unlink; readers only pin an epoch.
+    let mut slot0 = None;
+    let retired = table.storage().retire_if_then(
+        rid,
+        |ext| {
+            slot0 = table.layout().slot(ext, 0);
+            matches!(slot0, Some((vn, Operation::Delete)) if vn <= bound)
+        },
+        |ext| {
+            table.unregister_key(ext, rid);
+            for idx in index_snap {
+                idx.remove_entry(ext, rid);
+            }
+        },
+    );
+    match retired {
+        Ok(true) => {}
+        Ok(false) | Err(StorageError::NoSuchSlot { .. }) => {
+            if let Some((vn, Operation::Delete)) = slot0 {
+                table.note_deletes([(vn, rid)]);
+            }
+            return Ok(false);
+        }
+        Err(e) => return Err(e.into()),
+    }
+    table.epochs().retire(rid);
+    table.note_physical_delete();
+    // Crash window: reclamation fully applied, stats not yet counted —
+    // a fault here under-reports the pass but leaves the table sound.
+    // trace: under the caller's vnl.gc.pass span.
+    fail_point!("vnl.gc.unregister");
+    Ok(true)
 }
 
 /// Drop retained delta batches no live session can still replay
@@ -308,7 +313,7 @@ mod tests {
         // Tuple still physically present (pre-delete version readable).
         assert_eq!(t.storage().len(), 2);
         let report = collect(&t).unwrap();
-        assert_eq!(report.deleted_found, 1);
+        assert_eq!(report.scanned, 1);
         assert_eq!(report.reclaimed, 1);
         assert_eq!(t.storage().len(), 1);
         assert!(report.bytes_reclaimed > 0);
@@ -373,7 +378,39 @@ mod tests {
         txn.abort().unwrap();
         assert_eq!(t.storage().len(), 1);
         // After abort the tuple is live again — nothing to collect.
-        assert_eq!(collect(&t).unwrap().deleted_found, 0);
+        assert_eq!(collect(&t).unwrap().scanned, 0);
+    }
+
+    #[test]
+    fn a_pass_examines_the_deletes_not_the_relation() {
+        let t = VnlTable::create(daily_sales_schema(), 2).unwrap();
+        let rows: Vec<Row> = (0..10_000).map(|i| row(&format!("city{i}"), i)).collect();
+        t.load_initial(&rows).unwrap();
+        let txn = t.begin_maintenance().unwrap();
+        txn.delete_row(&row("city4321", 0)).unwrap();
+        txn.commit().unwrap();
+        let report = collect(&t).unwrap();
+        assert_eq!((report.scanned, report.reclaimed), (1, 1));
+        assert_eq!(collect(&t).unwrap().scanned, 0, "the record is drained");
+    }
+
+    #[test]
+    fn a_resurrection_aborted_after_a_pass_is_still_reclaimed() {
+        let t = VnlTable::create(daily_sales_schema(), 2).unwrap();
+        t.load_initial(&[row("San Jose", 1)]).unwrap();
+        let txn = t.begin_maintenance().unwrap();
+        txn.delete_row(&row("San Jose", 0)).unwrap();
+        txn.commit().unwrap();
+        // The pass meets the tuple resurrected (slot 0 is the open
+        // transaction's insert) and drops its entry; the abort puts the
+        // delete back into slot 0 and so back into the record.
+        let txn = t.begin_maintenance().unwrap();
+        txn.insert(row("San Jose", 7)).unwrap();
+        let report = collect(&t).unwrap();
+        assert_eq!((report.scanned, report.reclaimed), (1, 0));
+        txn.abort().unwrap();
+        assert_eq!(collect(&t).unwrap().reclaimed, 1);
+        assert_eq!(t.storage().len(), 0);
     }
 
     #[test]

@@ -148,10 +148,10 @@ fn decide(attempted: Operation, own: bool, previous: Operation) -> VnlResult<Phy
     })
 }
 
-/// Lock one of the transaction's private mutexes. Poisoning is recovered:
-/// every update under them is a single insert, remove or flag store, so a
-/// thread that panicked mid-hold left consistent data behind.
-fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Lock one of the crate's private mutexes. Poisoning is recovered: every
+/// update under them is an insert, remove, set extend or split, or flag
+/// store, so a thread that panicked mid-hold left consistent data behind.
+pub(crate) fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -659,7 +659,8 @@ impl<'t> MaintenanceTxn<'t> {
     /// Derive this transaction's net-effect batch ([`crate::delta`]): visit
     /// its pending tuples — the undo map's RIDs, the same discovery live
     /// rollback uses — in heap order, and read the net logical operation
-    /// straight from the version slots.
+    /// straight from the version slots. The net deletes also go into the
+    /// table's record of deletes for GC to reclaim.
     /// Table 4's discipline makes this exact by construction: an
     /// insert-then-update tuple carries `(vn, insert)`, a physically-removed
     /// own insert and a restored resurrection leave neither a slot-0 trace
@@ -668,14 +669,9 @@ impl<'t> MaintenanceTxn<'t> {
         let layout = self.table.layout();
         let base = layout.base_schema();
         // No primary key → rows cannot be addressed for patching; retain an
-        // unrepairable batch so the repair window fails closed to restart.
-        if base.key().is_empty() {
-            return Ok(crate::delta::DeltaBatch {
-                vn: self.vn,
-                rows: Vec::new(),
-                repairable: false,
-            });
-        }
+        // unrepairable batch without rows so the repair window fails closed
+        // to restart.
+        let repairable = !base.key().is_empty();
         wh_obs::trace_event!("vnl.delta.capture", self.vn);
         // trace: capture sits inside the commit span's causal story.
         fail_point!("vnl.delta.capture");
@@ -694,11 +690,18 @@ impl<'t> MaintenanceTxn<'t> {
             }
         }
         let mut rows = Vec::new();
+        let mut deletes = Vec::new();
         self.table.walk_pages(pages, |t| {
             // On those pages the map's RIDs are exactly the tuples stamped
             // `maintenanceVN`; an entry on an unstamped tuple — a fault
             // between recording it and the write — has nothing to capture.
             if t.vn != self.vn {
+                return Ok(());
+            }
+            if t.op == Operation::Delete {
+                deletes.push((t.vn, t.rid));
+            }
+            if !repairable {
                 return Ok(());
             }
             let ext = t.decode()?;
@@ -716,10 +719,11 @@ impl<'t> MaintenanceTxn<'t> {
             });
             Ok(())
         })?;
+        self.table.note_deletes(deletes);
         Ok(crate::delta::DeltaBatch {
             vn: self.vn,
             rows,
-            repairable: true,
+            repairable,
         })
     }
 
@@ -939,6 +943,26 @@ mod tests {
         );
     }
 
+    /// Every committed slot-0 delete the walk finds has an entry in the
+    /// table's record of deletes, which GC visits instead of the relation.
+    fn assert_deletes_recorded(table: &VnlTable, at: &str) {
+        let current = table.version().snapshot().current_vn;
+        let recorded = table.take_deletes(current);
+        table.note_deletes(recorded.iter().copied());
+        table
+            .walk_stamps(|t| {
+                if t.op == Operation::Delete && t.vn <= current {
+                    assert!(
+                        recorded.contains(&(t.vn, t.rid)),
+                        "{} unrecorded, {at}",
+                        t.rid
+                    );
+                }
+                Ok(())
+            })
+            .unwrap();
+    }
+
     fn physical(table: &VnlTable) -> Vec<String> {
         let rows = table.scan_raw().unwrap();
         rows.iter()
@@ -979,13 +1003,21 @@ mod tests {
                 for _ in 0..steps {
                     random_op(&txn, &mut rng);
                     assert_map_matches_walk(&txn);
+                    // GC on odd seeds only: a reclaimed tuple cannot be
+                    // resurrected, and the even seeds keep every arm reached.
+                    if seed % 2 == 1 {
+                        crate::gc::collect(&table).unwrap();
+                    }
                 }
                 arms.extend(txn.take_trace().iter().map(|(a, _)| format!("{a:?}")));
                 txn.commit().unwrap();
+                assert_deletes_recorded(&table, &format!("commit, n={n} seed={seed}"));
 
-                // (c) and (d) at every prefix of the script, on twin tables.
+                // (c) and (d) at every prefix of the script, on twin tables;
+                // with GC between the steps, abort and recovery keep the
+                // record of deletes whole.
                 for prefix in 0..=steps {
-                    let twin = |end: &dyn Fn(MaintenanceTxn<'_>)| {
+                    let twin = |gc: bool, end: &dyn Fn(MaintenanceTxn<'_>)| {
                         let mut rng = SplitMix64(seed);
                         rng.below(8);
                         let table = history(n, &mut rng, &mut BTreeSet::new());
@@ -993,14 +1025,25 @@ mod tests {
                         let txn = table.begin_maintenance().unwrap();
                         for _ in 0..prefix {
                             random_op(&txn, &mut rng);
+                            if gc {
+                                crate::gc::collect(&table).unwrap();
+                            }
                         }
                         end(txn);
                         (table, before)
                     };
                     let at = format!("n={n} seed={seed} prefix={prefix}");
-                    let (aborted, before) = twin(&|txn| txn.abort().unwrap());
+                    let abort = |txn: MaintenanceTxn<'_>| txn.abort().unwrap();
+                    let crash = |txn: MaintenanceTxn<'_>| {
+                        let table = txn.table;
+                        std::mem::forget(txn);
+                        crate::recover(table).unwrap();
+                    };
+                    assert_deletes_recorded(&twin(true, &abort).0, &format!("abort, {at}"));
+                    assert_deletes_recorded(&twin(true, &crash).0, &format!("recover, {at}"));
+                    let (aborted, before) = twin(false, &abort);
                     assert_eq!(physical(&aborted), before, "abort, {at}");
-                    let (recovered, _) = twin(&|txn| std::mem::forget(txn));
+                    let (recovered, _) = twin(false, &|txn| std::mem::forget(txn));
                     let report = crate::recover(&recovered).unwrap();
                     let current = report.current_vn;
                     // A duplicated oldest slot that serves every session

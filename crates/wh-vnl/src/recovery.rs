@@ -330,6 +330,7 @@ pub(crate) fn undo_tuple(table: &VnlTable, rid: Rid, ext: &Row, lost: &Lost) -> 
         }
         return Ok(plan);
     };
+    let mut restored = None;
     table.storage().modify(rid, |mut row| {
         layout.set_current(&mut row, current);
         // Undo the push_back.
@@ -337,7 +338,13 @@ pub(crate) fn undo_tuple(table: &VnlTable, rid: Rid, ext: &Row, lost: &Lost) -> 
         if let Refill::Exact(slot) | Refill::Duplicate(slot) | Refill::Reconstruct(slot) = refill {
             layout.set_slot(&mut row, layout.slots() - 1, slot);
         }
+        restored = layout.slot(&row, 0);
         Ok(row)
     })?;
+    // A reversed resurrection puts its delete back into slot 0, which GC
+    // may have dropped from its record while the tuple was live.
+    if let Some((vn, Operation::Delete)) = restored {
+        table.note_deletes([(vn, rid)]);
+    }
     Ok(plan)
 }

@@ -1,13 +1,13 @@
 //! [`VnlTable`] — a relation maintained under 2VNL/nVNL.
 
 use crate::error::{VnlError, VnlResult};
-use crate::maintenance::MaintenanceTxn;
+use crate::maintenance::{locked, MaintenanceTxn};
 use crate::reader::ReaderSession;
 use crate::rewrite::QueryRewriter;
 use crate::scan::{stamp_at, BatchClasses, BatchScanner, Classified, StrPool};
 use crate::schema_ext::ExtLayout;
 use crate::version::{Operation, VersionNo, VersionState};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, RwLock};
@@ -98,6 +98,10 @@ pub struct VnlTable {
     /// in the checkpoint image would resurrect with no slot history to
     /// roll it forward. See [`crate::durable::checkpoint`].
     gc_ceiling: AtomicU64,
+    /// Committed logical deletes not yet reclaimed, as `(deleteVN, RID)`:
+    /// what [`crate::gc::collect`] visits instead of the relation. In memory
+    /// only, and bounded by the deleted tuples the heap already stores.
+    deletes: Mutex<BTreeSet<(VersionNo, Rid)>>,
 }
 
 impl VnlTable {
@@ -197,17 +201,21 @@ impl VnlTable {
             effective_n: wh_kernel::adaptive::EffectiveWindow::new(n),
             epochs: crate::epoch::EpochDomain::new(),
             gc_ceiling: AtomicU64::new(u64::MAX),
+            deletes: Mutex::new(BTreeSet::new()),
         };
         table.rebuild_key_dir()?;
         Ok(table)
     }
 
     /// Re-register every physical tuple in the key directory and storage
-    /// gauges — a no-op on a freshly created (empty) table, the directory
-    /// recovery step on a reopened one.
+    /// gauges, and every logical delete in GC's record — a no-op on a freshly
+    /// created (empty) table, the directory recovery step on a reopened one.
     fn rebuild_key_dir(&self) -> VnlResult<()> {
         // lint: allow(epoch-discipline) — runs inside from_parts, before the table is shared: no GC pass or reader can reclaim or reuse a RID until it returns
         self.walk_stamps(|t| {
+            if t.op == Operation::Delete {
+                self.note_deletes([(t.vn, t.rid)]);
+            }
             let ext = t.decode()?;
             if let Some(dir) = &self.key_dir {
                 dir.register(&ext, t.rid).map_err(|_| {
@@ -234,6 +242,20 @@ impl VnlTable {
     /// recovery).
     pub(crate) fn set_gc_reclaim_ceiling(&self, vn: VersionNo) {
         self.gc_ceiling.store(vn, Ordering::Release); // ordering: gc-ceiling Release — publishes the checkpoint VN the GC gate Acquires
+    }
+
+    /// Record logical deletes for GC. Commit capture, a rollback that puts
+    /// a delete back into slot 0, and the reopen walk call this; an entry
+    /// whose tuple has since changed is harmless, as GC re-verifies slot 0.
+    pub(crate) fn note_deletes(&self, deletes: impl IntoIterator<Item = (VersionNo, Rid)>) {
+        locked(&self.deletes).extend(deletes);
+    }
+
+    /// Take the recorded deletes stamped `≤ bound`, oldest first.
+    pub(crate) fn take_deletes(&self, bound: VersionNo) -> BTreeSet<(VersionNo, Rid)> {
+        let mut deletes = locked(&self.deletes);
+        let newer = deletes.split_off(&(bound.saturating_add(1), Rid::new(0, 0)));
+        std::mem::replace(&mut *deletes, newer)
     }
 
     /// Whether this table's heap is disk-backed (created or reopened
@@ -296,12 +318,7 @@ impl VnlTable {
         if snap.maintenance_active {
             return Err(VnlError::MaintenanceAlreadyActive);
         }
-        if !self
-            .sessions
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .is_empty()
-        {
+        if !locked(&self.sessions).is_empty() {
             return Err(VnlError::KeyRequired(
                 "load_initial requires no active sessions",
             ));
@@ -380,10 +397,7 @@ impl VnlTable {
     pub(crate) fn begin_session_at(&self, vn: VersionNo) -> ReaderSession<'_> {
         let id = self.next_session.fetch_add(1, Ordering::Relaxed); // ordering: id-alloc Relaxed — unique-ID allocation; only atomicity of the increment matters
         let active = {
-            let mut sessions = self
-                .sessions
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut sessions = locked(&self.sessions);
             sessions.insert(id, vn);
             sessions.len()
         };
@@ -394,10 +408,7 @@ impl VnlTable {
 
     pub(crate) fn end_session(&self, id: u64) {
         let active = {
-            let mut sessions = self
-                .sessions
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut sessions = locked(&self.sessions);
             sessions.remove(&id);
             sessions.len()
         };
@@ -445,20 +456,12 @@ impl VnlTable {
 
     /// Number of currently active reader sessions.
     pub fn active_session_count(&self) -> usize {
-        self.sessions
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+        locked(&self.sessions).len()
     }
 
     /// The smallest `sessionVN` among active sessions, if any.
     pub fn min_active_session_vn(&self) -> Option<VersionNo> {
-        self.sessions
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-            .copied()
-            .min()
+        locked(&self.sessions).values().copied().min()
     }
 
     /// Read one tuple as seen by `session_vn` (point lookup via the key
@@ -623,7 +626,7 @@ impl VnlTable {
         self.settle_scan(session_vn, parts.into_iter().collect())
     }
 
-    /// Raw extended rows with their RIDs (reports, GC, tests).
+    /// Raw extended rows with their RIDs (reports, tests).
     pub fn scan_raw(&self) -> VnlResult<Vec<(Rid, Row)>> {
         // Pin: callers correlate the returned RIDs with later point reads;
         // hold the epoch so GC cannot recycle them mid-collection.
@@ -636,7 +639,7 @@ impl VnlTable {
         Ok(out)
     }
 
-    /// The one whole-relation walk (DESIGN §6) behind GC, crash-recovery
+    /// The one whole-relation walk (DESIGN §6) behind crash-recovery
     /// discovery, the maintenance cursor and every other internal pass
     /// (commit capture reads only the pages its undo map names,
     /// [`VnlTable::walk_pages`]): the heap's page loop with the version stamps
@@ -646,8 +649,7 @@ impl VnlTable {
     /// it keeps, never under a page latch.
     ///
     /// The walk does **not** pin an epoch: callers that follow the RIDs hold
-    /// their own pin across walk and use, and the GC pass — the epoch's
-    /// writer side — must not stall its own grace advances.
+    /// their own pin across walk and use.
     pub(crate) fn walk_stamps<F>(&self, visit: F) -> VnlResult<()>
     where
         F: FnMut(&Stamped<'_>) -> VnlResult<()>,
@@ -878,15 +880,6 @@ pub(crate) struct Stamped<'a> {
 }
 
 impl Stamped<'_> {
-    /// How many older version slots (beyond the always-populated slot 0)
-    /// hold a saved version — §5's space-in-use measure.
-    pub fn older_occupied(&self) -> u64 {
-        let older = 1..self.table.layout.slots();
-        older
-            .filter(|&j| stamp_at(self.batch, self.i, j).is_some())
-            .count() as u64
-    }
-
     /// The copied-out encoded record.
     pub fn record(&self) -> &[u8] {
         self.batch.record(self.i)

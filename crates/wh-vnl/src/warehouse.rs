@@ -140,7 +140,6 @@ impl Warehouse {
         for t in &self.tables {
             let r = gc::collect(t)?;
             total.scanned += r.scanned;
-            total.deleted_found += r.deleted_found;
             total.reclaimed += r.reclaimed;
             total.bytes_reclaimed += r.bytes_reclaimed;
             total.released += r.released;
