@@ -764,7 +764,7 @@ fn delta_window_is_all_or_nothing_under_eviction() {
 /// consistent read at `currentVN` — in every interleaving of the reader's
 /// snapshot against a stream of maintenance commits. Retention sits inside
 /// `publish_commit`'s `post` closure, under the version latch, exactly as
-/// `wh_vnl::VersionState::publish_commit_with` places it.
+/// `wh_vnl::VersionState::publish_commit` places it.
 #[test]
 fn delta_repair_equals_rescan() {
     let report = ok(try_model(builder(), || {

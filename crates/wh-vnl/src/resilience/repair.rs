@@ -123,7 +123,7 @@ impl<'t> RepairEngine<'t> {
             return decline();
         }
         // Latched read: a batch for every VN this peek observes is already
-        // retained (publish_commit_with retains inside the same latch hold).
+        // retained (publish_commit retains inside the same latch hold).
         let upto = version.peek().current_vn;
         let Some(batches) = version.delta_window(from, upto) else {
             return decline();

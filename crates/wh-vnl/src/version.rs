@@ -250,22 +250,14 @@ impl VersionState {
 
     /// Publish a maintenance commit: `currentVN ← maintenanceVN`, flag off.
     /// Runs as its own latched step *after* all data changes are in place,
-    /// per the §4 abort-safety note.
-    pub fn publish_commit(&self, maintenance_vn: VersionNo) -> VnlResult<()> {
-        self.publish_commit_with(maintenance_vn, None)
-    }
-
-    /// [`VersionState::publish_commit`] plus delta retention: the commit's
-    /// net-effect batch is retained in the delta log *inside the same latch
-    /// hold* that flips `currentVN`, so a latched snapshot that observes
-    /// the new VN is guaranteed to find its batch retained (the ordering
-    /// the wh-kernel repair-≡-rescan model verifies). `None` retains an
-    /// empty repairable batch, keeping the log contiguous per committed VN.
-    pub fn publish_commit_with(
-        &self,
-        maintenance_vn: VersionNo,
-        batch: Option<DeltaBatch>,
-    ) -> VnlResult<()> {
+    /// per the §4 abort-safety note. The commit's net-effect batch is
+    /// retained in the delta log *inside the same latch hold* that flips
+    /// `currentVN`, so a latched snapshot that observes the new VN is
+    /// guaranteed to find its batch retained (the ordering the wh-kernel
+    /// repair-≡-rescan model verifies). A commit that touched nothing
+    /// retains [`DeltaBatch::empty`], keeping the log contiguous per
+    /// committed VN.
+    pub fn publish_commit(&self, maintenance_vn: VersionNo, batch: DeltaBatch) -> VnlResult<()> {
         self.core.publish_commit(
             maintenance_vn,
             || {
@@ -278,7 +270,6 @@ impl VersionState {
                 Ok(())
             },
             |vn| {
-                let batch = batch.unwrap_or_else(|| DeltaBatch::empty(vn));
                 let spilled = self.deltas.retain(vn, Arc::new(batch));
                 if !spilled.is_empty() {
                     wh_obs::counter!("vnl.delta.evicted").add(spilled.len() as u64);
@@ -389,7 +380,7 @@ mod tests {
             s.begin_maintenance().unwrap_err(),
             VnlError::MaintenanceAlreadyActive
         );
-        s.publish_commit(vn).unwrap();
+        s.publish_commit(vn, DeltaBatch::empty(vn)).unwrap();
         let snap = s.snapshot();
         assert_eq!(snap.current_vn, 2);
         assert!(!snap.maintenance_active);
@@ -417,13 +408,13 @@ mod tests {
         assert!(s.session_live(1, 2)); // session at current version
         let vn = s.begin_maintenance().unwrap();
         assert!(s.session_live(1, 2)); // overlapping its first maintenance txn
-        s.publish_commit(vn).unwrap();
+        s.publish_commit(vn, DeltaBatch::empty(vn)).unwrap();
         assert!(s.session_live(1, 2)); // sessionVN = currentVN - 1, idle
         assert!(s.session_live(2, 2));
         let vn = s.begin_maintenance().unwrap();
         assert!(!s.session_live(1, 2)); // second overlap: expired
         assert!(s.session_live(2, 2));
-        s.publish_commit(vn).unwrap();
+        s.publish_commit(vn, DeltaBatch::empty(vn)).unwrap();
         assert!(!s.session_live(1, 2));
         assert!(s.session_live(2, 2)); // currentVN - 1, idle
     }
@@ -436,7 +427,7 @@ mod tests {
         for expected in [2, 3] {
             let vn = s.begin_maintenance().unwrap();
             assert_eq!(vn, expected);
-            s.publish_commit(vn).unwrap();
+            s.publish_commit(vn, DeltaBatch::empty(vn)).unwrap();
         }
         assert!(s.session_live(1, 3)); // overlapped 2 = n-1
         assert!(s.session_live(1, 4));
@@ -464,7 +455,7 @@ mod tests {
         let row = s.relation.read(s.relation_rid).unwrap();
         assert_eq!(row[0], Value::from(1)); // currentVN still old during txn
         assert_eq!(row[1], Value::from(1)); // maintenanceActive
-        s.publish_commit(vn).unwrap();
+        s.publish_commit(vn, DeltaBatch::empty(vn)).unwrap();
         let row = s.relation.read(s.relation_rid).unwrap();
         assert_eq!(row[0], Value::from(2));
         assert_eq!(row[1], Value::from(0));

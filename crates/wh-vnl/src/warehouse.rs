@@ -184,24 +184,21 @@ impl<'w> WarehouseTxn<'w> {
 
     /// Commit the whole warehouse transaction: all per-view changes become
     /// visible atomically with the single `currentVN` flip (§4), retaining
-    /// the merged net-effect batch across every view for session repair.
+    /// one net-effect batch for session repair with each view's rows under
+    /// its own name.
     pub fn commit(mut self) -> VnlResult<()> {
         // Capture before any txn flips to finished: a fault mid-capture
         // leaves every per-view txn open, so Drop rolls the whole
         // warehouse transaction back and nothing is published.
         let mut batch = crate::delta::DeltaBatch::empty(self.vn);
         for txn in &self.txns {
-            let part = txn.capture_net_effect()?;
-            batch.repairable &= part.repairable;
-            batch.rows.extend(part.rows);
+            txn.capture_net_effect(&mut batch)?;
         }
         for txn in &self.txns {
             txn.commit_local()?;
         }
         self.finished = true;
-        self.warehouse
-            .version
-            .publish_commit_with(self.vn, Some(batch))?;
+        self.warehouse.version.publish_commit(self.vn, batch)?;
         Ok(())
     }
 
@@ -365,6 +362,14 @@ mod tests {
         assert_eq!(a.rows[0][0], Value::from(100));
         assert_eq!(b.rows[0][0], Value::from(100));
         session.finish();
+        // The retained batch keeps each view's rows under its own name.
+        let window = w.version().delta_window(1, 2).unwrap();
+        for (view, key) in [("CitySales", "SJ"), ("ProductSales", "golf")] {
+            let rows: Vec<_> = window[0].rows_for(view).collect();
+            assert_eq!(rows.len(), 1, "{view}");
+            assert_eq!(rows[0].key, [Value::from(key)], "{view}");
+            assert_eq!(rows[0].post.as_ref().unwrap()[1], Value::from(150));
+        }
         // A new session sees both new.
         let s2 = w.begin_session();
         let a = s2.query("SELECT total FROM CitySales").unwrap();
