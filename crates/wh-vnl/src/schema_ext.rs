@@ -212,9 +212,22 @@ impl ExtLayout {
         ext[self.vn_cols[0]] = Value::from(vn as i64);
         ext[self.op_cols[0]] = Operation::Insert.value();
         for (i, v) in base_row.iter().enumerate() {
-            ext[self.base_cols[i]] = v.clone();
+            ext[self.base_cols[i]] = self.as_decoded(i, v);
         }
         ext
+    }
+
+    /// Base column `i`'s `v` as a page decode returns it (a DOUBLE integer
+    /// as a float, a CHAR value unpadded): what maintenance stamps, records
+    /// and probes by, so a rescan reads the same.
+    pub(crate) fn as_decoded(&self, i: usize, v: &Value) -> Value {
+        match (self.base.columns()[i].ty, v) {
+            (DataType::Float64, Value::Int(x)) => Value::Float(*x as f64),
+            (DataType::Char(n), Value::Str(s)) if s.len() <= n && s.ends_with(' ') => {
+                Value::from(s.trim_end_matches(' '))
+            }
+            _ => v.clone(),
+        }
     }
 
     /// Shift version slots back by one (`set_{j+1} ← set_j`, §5's

@@ -6,7 +6,9 @@
 
 use std::sync::Mutex;
 
+use wh_types::{Column, DataType, Row, Schema, Value};
 use wh_vnl::crashmatrix::{self, DurableOpKind, OpKind};
+use wh_vnl::{DeltaRow, MaintenanceTxn, Operation, VersionNo, VnlResult, VnlTable};
 
 /// The fault registry is process-global; tests in this binary serialize.
 static GATE: Mutex<()> = Mutex::new(());
@@ -261,4 +263,94 @@ fn targeted_cells_inject_on_their_own_path() {
         assert!(cell.injected, "{point} did not fire during {op:?}");
     }
     wh_types::fault::clear_all();
+}
+
+/// The reference capture: the net effect of each tuple whose slot 0 is
+/// stamped `vn`, decoded from its page, in heap order.
+fn decoded_net_effects(table: &VnlTable, vn: VersionNo) -> Vec<DeltaRow> {
+    let layout = table.layout();
+    let stamped = |(_, ext): &(_, Row)| {
+        let (_, op) = layout.slot(ext, 0).filter(|&(w, _)| w == vn)?;
+        let current = layout.current_values(ext);
+        let pre = (op != Operation::Insert).then(|| layout.pre_values(ext, 0));
+        Some(DeltaRow {
+            key: layout
+                .base_schema()
+                .key_of(pre.as_ref().unwrap_or(&current)),
+            op,
+            pre,
+            post: (op != Operation::Delete).then_some(current),
+        })
+    };
+    table
+        .scan_raw()
+        .unwrap()
+        .iter()
+        .filter_map(stamped)
+        .collect()
+}
+
+/// A write that fails at any of its fault sites leaves its tuple as it was
+/// and records no net effect: commit publishes what a decode of the
+/// stamped tuples finds, and GC's record gets no delete that did not land.
+#[test]
+fn a_failed_write_publishes_nothing() {
+    use wh_types::fault::{self, FaultAction};
+    let _g = gate();
+    fault::clear_all();
+    fn row(k: i64, v: i64) -> Row {
+        vec![Value::from(k), Value::from(v)]
+    }
+    type Write = fn(&MaintenanceTxn<'_>) -> VnlResult<()>;
+    let resurrect_3: Write = |txn| txn.insert(row(3, 30));
+    let update_1: Write = |txn| txn.update_row(&row(1, 10));
+    let delete_1: Write = |txn| txn.delete_row(&row(1, 0));
+    // (point, a write before arming, the write that meets the point)
+    let cases: [(&str, Option<Write>, Write); 6] = [
+        ("vnl.txn.insert.resurrect", None, resurrect_3),
+        ("vnl.txn.update.save_pre", None, update_1),
+        ("vnl.txn.update.in_place", Some(update_1), update_1),
+        ("vnl.txn.delete.mark", None, delete_1),
+        ("vnl.txn.delete.mark_own_update", Some(update_1), delete_1),
+        ("storage.heap.modify", None, delete_1),
+    ];
+    for (point, before, armed) in cases {
+        let schema = Schema::with_key_names(
+            vec![
+                Column::new("k", DataType::Int64),
+                Column::updatable("v", DataType::Int64),
+            ],
+            &["k"],
+        )
+        .unwrap();
+        let table = VnlTable::create_named("T", schema, 2).unwrap();
+        table
+            .load_initial(&(0..4).map(|k| row(k, k)).collect::<Vec<_>>())
+            .unwrap();
+        // Key 3 is deleted; keys 1 and 2 are live.
+        let txn = table.begin_maintenance().unwrap();
+        txn.delete_row(&row(3, 0)).unwrap();
+        txn.commit().unwrap();
+
+        let txn = table.begin_maintenance().unwrap();
+        let vn = txn.maintenance_vn();
+        if let Some(write) = before {
+            write(&txn).unwrap();
+        }
+        fault::configure(point, FaultAction::ErrorTimes(1));
+        let failed = armed(&txn);
+        fault::configure(point, FaultAction::Off);
+        assert!(failed.is_err(), "{point} did not fail the write");
+        txn.update_row(&row(2, 20)).unwrap();
+        let oracle = decoded_net_effects(&table, vn);
+        txn.commit().unwrap();
+        let window = table.version().delta_window(vn - 1, vn).unwrap();
+        let published: Vec<DeltaRow> = window[0].rows_for("T").cloned().collect();
+        assert_eq!(published, oracle, "{point}");
+        // With no session open, a pass reclaims every recorded delete that
+        // landed; key 3's is the only one.
+        let gc = wh_vnl::gc::collect(&table).unwrap();
+        assert_eq!((gc.scanned, gc.reclaimed), (1, 1), "{point}");
+    }
+    fault::clear_all();
 }
