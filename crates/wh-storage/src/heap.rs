@@ -91,6 +91,21 @@ fn copy_out(page: &PagePin, page_no: u32, batch: &mut RecordBatch) {
     read_latch_timed(page).fill_batch(page_no, batch);
 }
 
+/// The fault site of a record read, for the reads a page patch makes.
+fn read_point() -> StorageResult<()> {
+    // trace: point-op leaf; the enclosing vnl txn/read span is the causal parent.
+    fail_point!("storage.heap.read");
+    Ok(())
+}
+
+/// The fault site of an in-place modification, passed once a patch has
+/// decided to write and before the record changes.
+fn modify_point() -> StorageResult<()> {
+    // trace: point-op leaf; the enclosing vnl txn/read span is the causal parent.
+    fail_point!("storage.heap.modify");
+    Ok(())
+}
+
 /// A heap file of fixed-width records.
 ///
 /// Concurrency model (deliberately matching the paper's §4 substrate
@@ -389,39 +404,104 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Read-modify-write the record at `rid` under a single page latch.
-    ///
-    /// The closure sees the current image and returns the replacement (same
-    /// width). This is the primitive the 2VNL maintenance decision tables
-    /// need: the decision depends on the tuple's current `tupleVN`/`operation`
-    /// and must be applied atomically with respect to concurrent scans.
+    /// Read-modify-write the record at `rid` under a single page latch: the
+    /// one-slot case of [`HeapFile::patch_page`]. The closure sees the
+    /// current image and returns the replacement (same width).
     pub fn modify<F>(&self, rid: Rid, f: F) -> StorageResult<()>
     where
         F: FnOnce(&[u8]) -> StorageResult<Vec<u8>>,
     {
+        let mut f = Some(f);
+        let (_, res) = self.patch_page(rid.page, &[rid.slot], |_, current, out| {
+            let current = current.ok_or(StorageError::NoSuchSlot {
+                page: rid.page,
+                slot: rid.slot,
+            })?;
+            let f = f
+                .take()
+                .ok_or(StorageError::Corrupt("one slot patched twice".into()))?;
+            let replacement = f(current)?;
+            if replacement.len() != out.len() {
+                return Err(StorageError::RecordLength {
+                    expected: out.len(),
+                    got: replacement.len(),
+                });
+            }
+            out.copy_from_slice(&replacement);
+            Ok(true)
+        });
+        res
+    }
+
+    /// Patch records of page `page_no` in place under one write latch — the
+    /// primitive the 2VNL maintenance decision tables need: each decision
+    /// depends on the tuple's current `tupleVN`/`operation` and must be
+    /// applied atomically with respect to concurrent scans.
+    ///
+    /// For each slot of `slots`, in order, `patch(k, current, out)` sees the
+    /// live record's image (`None` when the slot holds no live record, e.g.
+    /// GC reclaimed it since the caller found it) and either writes the
+    /// replacement into `out` and returns `true`, or returns `false` to leave
+    /// the record alone. A replacement lands only after `patch` returns, so
+    /// a record is never left half-patched. The first error stops the page:
+    /// it comes back beside the number of records that landed before it —
+    /// the first that many `true` returns.
+    pub fn patch_page<E, F>(
+        &self,
+        page_no: u32,
+        slots: &[u16],
+        mut patch: F,
+    ) -> (usize, Result<(), E>)
+    where
+        E: From<StorageError>,
+        F: FnMut(usize, Option<&[u8]>, &mut [u8]) -> Result<bool, E>,
+    {
         let sampled = self.sample_op();
-        let page = self.page(rid.page)?;
+        let page = match self.page(page_no) {
+            Ok(page) => page,
+            Err(e) => return (0, Err(e.into())),
+        };
+        let mut out = vec![0u8; self.record_len];
         let mut guard = write_latch_timed(&page);
         // Hold time matters here: the latch stays down across the caller's
-        // decision closure, which is exactly where 2VNL maintenance spends
-        // its per-tuple time and what concurrent readers wait behind.
+        // decisions, which is exactly where 2VNL maintenance spends its
+        // per-tuple time and what concurrent readers wait behind.
         let hold = sampled.then(wh_obs::Timer::start);
         self.stats.count_page_reads(1);
-        let current = guard.read(rid.page, rid.slot)?.to_vec();
-        // trace: point-op leaf; the enclosing vnl txn/read span is the causal parent.
-        fail_point!("storage.heap.modify");
-        let replacement = f(&current)?;
-        guard.update_in_place(rid.page, rid.slot, &replacement)?;
-        page.mark_dirty();
-        self.stats.count_page_writes(1);
-        self.stats.count_tuple_writes(1);
+        let mut landed = 0;
+        let mut res = Ok(());
+        for (k, &slot) in slots.iter().enumerate() {
+            let step = read_point()
+                .map_err(E::from)
+                .and_then(|()| patch(k, guard.read(page_no, slot).ok(), &mut out));
+            let written = step.and_then(|write| {
+                if write {
+                    modify_point()?;
+                    guard.update_in_place(page_no, slot, &out)?;
+                }
+                Ok(write)
+            });
+            match written {
+                Ok(true) => landed += 1,
+                Ok(false) => {}
+                Err(e) => {
+                    res = Err(e);
+                    break;
+                }
+            }
+        }
+        if landed > 0 {
+            page.mark_dirty();
+            self.stats.count_page_writes(1);
+            self.stats.count_tuple_writes(landed as u64);
+        }
         drop(guard);
         if let Some(hold) = hold {
             let ns = hold.elapsed_ns();
             wh_obs::histogram_sampled!("storage.latch.write_hold_ns", 16).record(ns);
             wh_obs::histogram_sampled!("storage.heap.write_ns", 16).record(ns);
         }
-        Ok(())
+        (landed, res)
     }
 
     /// Retire the record at `rid` only if `pred` approves its current

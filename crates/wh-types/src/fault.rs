@@ -57,6 +57,7 @@ pub const REGISTRY: &[&str] = &[
     "vnl.gc.reclaim",
     "vnl.gc.unregister",
     "vnl.repair.apply",
+    "vnl.txn.batch.page",
     "vnl.txn.delete.mark",
     "vnl.txn.delete.mark_own_update",
     "vnl.txn.delete.remove_own",

@@ -15,7 +15,7 @@
 //!   group, no matter how many source rows touched it.
 //! * [`ViewMaintainer`] — translates group deltas into logical
 //!   insert/update/delete operations on a 2VNL-maintained summary table,
-//!   inside one maintenance transaction.
+//!   applied as one page-ordered batch inside one maintenance transaction.
 
 pub mod delta;
 pub mod maintainer;

@@ -66,7 +66,7 @@ pub use adapter::VnlStore;
 pub use delta::{DeltaBatch, DeltaRow};
 pub use durable::{checkpoint, create_durable, recover_from_disk, DiskRecoveryReport};
 pub use error::{VnlError, VnlResult};
-pub use maintenance::{MaintenanceTxn, PhysicalAction};
+pub use maintenance::{MaintenanceTxn, PhysicalAction, Write};
 pub use reader::{ReadOutcome, ReaderSession};
 pub use recovery::{recover, RecoveryReport};
 pub use resilience::{
@@ -102,6 +102,7 @@ pub const FAILPOINTS: &[&str] = &[
     "vnl.delta.capture",
     "vnl.delta.evict",
     "vnl.repair.apply",
+    "vnl.txn.batch.page",
 ];
 
 /// §5's never-expire guarantee: with `n` versions, a minimum

@@ -8,7 +8,7 @@ use std::sync::Mutex;
 
 use wh_types::{Column, DataType, Row, Schema, Value};
 use wh_vnl::crashmatrix::{self, DurableOpKind, OpKind};
-use wh_vnl::{DeltaRow, MaintenanceTxn, Operation, VersionNo, VnlResult, VnlTable};
+use wh_vnl::{DeltaRow, MaintenanceTxn, Operation, VersionNo, VnlResult, VnlTable, Write};
 
 /// The fault registry is process-global; tests in this binary serialize.
 static GATE: Mutex<()> = Mutex::new(());
@@ -257,6 +257,7 @@ fn targeted_cells_inject_on_their_own_path() {
         ("storage.heap.modify", OpKind::Update),
         ("storage.heap.delete", OpKind::Expire),
         ("storage.heap.free_space", OpKind::Expire),
+        ("vnl.txn.batch.page", OpKind::Update),
     ] {
         wh_types::fault::clear_all();
         let cell = crashmatrix::run_cell(3, point, op);
@@ -351,6 +352,65 @@ fn a_failed_write_publishes_nothing() {
         // landed; key 3's is the only one.
         let gc = wh_vnl::gc::collect(&table).unwrap();
         assert_eq!((gc.scanned, gc.reclaimed), (1, 1), "{point}");
+    }
+    fault::clear_all();
+}
+
+/// A batch over several pages that fails between them leaves its first
+/// page written and recorded: an abort restores every tuple, and so does
+/// recovery after a crash that forgets the transaction.
+#[test]
+fn a_batch_failing_between_pages_rolls_back() {
+    use wh_types::fault::{self, FaultAction};
+    let _g = gate();
+    fault::clear_all();
+    fn row(k: i64, v: i64) -> Row {
+        vec![Value::from(k), Value::from(v)]
+    }
+    for crash in [false, true] {
+        let schema = Schema::with_key_names(
+            vec![
+                Column::new("k", DataType::Int64),
+                Column::updatable("v", DataType::Int64),
+            ],
+            &["k"],
+        )
+        .unwrap();
+        let table = VnlTable::create_named("T", schema, 2).unwrap();
+        table
+            .load_initial(&(0..300).map(|k| row(k, k)).collect::<Vec<_>>())
+            .unwrap();
+        assert!(table.storage().heap().page_count() > 1);
+        let visible = |table: &VnlTable| {
+            let session = table.begin_session();
+            let rows = session.scan().unwrap();
+            session.finish();
+            rows
+        };
+        let before = visible(&table);
+        let txn = table.begin_maintenance().unwrap();
+        let keys: Vec<[Value; 1]> = (0..300).map(|k| [Value::from(k)]).collect();
+        fault::configure("vnl.txn.batch.page", FaultAction::ErrorTimes(1));
+        let failed = txn.apply_batch(&keys, |i, _| Ok(Some(Write::Update(row(i as i64, -1)))));
+        fault::configure("vnl.txn.batch.page", FaultAction::Off);
+        assert!(failed.is_err());
+        let written = txn
+            .scan_current()
+            .unwrap()
+            .iter()
+            .filter(|r| r[1] == Value::from(-1))
+            .count();
+        assert!(
+            written > 0 && written < 300,
+            "one page written, got {written}"
+        );
+        if crash {
+            std::mem::forget(txn);
+            wh_vnl::recover(&table).unwrap();
+        } else {
+            txn.abort().unwrap();
+        }
+        assert_eq!(visible(&table), before, "crash={crash}");
     }
     fault::clear_all();
 }

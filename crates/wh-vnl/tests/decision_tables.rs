@@ -590,8 +590,8 @@ fn example_4_3_update_twice_takes_second_branch() {
         .unwrap();
     }
     let trace = txn.take_trace();
-    let first: Vec<_> = trace.iter().take(2).map(|(a, _)| a.clone()).collect();
-    let second: Vec<_> = trace.iter().skip(2).map(|(a, _)| a.clone()).collect();
+    let first: Vec<_> = trace.iter().take(2).map(|(a, _)| *a).collect();
+    let second: Vec<_> = trace.iter().skip(2).map(|(a, _)| *a).collect();
     assert!(first.iter().all(|a| *a == PhysicalAction::UpdateSavingPre));
     assert!(second.iter().all(|a| *a == PhysicalAction::UpdateInPlace));
     txn.commit().unwrap();
