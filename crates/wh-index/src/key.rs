@@ -41,6 +41,14 @@ impl Ord for IndexKey {
     }
 }
 
+/// A key is looked up by its values: `Hash` and `Eq` on the `Vec` are the
+/// slice's.
+impl std::borrow::Borrow<[Value]> for IndexKey {
+    fn borrow(&self) -> &[Value] {
+        &self.0
+    }
+}
+
 impl From<Vec<Value>> for IndexKey {
     fn from(v: Vec<Value>) -> Self {
         IndexKey(v)
