@@ -336,7 +336,7 @@ fn is_protector(call: &Call) -> bool {
 /// own bodies are exempt (they compose: `VnlTable::walk_stamps` delegating
 /// to `HeapFile::scan_batches` moves the obligation to the walker's callers);
 /// `#[cfg(test)]` code and bin targets (single-threaded report
-/// harnesses) are out of scope, mirroring `no-panic`.
+/// harnesses) are out of scope, as for the workspace's panic lints.
 pub(crate) fn epoch_discipline(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
     let n = ws.graph.fns.len();
     let scanned = |gid: usize| -> bool {

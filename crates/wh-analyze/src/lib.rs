@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 /// library code; in-file `#[cfg(test)]` modules are excluded per rule).
 ///
 /// I/O errors surface as diagnostics rather than panics — the analyzer is
-/// itself subject to the `no-panic` rule.
+/// itself subject to the workspace's panic lints.
 pub fn analyze_tree(root: &Path) -> Vec<Diagnostic> {
     analyze_tree_report(root).diagnostics
 }

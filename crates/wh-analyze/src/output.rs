@@ -88,7 +88,7 @@ mod tests {
         Diagnostic {
             file: PathBuf::from("crates/a/src/lib.rs"),
             line: 7,
-            rule: "no-panic",
+            rule: "latch-order",
             function: Some("a::f".to_string()),
             message: msg.to_string(),
         }
@@ -99,14 +99,14 @@ mod tests {
         let out = render_github(&[diag("50% done\nnext line")]);
         assert_eq!(
             out,
-            "::error file=crates/a/src/lib.rs,line=7,title=no-panic::50%25 done%0Anext line (in a::f)\n"
+            "::error file=crates/a/src/lib.rs,line=7,title=latch-order::50%25 done%0Anext line (in a::f)\n"
         );
     }
 
     #[test]
     fn json_is_wellformed_and_escaped() {
         let out = render_json(&[diag("quote \" and \\ backslash")]);
-        assert!(out.contains("\"rule\": \"no-panic\""));
+        assert!(out.contains("\"rule\": \"latch-order\""));
         assert!(out.contains("\\\" and \\\\ backslash"));
         assert!(out.contains("\"function\": \"a::f\""));
         let mut d = diag("x");

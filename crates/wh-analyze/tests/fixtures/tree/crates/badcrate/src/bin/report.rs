@@ -1,4 +1,4 @@
-// Fixture: binary target — panic paths and bare orderings are allowed.
+// Fixture: binary target — bare orderings are allowed.
 
 fn main() {
     let v: Option<u32> = Some(1);

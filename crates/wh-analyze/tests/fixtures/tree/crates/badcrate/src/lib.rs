@@ -1,26 +1,9 @@
-// Fixture: a library crate seeded with panic-path, ordering, and
-// failpoint violations plus the suppression/exemption cases that must
-// NOT fire. Line numbers are asserted by the integration test.
-
-pub fn unwraps(x: Option<u32>) -> u32 {
-    x.unwrap() // line 6: no-panic
-}
-
-pub fn panics() {
-    panic!("fixture"); // line 10: no-panic
-}
-
-pub fn suppressed(x: Option<u32>) -> u32 {
-    // lint: allow(no-panic) — fixture: pragma directly above the call
-    x.expect("suppressed")
-}
-
-pub fn suppressed_inline(x: Option<u32>) -> u32 {
-    x.unwrap() // lint: allow(no-panic) — fixture: same-line pragma
-}
+// Fixture: a library crate seeded with ordering and failpoint violations
+// plus the exemption cases that must NOT fire. Line numbers are asserted
+// by the integration test.
 
 pub fn bare_load(a: &AtomicU64) -> u64 {
-    a.load(Ordering::Relaxed) // line 23: atomic-protocol (no ordering tag)
+    a.load(Ordering::Relaxed) // line 6: atomic-protocol (no ordering tag)
 }
 
 pub fn justified_load(a: &AtomicU64) -> u64 {
@@ -29,8 +12,8 @@ pub fn justified_load(a: &AtomicU64) -> u64 {
 }
 
 pub fn fires() -> Result<(), Error> {
-    fail_point!("fixture.not.registered"); // line 32: failpoint-registry + failpoint-trace
-    fail_point!("vnl.version.begin"); // line 33: failpoint-trace (registered but uncovered)
+    fail_point!("fixture.not.registered"); // line 15: failpoint-registry + failpoint-trace
+    fail_point!("vnl.version.begin"); // line 16: failpoint-trace (registered but uncovered)
     Ok(())
 }
 
@@ -57,7 +40,7 @@ pub fn cmp_is_fine(a: i32, b: i32) -> std::cmp::Ordering {
 }
 
 pub fn classifies(o: Ordering) -> bool {
-    matches!(o, Ordering::Acquire) // line 60: atomic-protocol (no atomic method, still needs a tag)
+    matches!(o, Ordering::Acquire) // line 43: atomic-protocol (no atomic method, still needs a tag)
 }
 
 #[cfg(test)]

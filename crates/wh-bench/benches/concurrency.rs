@@ -7,6 +7,7 @@
 //! abort (lock timeout) — their cost is the timeout itself, which is the
 //! phenomenon being measured, so S2PL is benchmarked with a much shorter
 //! timeout and reported separately.
+#![allow(clippy::unwrap_used)]
 
 use std::time::Duration;
 use wh_bench::micro::Micro;

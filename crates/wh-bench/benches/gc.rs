@@ -1,4 +1,5 @@
 //! E13 — garbage collection of logically-deleted tuples (§7).
+#![allow(clippy::unwrap_used)]
 
 use wh_bench::micro::Micro;
 use wh_types::{Column, DataType, Row, Schema, Value};

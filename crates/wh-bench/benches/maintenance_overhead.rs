@@ -1,6 +1,7 @@
 //! E15 — maintenance-side overhead: applying a daily delta batch through
 //! the 2VNL decision tables vs updating a plain table directly, plus the
 //! full view-maintenance pipeline.
+#![allow(clippy::unwrap_used)]
 
 use std::sync::Arc;
 use wh_bench::micro::Micro;

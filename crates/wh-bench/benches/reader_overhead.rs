@@ -3,6 +3,7 @@
 //! Measures the Example 2.1 roll-up query three ways over the same data:
 //! a plain (non-versioned) table, a 2VNL table via the SQL rewrite path,
 //! and a 2VNL table via programmatic extraction.
+#![allow(clippy::unwrap_used, clippy::unreachable)]
 
 use std::sync::Arc;
 use wh_bench::micro::Micro;

@@ -20,6 +20,7 @@
 //! (as in the CI soak job), faults also fire through both arms.
 //!
 //! `WH_BENCH_QUICK=1` shrinks seeds and volumes for CI.
+#![allow(clippy::expect_used)]
 
 use std::time::Duration;
 use wh_bench::json::{self, Json};

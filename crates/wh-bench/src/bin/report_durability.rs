@@ -22,6 +22,7 @@
 //! * scan resistance: the pool sweep's hit rate at a quarter of the heap —
 //!   a breach means repeated scans flush the pool again (a clock pool that
 //!   size hits almost nothing under a cyclic scan).
+#![allow(clippy::unwrap_used)]
 
 use std::path::PathBuf;
 use std::time::Instant;

@@ -1,6 +1,7 @@
 //! Experiments E4–E8 — the paper's worked examples, regenerated live:
 //! Figure 4 extraction (Example 3.2), Figures 5→6 (Example 3.3), the
 //! Example 4.1 rewrite text, and the Figure 7 / Example 5.1 4VNL tuple.
+#![allow(clippy::unwrap_used, clippy::unreachable)]
 
 use wh_bench::print_table;
 use wh_sql::{parse_statement, Statement};

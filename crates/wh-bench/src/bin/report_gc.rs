@@ -1,6 +1,7 @@
 //! Experiment E13 — garbage collection of logically-deleted tuples (§7):
 //! space reclaimed as a function of the delete fraction and of the oldest
 //! active reader.
+#![allow(clippy::unwrap_used)]
 
 use wh_bench::print_table;
 use wh_types::{Column, DataType, Row, Schema, Value};

@@ -41,6 +41,7 @@
 //! `WH_BENCH_QUICK=1` shrinks the relation and repeat counts for CI;
 //! `WH_BENCH_OUT` overrides the output path; `WH_OBS_OVERHEAD_PCT`
 //! overrides the 5% gate.
+#![allow(clippy::expect_used, clippy::panic)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

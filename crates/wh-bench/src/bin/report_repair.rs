@@ -21,6 +21,7 @@
 //! (wasted work), and must show a strictly lower p99 read latency.
 //!
 //! `WH_BENCH_QUICK=1` shrinks seeds and volumes for CI.
+#![allow(clippy::expect_used)]
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -6,8 +6,9 @@
 //! and hand it to [`write_report`], which honors the `WH_BENCH_OUT` override
 //! the CI jobs use to redirect artifacts.
 
-// lint: allow-file(no-panic) — report-writer support: a failed write aborts
-// the bench run; there is no caller to propagate to.
+// Report-writer support: a failed write aborts the bench run; there is no
+// caller to propagate to.
+#![expect(clippy::panic, reason = "a failed report write aborts the run")]
 use std::fmt::Write as _;
 
 /// A JSON value. Object keys keep insertion order (reports read better when

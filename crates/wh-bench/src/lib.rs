@@ -10,9 +10,6 @@
 //! * micro-benches (`benches/*.rs`, via [`micro::Micro`]) measure the
 //!   overhead claims (E13, E15) and the concurrency behaviour under load.
 
-// lint: allow-file(no-panic) — bench harness: setup failures and oracle
-// violations abort the run by design (a wrong answer must not produce a
-// plausible-looking BENCH json).
 pub mod json;
 pub mod micro;
 
@@ -29,6 +26,7 @@ pub const LOCK_TIMEOUT: Duration = Duration::from_millis(50);
 /// Instantiate every scheme of the §6 comparison over `keys` tuples,
 /// including the \[BC92b\] MV2PL page-cache refinement the paper's related
 /// work discusses.
+#[expect(clippy::expect_used, reason = "bench harness: setup failure aborts")]
 pub fn all_schemes(keys: u64) -> Vec<Box<dyn ConcurrencyScheme>> {
     vec![
         Box::new(S2plStore::populate(keys, LOCK_TIMEOUT).expect("populate S2PL")),
@@ -143,6 +141,10 @@ pub fn mixed_run(
                                 failed = true;
                                 break;
                             }
+                            #[expect(
+                                clippy::panic,
+                                reason = "bench harness: a wrong answer aborts"
+                            )]
                             Err(e) => panic!("unexpected reader error: {e}"),
                         }
                     }

@@ -18,7 +18,7 @@
 //! multi-version algorithms use essentially the same technique for
 //! synchronizing readers".
 
-use crate::scheme::{CcError, CcResult, ConcurrencyScheme, ReaderTxn, WriterTxn};
+use crate::scheme::{int_col, CcError, CcResult, ConcurrencyScheme, ReaderTxn, WriterTxn};
 use crate::stats::{CcStats, CcStatsSnapshot};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -28,6 +28,7 @@ use wh_storage::iostats::IoSnapshot;
 use wh_storage::{IoStats, Rid, Table};
 use wh_types::{Column, DataType, Schema, Value};
 
+#[expect(clippy::expect_used, reason = "static schema literal")]
 fn versioned_schema() -> Schema {
     Schema::with_key_names(
         vec![
@@ -37,7 +38,7 @@ fn versioned_schema() -> Schema {
         ],
         &["key"],
     )
-    .expect("versioned schema is valid") // lint: allow(no-panic) — static schema literal, valid by construction
+    .expect("versioned schema is valid")
 }
 
 /// A `(key, value)` store under MV2PL-style transient versioning.
@@ -131,10 +132,10 @@ impl Mv2plStore {
             let main_visible = self
                 .rid(key)
                 .and_then(|rid| Ok(self.main.read(rid)?))
-                .is_ok_and(|row| row[2].as_int().expect("ts column") <= min_ts); // lint: allow(no-panic) — invariant documented in the expect message
-                                                                                 // chain is newest-first; the newest version with ts <= min_ts is
-                                                                                 // still potentially visible (unless main covers it); everything
-                                                                                 // older is dead.
+                .is_ok_and(|row| row[2].as_int().is_some_and(|ts| ts <= min_ts));
+            // chain is newest-first; the newest version with ts <= min_ts is
+            // still potentially visible (unless main covers it); everything
+            // older is dead.
             let cut = if main_visible {
                 0
             } else {
@@ -185,9 +186,9 @@ impl Reader<'_> {
 impl ReaderTxn for Reader<'_> {
     fn read(&mut self, key: u64) -> CcResult<i64> {
         let row = self.store.main.read(self.store.rid(key)?)?;
-        let tuple_ts = row[2].as_int().expect("ts column"); // lint: allow(no-panic) — invariant documented in the expect message
+        let tuple_ts = int_col(&row, 2)?;
         if tuple_ts <= self.ts {
-            return Ok(row[1].as_int().expect("value column")); // lint: allow(no-panic) — invariant documented in the expect message
+            return int_col(&row, 1);
         }
         // Chase the version chain: newest-first, take the first ts <= ours.
         let chain = {
@@ -216,7 +217,7 @@ impl ReaderTxn for Reader<'_> {
                     }
                 }
                 let v = self.store.pool.read(rid)?;
-                return Ok(v[1].as_int().expect("value column")); // lint: allow(no-panic) — invariant documented in the expect message
+                return int_col(&v, 1);
             }
             // Skipped (too-new) hops still cost a pool read in the classic
             // design: the chain is walked through the pool pages.
@@ -246,7 +247,7 @@ impl WriterTxn for Writer<'_> {
     fn update(&mut self, key: u64, value: i64) -> CcResult<()> {
         let rid = self.store.rid(key)?;
         let row = self.store.main.read(rid)?;
-        let tuple_ts = row[2].as_int().expect("ts column"); // lint: allow(no-panic) — invariant documented in the expect message
+        let tuple_ts = int_col(&row, 2)?;
         if tuple_ts < self.ts {
             // First touch in this transaction: copy the committed image out
             // to the version pool (the extra write I/O §6 talks about).
@@ -261,11 +262,11 @@ impl WriterTxn for Writer<'_> {
             // Keep the page-resident copy of the displaced version ([BC92b]);
             // writing it is free — it shares the page write above.
             if let Some(cache) = &self.store.page_cache {
+                let old = int_col(&row, 1)?;
                 cache
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    // lint: allow(no-panic) — invariant documented in the expect message
-                    .insert(key, (tuple_ts, row[1].as_int().expect("value column")));
+                    .insert(key, (tuple_ts, old));
             }
             self.touched.push(key);
         }

@@ -6,7 +6,9 @@
 //! pushed maintenance to nighttime windows (Figure 1).
 
 use crate::lock::{LockManager, LockMode, LockRequestOutcome};
-use crate::scheme::{kv_schema, CcError, CcResult, ConcurrencyScheme, ReaderTxn, WriterTxn};
+use crate::scheme::{
+    int_col, kv_schema, CcError, CcResult, ConcurrencyScheme, ReaderTxn, WriterTxn,
+};
 use crate::stats::{CcStats, CcStatsSnapshot};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,7 +62,7 @@ impl S2plStore {
 
     fn read_value(&self, rid: Rid) -> CcResult<i64> {
         let row = self.table.read(rid)?;
-        Ok(row[1].as_int().expect("value column is BIGINT")) // lint: allow(no-panic) — invariant documented in the expect message
+        int_col(&row, 1)
     }
 }
 

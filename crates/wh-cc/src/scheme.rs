@@ -39,6 +39,13 @@ impl fmt::Display for CcError {
 
 impl std::error::Error for CcError {}
 
+/// Column `i` of a stored `(key, value[, ts])` row: a BIGINT by schema.
+pub fn int_col(row: &[wh_types::Value], i: usize) -> CcResult<i64> {
+    row[i]
+        .as_int()
+        .ok_or_else(|| CcError::Storage(format!("column {i} is not BIGINT")))
+}
+
 impl From<wh_storage::StorageError> for CcError {
     fn from(e: wh_storage::StorageError) -> Self {
         CcError::Storage(e.to_string())
@@ -87,6 +94,7 @@ pub trait ConcurrencyScheme: Send + Sync {
 
 /// The `(key, value)` schema every scheme stores: `key BIGINT` unique,
 /// `value BIGINT` updatable.
+#[expect(clippy::expect_used, reason = "static schema literal")]
 pub fn kv_schema() -> wh_types::Schema {
     wh_types::Schema::with_key_names(
         vec![
@@ -95,5 +103,5 @@ pub fn kv_schema() -> wh_types::Schema {
         ],
         &["key"],
     )
-    .expect("kv schema is valid") // lint: allow(no-panic) — static schema literal, valid by construction
+    .expect("kv schema is valid")
 }

@@ -8,7 +8,9 @@
 //! rather than being waited for.
 
 use crate::lock::{LockManager, LockMode, LockRequestOutcome};
-use crate::scheme::{kv_schema, CcError, CcResult, ConcurrencyScheme, ReaderTxn, WriterTxn};
+use crate::scheme::{
+    int_col, kv_schema, CcError, CcResult, ConcurrencyScheme, ReaderTxn, WriterTxn,
+};
 use crate::stats::{CcStats, CcStatsSnapshot};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,7 +105,7 @@ impl ReaderTxn for Reader<'_> {
             LockRequestOutcome::Granted => {}
         }
         let row = self.store.main.read(self.store.rid(key)?)?;
-        Ok(row[1].as_int().expect("value column is BIGINT")) // lint: allow(no-panic) — invariant documented in the expect message
+        int_col(&row, 1)
     }
 
     fn finish(self: Box<Self>) {

@@ -131,6 +131,22 @@ mod tests {
         assert_eq!(idx.lookup(&key(99)), Vec::<Rid>::new());
     }
 
+    /// DOUBLE keys order totally: NaN is a key of its own and never
+    /// answers a lookup of a number.
+    #[test]
+    fn nan_is_a_key_of_its_own() {
+        let idx = OrderedIndex::new(vec![0]);
+        for (i, x) in [1.0, 2.0, f64::NAN].into_iter().enumerate() {
+            idx.insert(&[Value::Float(x)], rid(i as u32));
+        }
+        assert_eq!(idx.key_count(), 3);
+        assert_eq!(idx.lookup(&IndexKey(vec![Value::Float(1.0)])), vec![rid(0)]);
+        assert_eq!(
+            idx.lookup(&IndexKey(vec![Value::Float(f64::NAN)])),
+            vec![rid(2)]
+        );
+    }
+
     #[test]
     fn range_inclusive() {
         let idx = populated();

@@ -227,16 +227,8 @@ impl<T> RetireList<T> {
     pub fn drain_safe(&self, core: &EpochCore) -> Vec<T> {
         let now = core.epoch();
         let mut q = self.locked();
-        let mut out = Vec::new();
-        while let Some(&(tag, _)) = q.front() {
-            if tag + GRACE > now {
-                break;
-            }
-            // lint: allow(no-panic) — front() above proves non-empty
-            let (_, item) = q.pop_front().expect("front checked");
-            out.push(item);
-        }
-        out
+        let ready = q.iter().take_while(|&&(tag, _)| tag + GRACE <= now).count();
+        q.drain(..ready).map(|(_, item)| item).collect()
     }
 
     /// Objects still waiting for their grace period (telemetry).

@@ -77,10 +77,10 @@ impl VersionCore {
     /// here — a checkpoint taken mid-maintenance resumes with the flag
     /// still set, and the slot-reconstruction pass clears it.
     ///
-    /// Lives in this crate (not the wrapper) because `recovery_floor` is
-    /// deliberately unreachable from outside — the version-encapsulation
-    /// lint enforces that — and a seeded floor is still a *raise* from the
-    /// fence's point of view: it is monotone from the persisted value on.
+    /// Lives in this crate (not the wrapper) because `recovery_floor` is a
+    /// private field, deliberately unreachable from outside, and a seeded
+    /// floor is still a *raise* from the fence's point of view: it is
+    /// monotone from the persisted value on.
     pub fn resume(
         current_vn: VersionNo,
         maintenance_active: bool,

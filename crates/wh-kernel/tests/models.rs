@@ -13,6 +13,7 @@
 //! ordering passes exhaustively.
 
 #![cfg(feature = "model")]
+#![allow(clippy::panic)]
 
 use std::sync::Arc;
 use wh_kernel::adaptive::EffectiveWindow;

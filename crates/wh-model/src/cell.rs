@@ -21,7 +21,10 @@ pub struct UnsafeCell<T> {
 // race detector (not the type system) enforces exclusion. Not for
 // production use — `wh-kernel`'s sync shim only maps onto this under the
 // `model` feature.
+// SAFETY: moving the cell moves its `T`, which is `Send`.
 unsafe impl<T: Send> Send for UnsafeCell<T> {}
+// SAFETY: `&self` only hands out raw pointers, whose use is the caller's
+// `unsafe` obligation; a model run reports each access to the race detector.
 unsafe impl<T: Send> Sync for UnsafeCell<T> {}
 
 impl<T> UnsafeCell<T> {

@@ -17,6 +17,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 /// Sentinel panic payload: "this execution already failed, unwind quietly".
 pub(crate) struct Abort;
 
+#[expect(clippy::panic, reason = "the checker unwinds failed executions")]
 fn panic_abort() -> ! {
     std::panic::panic_any(Abort)
 }

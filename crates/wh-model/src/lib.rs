@@ -135,8 +135,9 @@ pub fn model_with<F>(builder: Builder, f: F)
 where
     F: Fn() + Send + Sync + 'static,
 {
+    #[expect(clippy::panic, reason = "the checker reports failure by panicking")]
     if let Err(failure) = try_model(builder, f) {
-        panic!("{failure}"); // lint: allow(no-panic) — the checker's reporting contract: panic with the schedule
+        panic!("{failure}");
     }
 }
 

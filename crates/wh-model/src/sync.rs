@@ -12,9 +12,11 @@
 //! Addresses identify sync objects, so a `Mutex`/`RwLock`/atomic must not
 //! move (e.g. out of its `Arc`) during a model run.
 
-// lint: allow-file(no-panic) — these are the instrumented primitives the
-// checker controls; impossible-state panics here abort the explored
-// schedule, which is exactly the checker's failure-reporting channel.
+// These are the instrumented primitives the checker controls; impossible-
+// state panics here abort the explored schedule, which is exactly the
+// checker's failure-reporting channel.
+#![expect(clippy::expect_used, reason = "checker failure channel")]
+#![expect(clippy::unreachable, reason = "checker failure channel")]
 // lint: allow-file(atomic-protocol) — Ordering idents in this file
 // classify the *caller's* ordering argument (is_acquire/is_release
 // matches); the real accesses delegate to std with the caller's choice.

@@ -6,8 +6,9 @@
 //! happens-before edge from everything the child did. Outside a model run
 //! these delegate straight to `std::thread`.
 
-// lint: allow-file(no-panic) — join() on an already-joined std handle is
-// a caller bug in the checker harness itself; aborting is the contract.
+// join() on an already-joined std handle is a caller bug in the checker
+// harness itself; aborting is the contract.
+#![expect(clippy::expect_used, reason = "a second join is a harness bug")]
 use crate::exec::{current, Execution};
 use std::sync::{Arc, Mutex, PoisonError};
 

@@ -1,5 +1,6 @@
 //! Self-tests for the model checker: known-racy programs must fail, known-
 //! correct ones must pass with the interleaving space exhausted.
+#![allow(clippy::undocumented_unsafe_blocks)]
 
 use std::sync::Arc;
 use wh_model::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

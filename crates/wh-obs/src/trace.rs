@@ -751,6 +751,7 @@ mod tests {
         if !crate::is_enabled() {
             return;
         }
+        #[expect(clippy::unreachable, reason = "a test helper: `?` returned above")]
         fn early_return(name: u32) -> Result<(), ()> {
             let _g = enter_under_timed(name, TraceCtx::ZERO, sink);
             Err(())?;

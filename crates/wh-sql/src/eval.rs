@@ -390,11 +390,13 @@ fn apply_binop(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> {
                     BinOp::LtEq => ord != Ordering::Greater,
                     BinOp::Gt => ord == Ordering::Greater,
                     BinOp::GtEq => ord != Ordering::Less,
-                    _ => unreachable!(), // lint: allow(no-panic) — unreachable by construction (see message)
+                    #[expect(clippy::unreachable, reason = "the outer arm admits comparisons only")]
+                    _ => unreachable!(),
                 }),
             })
         }
-        BinOp::And | BinOp::Or => unreachable!("handled by short-circuit paths"), // lint: allow(no-panic) — unreachable by construction (see message)
+        #[expect(clippy::unreachable, reason = "unreachable by construction")]
+        BinOp::And | BinOp::Or => unreachable!("handled by short-circuit paths"),
     }
 }
 

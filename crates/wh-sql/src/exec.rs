@@ -1020,6 +1020,24 @@ mod tests {
     }
 
     #[test]
+    fn group_by_double_puts_both_zeros_in_one_group() {
+        let schema = wh_types::Schema::new(vec![wh_types::Column::new(
+            "x",
+            wh_types::DataType::Float64,
+        )])
+        .unwrap();
+        let t = Table::create("T", schema, Arc::new(IoStats::new())).unwrap();
+        // Alternate the groups, so that each zero is found by its hash
+        // rather than by comparison with the row before it.
+        for x in [0.0, 1.5, -0.0, 1.5, 0.0, -0.0] {
+            t.insert(&[Value::Float(x)]).unwrap();
+        }
+        let r = select(&t, "SELECT x, COUNT(*) FROM T GROUP BY x ORDER BY x");
+        assert_eq!(r.rows.len(), 2, "{:?}", r.rows);
+        assert_eq!(r.rows[0][1], Value::Int(4));
+    }
+
+    #[test]
     fn filter_and_project() {
         let t = sales_table();
         let r = select(

@@ -533,14 +533,12 @@ impl Parser {
                     && matches!(self.tokens[self.pos + 1].kind, TokenKind::Str(_)) =>
             {
                 self.advance();
-                match self.advance() {
-                    TokenKind::Str(s) => {
-                        let d = Date::parse(&s)
-                            .ok_or_else(|| self.error(format!("invalid date literal '{s}'")))?;
-                        Ok(Expr::lit(d))
-                    }
-                    _ => unreachable!("peeked a string"), // lint: allow(no-panic) — unreachable by construction (see message)
-                }
+                let TokenKind::Str(s) = self.advance() else {
+                    return Err(self.error("expected a date string"));
+                };
+                let d = Date::parse(&s)
+                    .ok_or_else(|| self.error(format!("invalid date literal '{s}'")))?;
+                Ok(Expr::lit(d))
             }
             TokenKind::Keyword(k) if k == "CASE" => {
                 self.advance();
@@ -742,7 +740,7 @@ mod tests {
         };
         assert!(matches!(*left, Expr::Between { .. }));
         let Expr::Between { expr, .. } = *left else {
-            unreachable!()
+            panic!("BETWEEN should be the left conjunct")
         };
         assert!(matches!(*expr, Expr::Binary { op: BinOp::Add, .. }));
     }

@@ -74,7 +74,6 @@ impl CheckpointMeta {
         buf[8..12].copy_from_slice(&FORMAT.to_le_bytes());
         buf[12..16].copy_from_slice(&self.record_len.to_le_bytes());
         buf[16..24].copy_from_slice(&self.current_vn.to_le_bytes());
-        // lint: allow(version-encapsulation) — CheckpointMeta's own POD field
         buf[24..32].copy_from_slice(&self.recovery_floor.to_le_bytes());
         buf[32..40].copy_from_slice(&self.gc_horizon.to_le_bytes());
         buf[40..44].copy_from_slice(&self.page_count.to_le_bytes());
@@ -128,12 +127,10 @@ impl CheckpointMeta {
         if buf.len() != LEN {
             return Err(corrupt("wrong length"));
         }
-        let field_u64 = |r: std::ops::Range<usize>| {
-            u64::from_le_bytes(buf[r].try_into().expect("8-byte field")) // lint: allow(no-panic) — fixed-width slice of a length-checked buffer
-        };
-        let field_u32 = |r: std::ops::Range<usize>| {
-            u32::from_le_bytes(buf[r].try_into().expect("4-byte field")) // lint: allow(no-panic) — fixed-width slice of a length-checked buffer
-        };
+        let field_u64 =
+            |r: std::ops::Range<usize>| u64::from_le_bytes(buf[r].try_into().unwrap_or_default());
+        let field_u32 =
+            |r: std::ops::Range<usize>| u32::from_le_bytes(buf[r].try_into().unwrap_or_default());
         if field_u64(0..8) != MAGIC {
             return Err(corrupt("bad magic"));
         }

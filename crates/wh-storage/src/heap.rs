@@ -236,7 +236,6 @@ impl HeapFile {
         let meta = CheckpointMeta {
             current_vn: version.current_vn,
             maintenance_active: version.maintenance_active,
-            // lint: allow(version-encapsulation) — VersionMeta POD field, not the kernel atomic
             recovery_floor: version.recovery_floor,
             gc_horizon: version.gc_horizon,
             page_count: self.pool.page_count(),
@@ -622,9 +621,10 @@ impl HeapFile {
                     })
                 })
                 .collect();
+            #[expect(clippy::expect_used, reason = "re-raises a scan-worker panic")]
             handles
                 .into_iter()
-                .map(|h| h.join().expect("scan worker panicked")) // lint: allow(no-panic) — re-raises a scan-worker panic on the coordinator
+                .map(|h| h.join().expect("scan worker panicked"))
                 .collect()
         })
     }

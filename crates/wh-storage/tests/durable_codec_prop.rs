@@ -4,6 +4,7 @@
 //! restart (checkpoint + reopen). A final test pins the batch gather path
 //! to the scalar byte path on pages that went through an evict/reload
 //! cycle, so the two scan kernels cannot drift on disk-resident data.
+#![allow(clippy::unwrap_used)]
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -43,8 +43,9 @@ impl Date {
     /// Construct without validation; panics (debug) on invalid input.
     ///
     /// Convenient for literals in tests and examples.
+    #[expect(clippy::expect_used, reason = "invariant in the expect message")]
     pub fn ymd(year: u16, month: u8, day: u8) -> Self {
-        Self::new(year, month, day).expect("invalid date literal") // lint: allow(no-panic) — invariant documented in the expect message
+        Self::new(year, month, day).expect("invalid date literal")
     }
 
     /// Year component.

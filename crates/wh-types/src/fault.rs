@@ -206,10 +206,11 @@ pub fn fire(point: &'static str) -> Result<(), FaultError> {
             std::thread::sleep(d);
             Ok(())
         }
+        #[expect(clippy::panic, reason = "the configured Panic fault action")]
         FaultAction::Panic => {
             state.fired += 1;
             drop(map);
-            panic!("failpoint '{point}' fired with Panic action"); // lint: allow(no-panic) — this panic IS the configured Panic fault action
+            panic!("failpoint '{point}' fired with Panic action");
         }
     }
 }

@@ -159,9 +159,15 @@ impl RowCodec {
         let slot = &buf[self.bitmap_len + self.offsets[i]..];
         Ok(match self.schema.columns()[i].ty {
             DataType::UInt8 => Value::Int(slot[0] as i64),
-            DataType::Int32 => Value::Int(i32::from_le_bytes(slot[..4].try_into().unwrap()) as i64), // lint: allow(no-panic) — infallible: fixed-width slice
-            DataType::Int64 => Value::Int(i64::from_le_bytes(slot[..8].try_into().unwrap())), // lint: allow(no-panic) — infallible: fixed-width slice
-            DataType::Float64 => Value::Float(f64::from_le_bytes(slot[..8].try_into().unwrap())), // lint: allow(no-panic) — infallible: fixed-width slice
+            DataType::Int32 => {
+                Value::Int(i32::from_le_bytes(slot[..4].try_into().unwrap_or_default()) as i64)
+            }
+            DataType::Int64 => {
+                Value::Int(i64::from_le_bytes(slot[..8].try_into().unwrap_or_default()))
+            }
+            DataType::Float64 => {
+                Value::Float(f64::from_le_bytes(slot[..8].try_into().unwrap_or_default()))
+            }
             DataType::Char(n) => {
                 let raw = &slot[..n];
                 let trimmed = match raw.iter().rposition(|&b| b != b' ') {
@@ -175,7 +181,7 @@ impl RowCodec {
                 )
             }
             DataType::Date => {
-                let packed = u32::from_le_bytes(slot[..4].try_into().unwrap()); // lint: allow(no-panic) — infallible: fixed-width slice
+                let packed = u32::from_le_bytes(slot[..4].try_into().unwrap_or_default());
                 Value::Date(
                     Date::from_packed(packed)
                         .ok_or_else(|| TypeError::Codec(format!("bad date {packed}")))?,
@@ -205,7 +211,8 @@ fn write_value(slot: &mut [u8], ty: DataType, val: &Value) {
         (DataType::Date, Value::Date(d)) => {
             slot[..4].copy_from_slice(&d.to_packed().to_le_bytes());
         }
-        _ => unreachable!("validate() admitted an unstorable value"), // lint: allow(no-panic) — unreachable by construction (see message)
+        #[expect(clippy::unreachable, reason = "unreachable by construction")]
+        _ => unreachable!("validate() admitted an unstorable value"),
     }
 }
 

@@ -48,7 +48,7 @@ impl DataType {
             (DataType::UInt8, Value::Int(i)) => (0..=255).contains(i),
             (DataType::Int32, Value::Int(i)) => *i >= i32::MIN as i64 && *i <= i32::MAX as i64,
             (DataType::Int64, Value::Int(_)) => true,
-            (DataType::Float64, Value::Float(_)) => true,
+            (DataType::Float64, Value::Float(f)) => !f.is_nan(),
             (DataType::Float64, Value::Int(_)) => true,
             (DataType::Char(n), Value::Str(s)) => s.len() <= *n,
             (DataType::Date, Value::Date(_)) => true,
@@ -102,7 +102,8 @@ impl Column {
         }
     }
 
-    /// Check that this column can store `val` (type and CHAR width).
+    /// Check that this column can store `val` (type, CHAR width, and no NaN:
+    /// keys must order totally).
     #[inline]
     pub fn check(&self, val: &Value) -> TypeResult<()> {
         if self.ty.admits(val) {
@@ -249,6 +250,7 @@ impl Schema {
 /// The paper's running-example schema (Example 2.1 / Figure 3):
 /// `DailySales(city, state, product_line, date, total_sales)` with the
 /// group-by attributes as unique key and only `total_sales` updatable.
+#[expect(clippy::expect_used, reason = "static schema literal")]
 pub fn daily_sales_schema() -> Schema {
     Schema::with_key_names(
         vec![
@@ -260,13 +262,21 @@ pub fn daily_sales_schema() -> Schema {
         ],
         &["city", "state", "product_line", "date"],
     )
-    .expect("DailySales schema is valid") // lint: allow(no-panic) — static schema literal, valid by construction
+    .expect("DailySales schema is valid")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::date::Date;
+
+    #[test]
+    fn a_double_column_refuses_nan() {
+        let c = Column::new("x", DataType::Float64);
+        assert!(c.check(&Value::Float(1.5)).is_ok());
+        let err = c.check(&Value::Float(f64::NAN)).unwrap_err();
+        assert!(matches!(err, TypeError::ColumnType { .. }), "{err:?}");
+    }
 
     #[test]
     fn widths_match_figure_3_base_schema() {

@@ -120,7 +120,9 @@ impl Value {
 
     /// Total order used for GROUP BY / ORDER BY / index keys: NULLs sort
     /// first, then by type, then by value. Unlike [`Value::sql_cmp`] this is
-    /// total and never errors, which grouping requires.
+    /// total and never errors, which grouping requires. Floats follow
+    /// `f64::total_cmp` with −0.0 equal to 0.0 (NaN above every number, or
+    /// below if negative), and an Int compares against a Float exactly.
     pub fn grouping_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         fn rank(v: &Value) -> u8 {
@@ -135,9 +137,10 @@ impl Value {
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
-            (Int(a), Float(b)) => (*a as f64).partial_cmp(b).unwrap_or(Ordering::Equal),
-            (Float(a), Int(b)) => a.partial_cmp(&(*b as f64)).unwrap_or(Ordering::Equal),
+            // Adding 0.0 turns −0.0 into 0.0 and leaves every other value.
+            (Float(a), Float(b)) => (a + 0.0).total_cmp(&(b + 0.0)),
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (Date(a), Date(b)) => a.cmp(b),
             (Bool(a), Bool(b)) => a.cmp(b),
@@ -205,6 +208,19 @@ impl Value {
     }
 }
 
+/// `i` against `f`, exactly: neither is rounded to the other's type. A NaN
+/// sits where `total_cmp` puts it, beyond every number.
+fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    if f.is_nan() {
+        return 0f64.total_cmp(&f);
+    }
+    // `as i128` truncates `f` exactly (saturating far beyond every i64);
+    // the fraction breaks a tie.
+    i128::from(i)
+        .cmp(&(f as i128))
+        .then(f.trunc().total_cmp(&f))
+}
+
 /// Equality matching [`Value::grouping_cmp`]: total, NULL == NULL, numeric
 /// cross-type equality. This is the equality used for group keys and unique
 /// keys, not SQL predicate equality (which treats NULL as unknown).
@@ -225,14 +241,16 @@ impl Hash for Value {
                 b.hash(state);
             }
             // Ints and floats must hash identically when numerically equal,
-            // because grouping_cmp treats Int(2) == Float(2.0).
+            // because grouping_cmp treats Int(2) == Float(2.0). An Int equal
+            // to a Float is exactly representable, so `as f64` is that
+            // Float; the zeros hash as one.
             Value::Int(i) => {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
             }
             Value::Float(f) => {
                 2u8.hash(state);
-                f.to_bits().hash(state);
+                (f + 0.0).to_bits().hash(state);
             }
             Value::Str(s) => {
                 3u8.hash(state);
@@ -353,16 +371,65 @@ mod tests {
         );
     }
 
+    fn h(v: &Value) -> u64 {
+        let mut s = std::collections::hash_map::DefaultHasher::new();
+        v.hash(&mut s);
+        s.finish()
+    }
+
     #[test]
     fn grouping_eq_and_hash_agree_across_numeric_types() {
-        use std::collections::hash_map::DefaultHasher;
-        fn h(v: &Value) -> u64 {
-            let mut s = DefaultHasher::new();
-            v.hash(&mut s);
-            s.finish()
-        }
         assert_eq!(Value::Int(2), Value::Float(2.0));
         assert_eq!(h(&Value::Int(2)), h(&Value::Float(2.0)));
+    }
+
+    #[test]
+    fn the_zeros_are_one_value_and_hash_alike() {
+        let zeros = [Value::Float(-0.0), Value::Float(0.0), Value::Int(0)];
+        for a in &zeros {
+            for b in &zeros {
+                assert_eq!(a, b);
+                assert_eq!(h(a), h(b), "{a:?} and {b:?} hash apart");
+            }
+        }
+    }
+
+    #[test]
+    fn int_against_float_is_exact_and_transitive() {
+        let two_53 = 1i64 << 53;
+        let (above, float, at) = (
+            Value::Int(two_53 + 1),
+            Value::Float(two_53 as f64),
+            Value::Int(two_53),
+        );
+        assert_eq!(float, at);
+        assert_eq!(above.grouping_cmp(&float), Ordering::Greater);
+        assert_eq!(float.grouping_cmp(&above), Ordering::Less);
+        assert_eq!(above.grouping_cmp(&at), Ordering::Greater);
+        // Fractions, the i64 limits and NaN.
+        assert_eq!(
+            Value::Int(2).grouping_cmp(&Value::Float(2.5)),
+            Ordering::Less
+        );
+        assert_eq!(
+            Value::Int(-2).grouping_cmp(&Value::Float(-2.5)),
+            Ordering::Greater
+        );
+        assert_eq!(Value::Int(i64::MIN), Value::Float(i64::MIN as f64));
+        let top = Value::Float(9_223_372_036_854_775_808.0);
+        assert_eq!(Value::Int(i64::MAX).grouping_cmp(&top), Ordering::Less);
+        let nan = Value::Float(f64::NAN);
+        assert_eq!(
+            Value::Float(f64::INFINITY).grouping_cmp(&nan),
+            Ordering::Less
+        );
+        assert_eq!(Value::Int(i64::MAX).grouping_cmp(&nan), Ordering::Less);
+        assert_eq!(
+            Value::Int(i64::MIN).grouping_cmp(&Value::Float(-f64::NAN)),
+            Ordering::Greater
+        );
+        assert_eq!(nan, Value::Float(f64::NAN));
+        assert_ne!(nan, Value::Float(1.0));
     }
 
     #[test]

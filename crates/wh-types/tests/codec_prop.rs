@@ -4,6 +4,7 @@
 //!
 //! Inputs are generated with the deterministic [`SplitMix64`] generator, so
 //! every run exercises the same cases (no external proptest dependency).
+#![allow(clippy::expect_used)]
 
 use wh_types::{Column, DataType, Date, Row, RowCodec, Schema, SplitMix64, Value};
 

@@ -48,6 +48,7 @@ impl SummaryViewDef {
     /// The summary table's base schema: group-by columns (key,
     /// non-updatable), then the SUM and COUNT columns (updatable) — the
     /// §3.1 sweet spot for 2VNL storage overhead.
+    #[expect(clippy::expect_used, reason = "static schema literal")]
     pub fn summary_schema(&self) -> Schema {
         let mut columns: Vec<Column> = self
             .group_cols
@@ -62,7 +63,7 @@ impl SummaryViewDef {
         columns.push(Column::updatable(self.sum_name.clone(), DataType::Int64));
         columns.push(Column::updatable(self.count_name.clone(), DataType::Int64));
         let key: Vec<usize> = (0..self.group_cols.len()).collect();
-        Schema::with_key(columns, key).expect("summary schema is valid") // lint: allow(no-panic) — static schema literal, valid by construction
+        Schema::with_key(columns, key).expect("summary schema is valid")
     }
 
     /// Create an empty 2VNL (or nVNL) table for this view.

@@ -5,6 +5,7 @@
 //!
 //! Op sequences are generated with the deterministic [`SplitMix64`]
 //! generator, so every run exercises the same cases.
+#![allow(clippy::unwrap_used)]
 
 use wh_types::{Column, DataType, Row, Schema, SplitMix64, Value};
 use wh_view::{SourceDelta, SummaryViewDef, ViewMaintainer};

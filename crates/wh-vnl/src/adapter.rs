@@ -12,11 +12,12 @@ use crate::error::VnlError;
 use crate::maintenance::MaintenanceTxn;
 use crate::reader::ReaderSession;
 use crate::table::VnlTable;
-use wh_cc::scheme::{CcError, CcResult, ConcurrencyScheme, ReaderTxn, WriterTxn};
+use wh_cc::scheme::{int_col, CcError, CcResult, ConcurrencyScheme, ReaderTxn, WriterTxn};
 use wh_cc::stats::CcStatsSnapshot;
 use wh_storage::iostats::IoSnapshot;
 use wh_types::{Column, DataType, Row, Schema, Value};
 
+#[expect(clippy::expect_used, reason = "static schema literal")]
 fn kv_base_schema() -> Schema {
     Schema::with_key_names(
         vec![
@@ -25,7 +26,7 @@ fn kv_base_schema() -> Schema {
         ],
         &["key"],
     )
-    .expect("kv schema is valid") // lint: allow(no-panic) — static schema literal, valid by construction
+    .expect("kv schema is valid")
 }
 
 /// A `(key, value)` store maintained under nVNL.
@@ -69,49 +70,47 @@ fn to_cc(e: VnlError, key: u64) -> CcError {
 }
 
 struct VnlReader<'s> {
-    session: Option<ReaderSession<'s>>,
+    session: ReaderSession<'s>,
 }
 
 impl ReaderTxn for VnlReader<'_> {
     fn read(&mut self, key: u64) -> CcResult<i64> {
-        let session = self.session.as_ref().expect("session live until finish"); // lint: allow(no-panic) — invariant documented in the expect message
-        match session.read_by_key(&VnlStore::key_row(key)) {
-            Ok(Some(row)) => Ok(row[1].as_int().expect("value column")), // lint: allow(no-panic) — invariant documented in the expect message
+        match self.session.read_by_key(&VnlStore::key_row(key)) {
+            Ok(Some(row)) => int_col(&row, 1),
             Ok(None) => Err(CcError::NoSuchKey(key)),
             Err(e) => Err(to_cc(e, key)),
         }
     }
 
-    fn finish(mut self: Box<Self>) {
-        if let Some(s) = self.session.take() {
-            s.finish();
-        }
+    fn finish(self: Box<Self>) {
+        self.session.finish();
     }
 }
 
 struct VnlWriter<'s> {
-    txn: Option<MaintenanceTxn<'s>>,
+    txn: MaintenanceTxn<'s>,
 }
 
 impl WriterTxn for VnlWriter<'_> {
     fn update(&mut self, key: u64, value: i64) -> CcResult<()> {
-        let txn = self.txn.as_ref().expect("txn live until commit/abort"); // lint: allow(no-panic) — invariant documented in the expect message
         let row = vec![Value::from(key as i64), Value::from(value)];
-        match txn.update_row(&row) {
+        match self.txn.update_row(&row) {
             Ok(()) => Ok(()),
             Err(VnlError::NoSuchTuple(_)) => Err(CcError::NoSuchKey(key)),
             Err(e) => Err(to_cc(e, key)),
         }
     }
 
-    fn commit(mut self: Box<Self>) -> CcResult<()> {
-        let txn = self.txn.take().expect("txn live"); // lint: allow(no-panic) — invariant documented in the expect message
-        txn.commit().map_err(|e| CcError::Storage(e.to_string()))
+    fn commit(self: Box<Self>) -> CcResult<()> {
+        self.txn
+            .commit()
+            .map_err(|e| CcError::Storage(e.to_string()))
     }
 
-    fn abort(mut self: Box<Self>) -> CcResult<()> {
-        let txn = self.txn.take().expect("txn live"); // lint: allow(no-panic) — invariant documented in the expect message
-        txn.abort().map_err(|e| CcError::Storage(e.to_string()))
+    fn abort(self: Box<Self>) -> CcResult<()> {
+        self.txn
+            .abort()
+            .map_err(|e| CcError::Storage(e.to_string()))
     }
 }
 
@@ -122,16 +121,17 @@ impl ConcurrencyScheme for VnlStore {
 
     fn begin_reader(&self) -> Box<dyn ReaderTxn + '_> {
         Box::new(VnlReader {
-            session: Some(self.table.begin_session()),
+            session: self.table.begin_session(),
         })
     }
 
     fn begin_writer(&self) -> Box<dyn WriterTxn + '_> {
+        #[expect(clippy::expect_used, reason = "invariant in the expect message")]
         let txn = self
             .table
             .begin_maintenance()
-            .expect("benchmarks enforce one writer at a time"); // lint: allow(no-panic) — invariant documented in the expect message
-        Box::new(VnlWriter { txn: Some(txn) })
+            .expect("benchmarks enforce one writer at a time");
+        Box::new(VnlWriter { txn })
     }
 
     fn cc_stats(&self) -> CcStatsSnapshot {

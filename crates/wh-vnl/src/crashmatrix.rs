@@ -18,9 +18,12 @@
 //!
 //! [`recover`]: crate::recovery::recover
 
-// lint: allow-file(no-panic) — the crash matrix is a test driver compiled
-// only under the failpoints feature: cells panic on oracle divergence (a
-// completed sweep is the proof) and scripted setup uses unwrap freely.
+// The crash matrix is a test driver compiled only under the failpoints
+// feature: cells panic on oracle divergence (a completed sweep is the proof)
+// and scripted setup uses unwrap freely.
+#![expect(clippy::unwrap_used, reason = "a test driver")]
+#![expect(clippy::panic, reason = "a test driver")]
+#![expect(clippy::unreachable, reason = "a test driver")]
 use crate::durable::{self, DiskRecoveryReport};
 use crate::gc;
 use crate::recovery::{self, RecoveryReport};

@@ -171,7 +171,6 @@ pub fn recover_from_disk(
         Arc::clone(&io),
         meta.current_vn,
         meta.maintenance_active,
-        // lint: allow(version-encapsulation) — CheckpointMeta POD field, not the kernel atomic
         meta.recovery_floor,
     )?);
     let table = VnlTable::from_parts(name, layout, storage, version, io)?;

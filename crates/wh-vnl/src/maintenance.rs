@@ -468,8 +468,9 @@ impl<'t> MaintenanceTxn<'t> {
         // trace: under the caller's vnl.txn.insert span.
         fail_point!("vnl.txn.insert.register");
         if let Some(dir) = self.table.key_dir() {
+            #[expect(clippy::expect_used, reason = "invariant in the expect message")]
             dir.register(&ext, rid)
-                .expect("the key probe found no registration"); // lint: allow(no-panic) — invariant documented in the expect message
+                .expect("the key probe found no registration");
         }
         self.table.on_physical_insert(&ext, rid);
         self.record(PhysicalAction::InsertTuple, || {

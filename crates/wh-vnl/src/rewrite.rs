@@ -67,12 +67,13 @@ impl QueryRewriter {
     /// pre_total_sales END`, generalized over slots).
     pub fn value_case(&self, name: &str) -> VnlResult<Expr> {
         let base_idx = self.layout.base_schema().column_index(name)?;
+        #[expect(clippy::expect_used, reason = "invariant in the expect message")]
         let u_pos = self
             .layout
             .updatable()
             .iter()
             .position(|&u| u == base_idx)
-            .expect("value_case called for an updatable column"); // lint: allow(no-panic) — invariant documented in the expect message
+            .expect("value_case called for an updatable column");
         let slots = self.layout.slots();
         let mut branches = Vec::new();
         // Slot-0 current branch.
@@ -84,16 +85,11 @@ impl QueryRewriter {
             ),
             Expr::col(name),
         ));
-        // Pre branches: slot j decisive when vn_{j+1} is empty or <= :s.
-        for j in 0..slots {
+        // Pre branches: slot j decisive when vn_{j+1} is empty or <= :s;
+        // the oldest slot is the ELSE arm.
+        let oldest = slots.saturating_sub(1);
+        for j in 0..oldest {
             let pre = Expr::col(self.pre_name(j, u_pos));
-            if j + 1 == slots {
-                // Oldest slot: the ELSE arm.
-                return Ok(Expr::Case {
-                    branches,
-                    else_expr: Some(Box::new(pre)),
-                });
-            }
             let next_empty_or_le = Expr::IsNull {
                 expr: Box::new(Expr::col(self.vn_name(j + 1))),
                 negated: false,
@@ -105,7 +101,10 @@ impl QueryRewriter {
             ));
             branches.push((next_empty_or_le, pre));
         }
-        unreachable!("loop always returns at the oldest slot") // lint: allow(no-panic) — unreachable by construction (see message)
+        Ok(Expr::Case {
+            branches,
+            else_expr: Some(Box::new(Expr::col(self.pre_name(oldest, u_pos)))),
+        })
     }
 
     /// The WHERE guard selecting visible tuples (Example 4.1's

@@ -116,12 +116,13 @@ pub struct VersionSnapshot {
     pub maintenance_active: bool,
 }
 
+#[expect(clippy::expect_used, reason = "static schema literal")]
 fn version_relation_schema() -> Schema {
     Schema::new(vec![
         Column::updatable("currentVN", DataType::Int64),
         Column::updatable("maintenanceActive", DataType::UInt8),
     ])
-    .expect("version relation schema is valid") // lint: allow(no-panic) — static schema literal, valid by construction
+    .expect("version relation schema is valid")
 }
 
 impl VersionState {

@@ -49,10 +49,11 @@ impl Visible {
 
 /// Apply Table 1 / §5 to one extended row.
 pub fn extract(layout: &ExtLayout, ext_row: &[Value], session_vn: VersionNo) -> Visible {
+    #[expect(clippy::expect_used, reason = "invariant in the expect message")]
     let (vn1, op1) = layout
         .slot(ext_row, 0)
-        .expect("slot 0 is always populated for live tuples"); // lint: allow(no-panic) — invariant documented in the expect message
-                                                               // Case 1: the session is at or past the tuple's newest modification.
+        .expect("slot 0 is always populated for live tuples");
+    // Case 1: the session is at or past the tuple's newest modification.
     if session_vn >= vn1 {
         return match op1 {
             Operation::Delete => Visible::Ignore,
@@ -77,12 +78,14 @@ pub fn extract(layout: &ExtLayout, ext_row: &[Value], session_vn: VersionNo) -> 
     // oldest recorded pre-update version's validity window.
     let slots_full = oldest_recorded == layout.slots() - 1;
     if slots_full && j_star == oldest_recorded {
-        let (vn_oldest, _) = layout.slot(ext_row, oldest_recorded).expect("recorded"); // lint: allow(no-panic) — invariant documented in the expect message
+        #[expect(clippy::expect_used, reason = "invariant in the expect message")]
+        let (vn_oldest, _) = layout.slot(ext_row, oldest_recorded).expect("recorded");
         if session_vn + 1 < vn_oldest {
             return Visible::Expired;
         }
     }
-    let (_, op_j) = layout.slot(ext_row, j_star).expect("j* is recorded"); // lint: allow(no-panic) — invariant documented in the expect message
+    #[expect(clippy::expect_used, reason = "invariant in the expect message")]
+    let (_, op_j) = layout.slot(ext_row, j_star).expect("j* is recorded");
     match op_j {
         Operation::Insert => Visible::Ignore,
         _ => Visible::Row(layout.pre_values(ext_row, j_star)),

@@ -3,6 +3,7 @@
 //! checking. Compiled only under `--features failpoints`; the driver lives
 //! in `wh_vnl::crashmatrix` so the `report_fault` binary shares it.
 #![cfg(feature = "failpoints")]
+#![allow(clippy::unwrap_used)]
 
 use std::sync::Mutex;
 

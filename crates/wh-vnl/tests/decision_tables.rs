@@ -1,5 +1,6 @@
 //! Exhaustive reproduction of the paper's decision tables (Tables 2–4) and
 //! the Example 3.3 golden sequence (Figures 4 → 5 → 6).
+#![allow(clippy::unwrap_used)]
 
 use wh_sql::Params;
 use wh_types::schema::daily_sales_schema;

@@ -21,6 +21,7 @@
 //! values, `Char` values that are prefixes and extensions of the pushed
 //! literal, and updates whose pre-image fails a conjunct the current value
 //! passes (and the reverse).
+#![allow(clippy::unwrap_used, clippy::panic)]
 
 use std::sync::Arc;
 use wh_sql::{execute_select, parse_statement, Params, QueryResult, SelectStmt, Statement};

@@ -1,5 +1,6 @@
 //! Edge cases around the 2VNL lifecycle: empty relations, empty
 //! transactions, keyless relations, and boundary schemas.
+#![allow(clippy::unwrap_used)]
 
 use wh_sql::Params;
 use wh_types::{Column, DataType, Schema, Value};

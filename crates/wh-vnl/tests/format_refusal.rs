@@ -3,6 +3,7 @@
 //! refused with a typed `Corrupt` error: by restart recovery through its
 //! checkpoint record, and by the buffer pool on the bare page file. It is
 //! never served as data and never read as an empty table.
+#![allow(clippy::unwrap_used)]
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -2,6 +2,7 @@
 //! (the common warehouse case: group-by/dimension columns) must keep
 //! working unchanged through maintenance, GC, resurrection, and rollback —
 //! and must reject updatable attributes.
+#![allow(clippy::unwrap_used)]
 
 use wh_sql::Params;
 use wh_storage::StorageError;

@@ -7,6 +7,7 @@
 //! guarantee window** must see exactly the model's state at that version.
 //! This exercises visibility (Table 1/§5), the maintenance decision tables
 //! (Tables 2–4), net effects, and slot push-back together.
+#![allow(clippy::unwrap_used, clippy::panic)]
 
 use std::collections::HashMap;
 use wh_types::{Column, DataType, Row, Schema, SplitMix64, Value};

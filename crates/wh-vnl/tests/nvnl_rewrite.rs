@@ -1,6 +1,7 @@
 //! §5 × §4: the generalized nVNL query rewrite must agree with programmatic
 //! slot extraction for sessions overlapping up to n − 1 maintenance
 //! transactions, on arbitrary histories.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use wh_types::schema::daily_sales_schema;
 use wh_types::{Date, Row, SplitMix64, Value};

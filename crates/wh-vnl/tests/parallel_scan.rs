@@ -5,6 +5,7 @@
 //! heap — under random histories and under concurrent maintenance and GC.
 //! Point reads and index lookups classify with the same kernel, and are
 //! held to the same oracle tuple by tuple.
+#![allow(clippy::unwrap_used)]
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -3,6 +3,7 @@
 //! exactly what a real crash leaves behind (pending tuple slots, a stuck
 //! `maintenanceActive` flag, and no undo map). The failpoint-driven crash
 //! matrix in `crash_recovery.rs` covers mid-operation crashes.
+#![allow(clippy::unwrap_used, clippy::panic)]
 
 use std::collections::HashMap;
 

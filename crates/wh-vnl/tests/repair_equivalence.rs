@@ -20,6 +20,7 @@
 //! physically past the session's version (`Visible::Expired`) and repair
 //! must reconstruct them from the delta window's first pre-images — the
 //! test asserts that path actually fired across the sweep.
+#![allow(clippy::unwrap_used, clippy::panic)]
 
 use std::collections::BTreeMap;
 

@@ -2,6 +2,7 @@
 //! matching an unexpired single-version run (property tested), pacer
 //! policies under live maintenance, and the adaptive window interacting
 //! with real sessions.
+#![allow(clippy::unwrap_used)]
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};

@@ -4,6 +4,7 @@
 //! metadata. No write-ahead log exists to replay: §7's slot reconstruction
 //! *is* the redo/undo story, and these tests hold it to the same
 //! zero-wrong-answer standard as the in-process recovery suite.
+#![allow(clippy::unwrap_used)]
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,6 +1,7 @@
 //! §7's log-free rollback: aborting a maintenance transaction restores the
 //! exact pre-transaction state by reverting tuples from their own version
 //! slots (plus the transaction-private undo map).
+#![allow(clippy::unwrap_used)]
 
 use wh_sql::Params;
 use wh_types::schema::daily_sales_schema;

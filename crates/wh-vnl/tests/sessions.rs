@@ -2,6 +2,7 @@
 //! Example 3.2 extraction, rewrite-vs-extraction equivalence (property
 //! tested), expiration (both detectors), and a multithreaded
 //! serializability stress test.
+#![allow(clippy::unwrap_used)]
 
 use std::sync::Arc;
 use wh_types::schema::daily_sales_schema;

@@ -68,6 +68,7 @@ impl SalesGenerator {
     }
 
     /// The source-relation schema: one row per individual sale.
+    #[expect(clippy::expect_used, reason = "static schema literal")]
     pub fn source_schema() -> Schema {
         Schema::new(vec![
             Column::new("city", DataType::Char(20)),
@@ -76,7 +77,7 @@ impl SalesGenerator {
             Column::new("date", DataType::Date),
             Column::new("amount", DataType::Int32),
         ])
-        .expect("source schema is valid") // lint: allow(no-panic) — static schema literal, valid by construction
+        .expect("source schema is valid")
     }
 
     fn city(&mut self) -> (String, &'static str) {

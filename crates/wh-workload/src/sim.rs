@@ -82,13 +82,14 @@ impl PeriodicSchedule {
 
     /// Longest session length guaranteed never to expire, found empirically
     /// by minimizing `expiry(t) − t` over all start times in one period.
+    #[expect(clippy::expect_used, reason = "invariant in the expect message")]
     pub fn empirical_guaranteed(&self, n: u64) -> u64 {
         let lo = self.first_start + self.period(); // steady state
         let hi = lo + self.period();
         (lo..hi)
             .map(|t| self.expiry_time(t, n) - t)
             .min()
-            .expect("non-empty period") // lint: allow(no-panic) — invariant documented in the expect message
+            .expect("non-empty period")
     }
 }
 

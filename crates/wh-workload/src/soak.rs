@@ -170,6 +170,7 @@ impl SoakReport {
     }
 }
 
+#[expect(clippy::expect_used, reason = "static schema literal")]
 fn kv_schema() -> Schema {
     Schema::with_key_names(
         vec![
@@ -178,7 +179,7 @@ fn kv_schema() -> Schema {
         ],
         &["key"],
     )
-    .expect("kv schema is valid") // lint: allow(no-panic) — static schema literal, valid by construction
+    .expect("kv schema is valid")
 }
 
 fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -405,7 +406,9 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, VnlError> {
             });
         }
 
-        report = maintenance.join().expect("maintenance thread"); // lint: allow(no-panic) — re-raises a maintenance-thread panic on the driver
+        #[expect(clippy::expect_used, reason = "re-raises a maintenance-thread panic")]
+        let joined = maintenance.join().expect("maintenance thread");
+        report = joined;
     });
 
     fault::configure(UPDATE_FAULT, FaultAction::Off);

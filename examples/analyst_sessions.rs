@@ -7,6 +7,7 @@
 //! ```sh
 //! cargo run --example analyst_sessions
 //! ```
+#![allow(clippy::unwrap_used)]
 
 use warehouse_2vnl::sql::Params;
 use warehouse_2vnl::types::{schema::daily_sales_schema, Date, Row, Value};

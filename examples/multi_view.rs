@@ -7,6 +7,7 @@
 //! ```sh
 //! cargo run --release --example multi_view
 //! ```
+#![allow(clippy::unwrap_used)]
 
 use warehouse_2vnl::types::Date;
 use warehouse_2vnl::view::{SummaryViewDef, ViewMaintainer};

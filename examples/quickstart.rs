@@ -4,6 +4,7 @@
 //! ```sh
 //! cargo run --example quickstart
 //! ```
+#![allow(clippy::unwrap_used)]
 
 use warehouse_2vnl::types::{schema::daily_sales_schema, Date, Value};
 use warehouse_2vnl::vnl::{ReadOutcome, VnlTable};

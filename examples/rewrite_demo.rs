@@ -4,6 +4,7 @@
 //! ```sh
 //! cargo run --example rewrite_demo
 //! ```
+#![allow(clippy::unwrap_used, clippy::panic)]
 
 use warehouse_2vnl::sql::{parse_statement, Statement};
 use warehouse_2vnl::types::schema::daily_sales_schema;

@@ -7,6 +7,7 @@
 //! ```sh
 //! cargo run --release --example round_the_clock
 //! ```
+#![allow(clippy::unwrap_used, clippy::panic)]
 
 use warehouse_2vnl::types::Date;
 use warehouse_2vnl::view::{SummaryViewDef, ViewMaintainer};

@@ -6,6 +6,7 @@
 //! ```sh
 //! cargo run --example tune_n
 //! ```
+#![allow(clippy::expect_used)]
 
 use warehouse_2vnl::vnl::{choose_n, guaranteed_session_length};
 use warehouse_2vnl::workload::empirical_guaranteed_length;

@@ -2,6 +2,7 @@
 //! feed → net-effect deltas → incremental view maintenance → 2VNL summary
 //! table — exercised with concurrent analyst sessions, garbage collection,
 //! and rollback, across multiple simulated days.
+#![allow(clippy::unwrap_used)]
 
 use std::sync::Arc;
 use warehouse_2vnl::types::{Date, Value};

@@ -5,6 +5,7 @@
 //! from the §6 baselines. This is the PR's acceptance gate for the metric
 //! plumbing: each assertion fails if the corresponding instrumentation site
 //! stops reporting.
+#![allow(clippy::unwrap_used)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

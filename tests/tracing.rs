@@ -9,6 +9,7 @@
 //! drained, only roots (forgotten-transaction crash simulations) may
 //! remain open. This holds across threads: parallel-scan partition spans
 //! open on worker threads under a context captured on the issuing thread.
+#![allow(clippy::expect_used, clippy::panic)]
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
